@@ -1,23 +1,16 @@
 """Closure-kernel backend selection.
 
-The compiled extension is preferred when importable; HORNKEYS_PURE=1 forces
-the pure-Python engine (decided once at import time).
+The compiled extension is used when it was built; otherwise the pure-Python
+twin, which has the same contract and stays as the reference and fallback.
 """
 
-import os
+try:
+    from ._fastclosure import Engine
 
-if os.environ.get("HORNKEYS_PURE") == "1":
-    from ._closure_py import Engine
+    BACKEND = "cython"
+except ImportError:
+    from ._closure_py import Engine  # type: ignore[no-redef]
 
     BACKEND = "python"
-else:
-    try:
-        from ._fastclosure import Engine  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from ._closure_py import Engine  # type: ignore[no-redef]
-
-        BACKEND = "python"
 
 __all__ = ["Engine", "BACKEND"]

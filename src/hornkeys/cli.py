@@ -8,6 +8,7 @@ object {command, result, witness, stats}; see docs/cli_output.schema.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -114,8 +115,47 @@ def _payload(command: str, result, witness=None, stats=None) -> str:
     )
 
 
-def _auto_names(universe) -> bool:
-    return universe.labels is not None
+def _emit_set(args, command: str, s, universe, names: bool) -> int:
+    if args.json:
+        print(_payload(command, _ids(s, universe, names)))
+    else:
+        print(_line(s, universe, names))
+    return 0
+
+
+def _emit_sets(args, command: str, sets, universe) -> int:
+    if args.json:
+        print(_payload(command, [_ids(s, universe, False) for s in sets]))
+    else:
+        for s in sets:
+            print(_line(s, universe, False))
+    return 0
+
+
+# Text and JSON label of the vertex set in each recognizer witness (S, v).
+_WITNESS_LABELS = {"transversal-pair-missing": "T", "no-individual-neighbor": "I"}
+
+
+def _emit_verdict(args, command: str, ok: bool, witness, universe) -> int:
+    """``unique``/``not unique`` plus the witness, if any; exit 0 or 1."""
+    names = universe.labels is not None  # labels whenever the input has them
+    shown = None
+    if witness is not None:
+        s, v = witness.data
+        label = _WITNESS_LABELS[witness.kind]
+        shown = {
+            "kind": witness.kind,
+            label: _ids(s, universe, names),
+            "v": _id(v, universe, names),
+        }
+    if args.json:
+        print(_payload(command, ok, shown))
+    else:
+        print("unique" if ok else "not unique")
+        if shown is not None:
+            print(f"{label}: {_line(s, universe, names)}")
+            print(f"v: {shown['v']}")
+    return 0 if ok else 1
 
 
 # --- enumeration verbs -----------------------------------------------------
@@ -124,7 +164,7 @@ def _auto_names(universe) -> bool:
 def _run_enumeration(args, command, universe, iterator, stats: KeyEnumerationStats) -> int:
     if args.json:
         keys = [_ids(k, universe, args.names) for k in iterator]
-        print(_payload(command, keys, None, stats.as_dict()))
+        print(_payload(command, keys, None, dataclasses.asdict(stats)))
         return 0
     for k in iterator:
         print(_line(k, universe, args.names), flush=True)
@@ -163,11 +203,7 @@ def cmd_key_min(args) -> int:
         k = minimize_key(cnf, s)
     except ContractError as e:
         raise InputError(str(e)) from None
-    if args.json:
-        print(_payload("key-min", _ids(k, cnf.universe, args.names)))
-    else:
-        print(_line(k, cnf.universe, args.names))
-    return 0
+    return _emit_set(args, "key-min", k, cnf.universe, args.names)
 
 
 # --- recognizers -----------------------------------------------------------
@@ -175,52 +211,12 @@ def cmd_key_min(args) -> int:
 
 def cmd_unique_hg(args) -> int:
     hg = parse_hypergraph(_read(args.input))
-    ok, w = is_unique_key_hypergraph(hg)
-    names = _auto_names(hg.universe)
-    if args.json:
-        witness = None
-        if w is not None:
-            t, v = w.data
-            witness = {
-                "kind": w.kind,
-                "T": _ids(t, hg.universe, names),
-                "v": _id(v, hg.universe, names),
-            }
-        print(_payload("unique-hg", ok, witness))
-        return 0 if ok else 1
-    if ok:
-        print("unique")
-        return 0
-    t, v = w.data
-    print("not unique")
-    print(f"T: {_line(t, hg.universe, names)}")
-    print(f"v: {_id(v, hg.universe, names)}")
-    return 1
+    return _emit_verdict(args, "unique-hg", *is_unique_key_hypergraph(hg), hg.universe)
 
 
 def cmd_unique_graph(args) -> int:
     g = parse_graph(_read(args.input))
-    ok, w = is_unique_key_graph(g)
-    names = _auto_names(g.universe)
-    if args.json:
-        witness = None
-        if w is not None:
-            i, v = w.data
-            witness = {
-                "kind": w.kind,
-                "I": _ids(i, g.universe, names),
-                "v": _id(v, g.universe, names),
-            }
-        print(_payload("unique-graph", ok, witness))
-        return 0 if ok else 1
-    if ok:
-        print("unique")
-        return 0
-    i, v = w.data
-    print("not unique")
-    print(f"I: {_line(i, g.universe, names)}")
-    print(f"v: {_id(v, g.universe, names)}")
-    return 1
+    return _emit_verdict(args, "unique-graph", *is_unique_key_graph(g), g.universe)
 
 
 # --- transformations -------------------------------------------------------
@@ -294,12 +290,7 @@ def cmd_tss_activate(args) -> int:
 
 def cmd_tss_min(args) -> int:
     tg = parse_tss(_read(args.input))
-    s = minimum_target_set(tg)
-    if args.json:
-        print(_payload("tss-min", _ids(s, tg.universe, args.names)))
-    else:
-        print(_line(s, tg.universe, args.names))
-    return 0
+    return _emit_set(args, "tss-min", minimum_target_set(tg), tg.universe, args.names)
 
 
 # --- generators and oracles ------------------------------------------------
@@ -327,40 +318,20 @@ def cmd_oracle(args) -> int:
     if name == "minimal-keys":
         cnf = parse_horn(_read(args.input))
         keys = sorted(bf_minimal_keys(cnf), key=lambda s: tuple(sorted(s)))
-        if args.json:
-            print(_payload("oracle", [_ids(k, cnf.universe, False) for k in keys]))
-        else:
-            for k in keys:
-                print(_line(k, cnf.universe, False))
-        return 0
+        return _emit_sets(args, "oracle", keys, cnf.universe)
     if name == "transversals":
         hg = parse_hypergraph(_read(args.input))
         return _emit_text(args, "oracle", serialize_hypergraph(bf_minimal_transversals(hg)))
     if name == "unique-key":
         hg = parse_hypergraph(_read(args.input))
-        ok = bf_unique_key(hg)
-        if args.json:
-            print(_payload("oracle", ok))
-        else:
-            print("unique" if ok else "not unique")
-        return 0 if ok else 1
+        return _emit_verdict(args, "oracle", bf_unique_key(hg), None, hg.universe)
     if name == "min-tss":
         tg = parse_tss(_read(args.input))
-        s = bf_min_target_set(tg)
-        if args.json:
-            print(_payload("oracle", _ids(s, tg.universe, False)))
-        else:
-            print(_line(s, tg.universe, False))
-        return 0
+        return _emit_set(args, "oracle", bf_min_target_set(tg), tg.universe, False)
     if name == "minimal-tss":
         tg = parse_tss(_read(args.input))
         sets = sorted(bf_minimal_target_sets(tg), key=lambda s: tuple(sorted(s)))
-        if args.json:
-            print(_payload("oracle", [_ids(s, tg.universe, False) for s in sets]))
-        else:
-            for s in sets:
-                print(_line(s, tg.universe, False))
-        return 0
+        return _emit_sets(args, "oracle", sets, tg.universe)
     if name == "cuts":
         g = parse_graph(_read(args.input))
         return _emit_text(args, "oracle", serialize_hypergraph(graphic_matroid_cuts(g)))
@@ -380,23 +351,13 @@ def cmd_oracle(args) -> int:
         return 0
     if name == "mis":
         g = parse_graph(_read(args.input))
-        sets = bf_maximal_independent_sets(g)
-        if args.json:
-            print(_payload("oracle", [_ids(s, g.universe, False) for s in sets]))
-        else:
-            for s in sets:
-                print(_line(s, g.universe, False))
-        return 0
+        return _emit_sets(args, "oracle", bf_maximal_independent_sets(g), g.universe)
     if name == "closure":
         cnf = parse_horn(_read(args.input))
         if args.set is None:
             raise InputError("oracle closure needs --set")
         closed = bf_forward_closure(cnf, _parse_set(args.set, cnf.universe))
-        if args.json:
-            print(_payload("oracle", _ids(closed, cnf.universe, False)))
-        else:
-            print(_line(closed, cnf.universe, False))
-        return 0
+        return _emit_set(args, "oracle", closed, cnf.universe, False)
     raise InputError(f"unknown oracle {name!r}")
 
 

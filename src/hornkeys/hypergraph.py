@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from ._bitset import bits_of, mask_of
+from ._bitset import bits_of, mask_of, set_of
 from .core import HornClause, HornCNF, VariableUniverse, _as_varset
 from .errors import InputError, ResourceGuardError, dual_cap
 
@@ -31,13 +31,17 @@ class SpernerHypergraph:
             e = _as_varset(e, n)
             uniq[tuple(sorted(e))] = e
         ordered = tuple(uniq[k] for k in sorted(uniq))
-        for a in ordered:
-            for b in ordered:
-                if a is not b and a < b:
-                    raise InputError(
-                        f"not an antichain: edge {sorted(a)} is contained "
-                        f"in edge {sorted(b)}"
-                    )
+        # An edge lies inside another iff its complement contains the other's
+        # complement, so the maximal edges are the complements of the minimal
+        # complements; the error names the first non-maximal edge.
+        full = (1 << n) - 1
+        maximal = {full ^ m for m in _minimal_masks(full ^ mask_of(e) for e in ordered)}
+        if len(maximal) < len(ordered):
+            a = next(e for e in ordered if mask_of(e) not in maximal)
+            b = next(e for e in ordered if a < e)
+            raise InputError(
+                f"not an antichain: edge {sorted(a)} is contained in edge {sorted(b)}"
+            )
         self.edges = ordered
 
     @property
@@ -66,17 +70,16 @@ def sperner(n, edges, labels=None) -> SpernerHypergraph:
 
 def check_sperner(edges: Iterable[Iterable[int]]) -> bool:
     """True iff the given family of sets is an antichain."""
-    family = {frozenset(e) for e in edges}
-    return not any(a < b for a in family for b in family)
+    family = {mask_of(e) for e in edges}
+    return len(_minimal_masks(family)) == len(family)
 
 
 def minimalize(universe, edges: Iterable[Iterable[int]]) -> SpernerHypergraph:
     """The inclusion-minimal members of an arbitrary family (minl in short)."""
     if isinstance(universe, int):
         universe = VariableUniverse(universe)
-    family = {_as_varset(e, universe.n) for e in edges}
-    keep = [e for e in family if not any(o < e for o in family)]
-    return SpernerHypergraph(universe, keep)
+    masks = _minimal_masks(mask_of(_as_varset(e, universe.n)) for e in edges)
+    return SpernerHypergraph(universe, map(set_of, masks))
 
 
 def restrict(b: SpernerHypergraph, s: Iterable[int]) -> SpernerHypergraph:
@@ -111,6 +114,7 @@ def support_union(b: SpernerHypergraph) -> frozenset[int]:
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal members of a family of bitmasks, deduplicated."""
     # Sort by popcount so each candidate only needs checks against kept,
     # smaller-or-equal-size masks.
     out: list[int] = []

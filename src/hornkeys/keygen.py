@@ -34,22 +34,13 @@ class KeyEnumerationStats:
     startup_closures: int = 0
     max_delay_closures: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "keys": self.keys,
-            "candidates": self.candidates,
-            "closures": self.closures,
-            "startup_closures": self.startup_closures,
-            "max_delay_closures": self.max_delay_closures,
-        }
-
 
 def first_minimal_key(cnf: HornCNF) -> frozenset[int]:
     """Greedy minimization of V itself (V is always a key)."""
     return _minimize(cnf.engine(), cnf.n, cnf.universe.full_set())
 
 
-def _expand(engine, cnf: HornCNF, key: frozenset[int], stats: Optional[KeyEnumerationStats]):
+def _expand(engine, cnf: HornCNF, key: frozenset[int], stats: KeyEnumerationStats):
     # Candidate order is part of the contract: v ∈ K ascending, clauses in
     # input order; duplicates dropped keeping the first occurrence.
     n = cnf.n
@@ -60,8 +51,7 @@ def _expand(engine, cnf: HornCNF, key: frozenset[int], stats: Optional[KeyEnumer
         for c in cnf.clauses:
             if c.head != v:
                 continue
-            if stats is not None:
-                stats.candidates += 1
+            stats.candidates += 1
             k2 = _minimize(engine, n, frozenset(base | c.body))
             if k2 not in seen:
                 seen.add(k2)
@@ -84,7 +74,36 @@ def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
                 f"{sorted(key)} is not minimal: dropping {v} keeps it a key",
                 witness=key - {v},
             )
-    return _expand(engine, cnf, key, None)
+    return _expand(engine, cnf, key, KeyEnumerationStats())
+
+
+def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
+    """The traversal of D_Φ shared by enumeration and the key graph.
+
+    Pop a key, expand all its out-neighbors, queue the unseen ones, then
+    yield ``(key, out_neighbors, newly_discovered)``; ``stats`` is brought
+    up to date before each yield, which is the key's emission.  The walk
+    uses a private closure engine so the counters describe this run alone.
+    """
+    engine = cnf.fresh_engine()
+    first = _minimize(engine, cnf.n, cnf.universe.full_set())
+    pending = [first]
+    visited = {first}
+    prev_mark = None  # closure count at the previous emission
+    while pending:
+        key = pending.pop()
+        out = _expand(engine, cnf, key, stats)
+        new = [k2 for k2 in out if k2 not in visited]
+        visited.update(new)
+        pending += new
+        if prev_mark is None:
+            stats.startup_closures = engine.calls
+        else:
+            stats.max_delay_closures = max(stats.max_delay_closures, engine.calls - prev_mark)
+        prev_mark = engine.calls
+        stats.keys += 1
+        stats.closures = engine.calls
+        yield key, out, new
 
 
 def iter_minimal_keys(
@@ -94,35 +113,13 @@ def iter_minimal_keys(
 ) -> Iterator[frozenset[int]]:
     """Yield every minimal key exactly once, polynomial delay.
 
-    Pop a key, expand all its out-neighbors, queue the unseen ones, then
-    emit the popped key.  The run uses a private closure engine so the
-    counters in ``stats`` describe this run alone.
+    Keys come in the pop order of the walk over D_Φ; ``stats``, when given,
+    receives the run's counters.
     """
     if limit is not None and limit <= 0:
         return
-    engine = cnf.fresh_engine()
-    n = cnf.n
-    first = _minimize(engine, n, cnf.universe.full_set())
-    pending = [first]
-    visited = {first}
     emitted = 0
-    prev_mark = None  # closure count at the previous emission
-    while pending:
-        key = pending.pop()
-        for k2 in _expand(engine, cnf, key, stats):
-            if k2 not in visited:
-                visited.add(k2)
-                pending.append(k2)
-        if stats is not None:
-            if prev_mark is None:
-                stats.startup_closures = engine.calls
-            else:
-                stats.max_delay_closures = max(
-                    stats.max_delay_closures, engine.calls - prev_mark
-                )
-            prev_mark = engine.calls
-            stats.keys += 1
-            stats.closures = engine.calls
+    for key, _, _ in _walk(cnf, KeyEnumerationStats() if stats is None else stats):
         emitted += 1
         yield key
         if limit is not None and emitted >= limit:
@@ -150,27 +147,18 @@ class KeyGraph:
 
 
 def build_key_graph(cnf: HornCNF, max_keys: int = 100_000) -> KeyGraph:
-    """Materialize all minimal keys and their out-arcs; desk scale only."""
-    engine = cnf.fresh_engine()
-    n = cnf.n
-    first = _minimize(engine, n, cnf.universe.full_set())
-    order = [first]
-    visited = {first}
+    """Materialize all minimal keys, in discovery order, and their out-arcs;
+    desk scale only."""
+    nodes = []
     arcs = []
-    pending = [first]
-    while pending:
-        key = pending.pop()
-        for k2 in _expand(engine, cnf, key, None):
-            arcs.append((key, k2))
-            if k2 not in visited:
-                visited.add(k2)
-                pending.append(k2)
-                order.append(k2)
-                if len(order) > max_keys:
-                    raise ResourceGuardError(
-                        f"key graph exceeds {max_keys} minimal keys"
-                    )
-    return KeyGraph(tuple(order), tuple(arcs))
+    for key, out, new in _walk(cnf, KeyEnumerationStats()):
+        if not nodes:
+            nodes.append(key)
+        arcs += [(key, k2) for k2 in out]
+        nodes += new
+        if new and len(nodes) > max_keys:
+            raise ResourceGuardError(f"key graph exceeds {max_keys} minimal keys")
+    return KeyGraph(tuple(nodes), tuple(arcs))
 
 
 def is_strongly_connected(kg: KeyGraph) -> bool:

@@ -76,25 +76,33 @@ def bf_minimal_transversals(
 
 
 def bf_unique_key(b: SpernerHypergraph, max_vars: Optional[int] = None) -> bool:
-    """Uniqueness via the addable-clause criterion, recomputed from scratch:
-    B is not unique key iff some independent A and v outside A avoid the
-    union of the minimal traces of B outside A."""
+    """Uniqueness from the definition, by subset scans over Φ_B.
+
+    B is unique key iff every clause A→v that Φ_B does not imply creates a
+    new key when added.  Keys are upward closed, so a new key appears iff
+    some maximal non-key M becomes one: the clause fires on M when A ⊆ M,
+    and then M ∪ {v} is a key unless v ∈ M.  So A→v can be added without
+    a new key iff v lies in every maximal non-key that contains A.
+    """
     n = b.n
     _guard_vars(n, max_vars, "unique-key oracle")
     if not b.edges or any(not e for e in b.edges):
         raise InputError("uniqueness oracle requires nonempty edges")
-    masks = b.edge_masks()
     full = (1 << n) - 1
+    phi_b = [(em, 1 << v) for em in b.edge_masks() for v in bits_of(full & ~em)]
+    closed = [_bf_close(m, phi_b) for m in range(1 << n)]
+    maximal_non_keys = [
+        m
+        for m in range(1 << n)
+        if closed[m] != full and all(closed[m | 1 << v] == full for v in bits_of(full & ~m))
+    ]
     for a in range(1 << n):
-        if any(em & a == em for em in masks):
-            continue
-        traces = [em & ~a for em in masks]
-        union = 0
-        for t in traces:
-            if not any(o != t and o & t == o for o in traces):
-                union |= t
-        if full & ~(a | union):
-            return False
+        spared = full  # heads v in every maximal non-key containing A
+        for m in maximal_non_keys:
+            if m & a == a:
+                spared &= m
+        if spared & ~closed[a]:
+            return False  # A→v is addable for every v in this difference
     return True
 
 

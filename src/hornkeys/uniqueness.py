@@ -21,6 +21,7 @@ from .hypergraph import (
     Graph,
     SpernerHypergraph,
     VariableUniverse,
+    _minimal_masks,
     key_horn_cnf,
     maximal_independent_sets,
     minimal_transversals,
@@ -131,11 +132,9 @@ def addable_clauses(
     for a in range(1 << n):
         if any(em & a == em for em in edge_masks):
             continue  # A must be independent
-        traces = [em & ~a for em in edge_masks]
         union = 0
-        for t in traces:
-            if not any(o != t and o & t == o for o in traces):
-                union |= t
+        for t in _minimal_masks(em & ~a for em in edge_masks):
+            union |= t
         # A independent means no clause of Φ_B fires on A, so A→v is a
         # non-implicate exactly when v ∉ A; both exclusions happen here.
         for v in bits_of(full & ~(a | union)):
@@ -170,13 +169,12 @@ def is_unique_key_graph(g: Graph) -> tuple[bool, Optional[Witness]]:
     """Individual-neighbor test, streaming over maximal independent sets.
 
     G is unique key iff every maximal independent set I and every v ∈ I has
-    an individual neighbor: some u ∉ I with N(u) ∩ I = {v}.  A bipartite
-    perfect-matching fast path answers positives in linear time; negatives
-    always come with a re-verified (I, v) witness.
+    an individual neighbor: some u ∉ I with N(u) ∩ I = {v}.  A perfect-
+    matching fast path answers positives in linear time; negatives always
+    come with a re-verified (I, v) witness.
     """
-    if _two_coloring(g) is not None and all(g.degree(v) > 0 for v in range(g.n)):
-        if _is_perfect_matching(g):
-            return True, None
+    if _is_perfect_matching(g):
+        return True, None
     adj = g.adj_masks()
     n = g.n
     for i in maximal_independent_sets(g):

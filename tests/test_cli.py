@@ -308,6 +308,112 @@ def test_exit_code_2_on_bad_input(run, tmp_path):
     assert run(["dual", empty_edge])[0] == 2
 
 
+GOLDEN_INPUTS = {
+    "phi.horn": PHI_HORN,
+    "wheel.tss": WHEEL_TSS,
+    "path.hg": PATH_GRAPH,
+    "k3.hg": "hg 3 3\n1 2\n1 3\n2 3\n",
+    "chain.hg": CHAIN_HG,
+    "fig.cnf": FIG_CNF,
+}
+
+# Exact stdout and exit code of verbs whose text and --json renderings
+# share helpers, so any drift in either shape shows up byte for byte.
+GOLDEN = [
+    (
+        ["unique-graph", "path.hg", "--json"],
+        1,
+        '{"command": "unique-graph", "result": false, "witness": '
+        '{"kind": "no-individual-neighbor", "I": [1, 3], "v": 1}, "stats": null}\n',
+    ),
+    (
+        ["unique-graph", "gadget.hg", "--json"],
+        1,
+        '{"command": "unique-graph", "result": false, "witness": '
+        '{"kind": "no-individual-neighbor", "I": ["x1", "x2", "nx3", "x4", "z"], '
+        '"v": "z"}, "stats": null}\n',
+    ),
+    (["unique-graph", "gadget.hg"], 1, "not unique\nI: x1 x2 nx3 x4 z\nv: z\n"),
+    (
+        ["unique-hg", "chain.hg", "--json"],
+        1,
+        '{"command": "unique-hg", "result": false, "witness": '
+        '{"kind": "transversal-pair-missing", "T": ["a", "c"], "v": "d"}, "stats": null}\n',
+    ),
+    (["unique-hg", "chain.hg"], 1, "not unique\nT: a c\nv: d\n"),
+    (
+        ["keys", "phi.horn", "--json"],
+        0,
+        '{"command": "keys", "result": [[3, 4], [2, 3], [1, 2]], "witness": null, '
+        '"stats": {"keys": 3, "candidates": 8, "closures": 24, '
+        '"startup_closures": 12, "max_delay_closures": 8}}\n',
+    ),
+    (
+        ["tss-enum", "wheel.tss", "--json", "--names"],
+        0,
+        '{"command": "tss-enum", "result": [["e"], ["d"], ["a"], ["b"], ["c"]], '
+        '"witness": null, "stats": {"keys": 5, "candidates": 14, "closures": 22, '
+        '"startup_closures": 11, "max_delay_closures": 3}}\n',
+    ),
+    (
+        ["key-min", "phi.horn", "--set", "1,2,3", "--json"],
+        0,
+        '{"command": "key-min", "result": [2, 3], "witness": null, "stats": null}\n',
+    ),
+    (
+        ["tss-min", "wheel.tss", "--json", "--names"],
+        0,
+        '{"command": "tss-min", "result": ["a"], "witness": null, "stats": null}\n',
+    ),
+    (["tss-min", "wheel.tss"], 0, "1\n"),
+    (
+        ["oracle", "minimal-keys", "phi.horn", "--json"],
+        0,
+        '{"command": "oracle", "result": [[1, 2], [2, 3], [3, 4]], "witness": null, '
+        '"stats": null}\n',
+    ),
+    (["oracle", "minimal-keys", "phi.horn"], 0, "1 2\n2 3\n3 4\n"),
+    (
+        ["oracle", "minimal-tss", "wheel.tss", "--json"],
+        0,
+        '{"command": "oracle", "result": [[1], [2], [3], [4], [5]], "witness": null, '
+        '"stats": null}\n',
+    ),
+    (
+        ["oracle", "mis", "k3.hg", "--json"],
+        0,
+        '{"command": "oracle", "result": [[1], [2], [3]], "witness": null, "stats": null}\n',
+    ),
+    (
+        ["oracle", "min-tss", "wheel.tss", "--json"],
+        0,
+        '{"command": "oracle", "result": [1], "witness": null, "stats": null}\n',
+    ),
+    (
+        ["oracle", "closure", "phi.horn", "--set", "1,2", "--json"],
+        0,
+        '{"command": "oracle", "result": [1, 2, 3, 4], "witness": null, "stats": null}\n',
+    ),
+    (
+        ["oracle", "unique-key", "chain.hg", "--json"],
+        1,
+        '{"command": "oracle", "result": false, "witness": null, "stats": null}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(run, tmp_path, monkeypatch, argv, code, stdout):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        _file(tmp_path, name, text)
+    assert run(["sat2graph", "fig.cnf", "-o", "gadget.hg"])[0] == 0
+    got_code, out, _ = run(argv)
+    assert (got_code, out) == (code, stdout)
+    if "--json" in argv:
+        _json_ok(out)
+
+
 def test_installed_entry_point(tmp_path):
     f = tmp_path / "phi.horn"
     f.write_text(PHI_HORN)

@@ -10,7 +10,7 @@ from hornkeys.oracles import random_horn_cnf
 
 try:
     from hornkeys import _fastclosure
-except ImportError:  # built with HORNKEYS_PURE=1
+except ImportError:  # not compiled: no compiler, or HORNKEYS_PURE=1 at build time
     _fastclosure = None
 
 

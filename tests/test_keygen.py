@@ -109,6 +109,32 @@ def test_key_graph(phi_chain):
     assert hk.is_strongly_connected(single)
 
 
+def test_key_graph_follows_the_enumeration_walk(phi_chain):
+    kg = hk.build_key_graph(phi_chain)
+    # discovery order, which differs from the LIFO pop order cd, bc, ab
+    assert kg.nodes == (frozenset({C, D}), frozenset({A, B}), frozenset({B, C}))
+    rng = random.Random(36)
+    for _ in range(50):
+        n = rng.randint(2, 9)
+        cnf = random_horn_cnf(rng.randrange(2**32), n, rng.randint(1, 14))
+        kg = hk.build_key_graph(cnf)
+        pop_order = list(hk.iter_minimal_keys(cnf))
+        stats = hk.KeyEnumerationStats()
+        assert list(hk.iter_minimal_keys(cnf, stats=stats)) == pop_order
+        assert stats.keys == len(pop_order)
+        # arcs: every popped key's out-neighbors, in pop order
+        assert list(kg.arcs) == [(k, k2) for k in pop_order for k2 in hk.neighbors(cnf, k)]
+        # nodes: the first key, then each out-neighbor when first seen
+        discovered = [pop_order[0]]
+        for k in pop_order:
+            discovered += [k2 for k2 in hk.neighbors(cnf, k) if k2 not in discovered]
+        assert list(kg.nodes) == discovered
+        assert hk.build_key_graph(cnf, max_keys=len(discovered)) == kg
+        if len(discovered) > 1:
+            with pytest.raises(ResourceGuardError):
+                hk.build_key_graph(cnf, max_keys=len(discovered) - 1)
+
+
 def test_key_graph_is_always_strongly_connected():
     rng = random.Random(34)
     for _ in range(80):
