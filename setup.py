@@ -2,18 +2,12 @@ import os
 
 from setuptools import Extension, setup
 
-# The compiled closure kernel is optional: without Cython (or with
-# HORNKEYS_PURE=1) the package installs with the pure-Python fallback only.
+# The compiled closure kernel is optional: without a C compiler (or with
+# HORNKEYS_PURE=1) the package installs with the pure-Python twin only.
 ext_modules = []
 if os.environ.get("HORNKEYS_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("hornkeys._fastclosure", ["src/hornkeys/_fastclosure.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        pass
+    ext_modules = [
+        Extension("hornkeys._fastclosure", ["src/hornkeys/_fastclosure.c"], optional=True)
+    ]
 
 setup(ext_modules=ext_modules)

@@ -1,13 +1,22 @@
 """Closure-kernel backend selection.
 
-The compiled extension is used when it was built; otherwise the pure-Python
-twin, which has the same contract and stays as the reference and fallback.
+The compiled C extension is used when it was built; otherwise the
+pure-Python twin, which stays as the reference and fallback.  Both provide
+the one kernel contract, ``Engine(n, bodies, heads)`` with:
+
+- ``closure(seed)``: the sorted list of variables derivable from ``seed``;
+- ``derives(seed, target)``: whether ``target`` is derivable from ``seed``,
+  chaining only until it is;
+- ``calls``: how many ``closure`` and ``derives`` calls the engine ran;
+- ``n``, ``m`` and ``backend``.
+
+Out-of-range indices raise ``ValueError`` at construction and at each call.
 """
 
 try:
     from ._fastclosure import Engine
 
-    BACKEND = "cython"
+    BACKEND = "c"
 except ImportError:
     from ._closure_py import Engine  # type: ignore[no-redef]
 

@@ -153,7 +153,7 @@ def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
     body = _as_varset(body, cnf.n)
     if not isinstance(head, int) or head < 0 or head >= cnf.n:
         raise InputError(f"head index {head} out of range 0..{cnf.n - 1}")
-    return head in body or head in forward_closure(cnf, body)
+    return cnf.engine().derives(body, head)
 
 
 def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:
@@ -162,14 +162,15 @@ def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:
     return len(cnf.engine().closure(sorted(seed))) == cnf.n
 
 
-def _minimize(engine: Engine, n: int, s: frozenset[int]) -> frozenset[int]:
+def _minimize(engine: Engine, s: frozenset[int]) -> frozenset[int]:
     # Drops are attempted in ascending variable order; a drop is kept whenever
     # the remainder is still a key.  This is the single tie-breaking rule that
-    # makes enumeration output reproducible.
+    # makes enumeration output reproducible.  ``s`` must be a key: then every
+    # ``cur`` is one, and ``cur - {v}`` is a key exactly when it derives v.
     cur = set(s)
     for v in sorted(s):
         trial = cur - {v}
-        if len(engine.closure(trial)) == n:
+        if engine.derives(trial, v):
             cur = trial
     return frozenset(cur)
 
@@ -184,7 +185,7 @@ def minimize_key(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
             f"{sorted(cnf.universe.full_set() - closed)}",
             witness=closed,
         )
-    return _minimize(cnf.engine(), cnf.n, seed)
+    return _minimize(cnf.engine(), seed)
 
 
 def equivalent(cnf1: HornCNF, cnf2: HornCNF) -> bool:

@@ -37,22 +37,27 @@ class KeyEnumerationStats:
 
 def first_minimal_key(cnf: HornCNF) -> frozenset[int]:
     """Greedy minimization of V itself (V is always a key)."""
-    return _minimize(cnf.engine(), cnf.n, cnf.universe.full_set())
+    return _minimize(cnf.engine(), cnf.universe.full_set())
 
 
-def _expand(engine, cnf: HornCNF, key: frozenset[int], stats: KeyEnumerationStats):
+def _bodies_by_head(cnf: HornCNF) -> list[list[frozenset[int]]]:
+    """Clause bodies indexed by head, each list in clause input order."""
+    by_head = [[] for _ in range(cnf.n)]
+    for c in cnf.clauses:
+        by_head[c.head].append(c.body)
+    return by_head
+
+
+def _expand(engine, by_head, key: frozenset[int], stats: KeyEnumerationStats):
     # Candidate order is part of the contract: v ∈ K ascending, clauses in
     # input order; duplicates dropped keeping the first occurrence.
-    n = cnf.n
     out = []
     seen = set()
     for v in sorted(key):
         base = key - {v}
-        for c in cnf.clauses:
-            if c.head != v:
-                continue
+        for body in by_head[v]:
             stats.candidates += 1
-            k2 = _minimize(engine, n, frozenset(base | c.body))
+            k2 = _minimize(engine, base | body)
             if k2 not in seen:
                 seen.add(k2)
                 out.append(k2)
@@ -69,12 +74,12 @@ def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
     if len(engine.closure(key)) != cnf.n:
         raise ContractError(f"{sorted(key)} is not a key", witness=key)
     for v in key:
-        if len(engine.closure(key - {v})) == cnf.n:
+        if engine.derives(key - {v}, v):
             raise ContractError(
                 f"{sorted(key)} is not minimal: dropping {v} keeps it a key",
                 witness=key - {v},
             )
-    return _expand(engine, cnf, key, KeyEnumerationStats())
+    return _expand(engine, _bodies_by_head(cnf), key, KeyEnumerationStats())
 
 
 def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
@@ -86,13 +91,14 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
     uses a private closure engine so the counters describe this run alone.
     """
     engine = cnf.fresh_engine()
-    first = _minimize(engine, cnf.n, cnf.universe.full_set())
+    by_head = _bodies_by_head(cnf)
+    first = _minimize(engine, cnf.universe.full_set())
     pending = [first]
     visited = {first}
     prev_mark = None  # closure count at the previous emission
     while pending:
         key = pending.pop()
-        out = _expand(engine, cnf, key, stats)
+        out = _expand(engine, by_head, key, stats)
         new = [k2 for k2 in out if k2 not in visited]
         visited.update(new)
         pending += new
