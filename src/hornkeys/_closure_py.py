@@ -8,6 +8,8 @@ delay instrumentation, so share an engine between threads only if you do not
 care about its counter.
 """
 
+from operator import index
+
 
 class Engine:
     """Forward-chaining closures for a fixed list of (body, head) clauses.
@@ -20,6 +22,11 @@ class Engine:
     backend = "python"
 
     def __init__(self, n, bodies, heads):
+        # A float index is a TypeError here, as in the compiled twin: n and
+        # the heads go through operator.index before their range check.  A
+        # body variable is converted only on the error path; in range,
+        # ``occ[v]`` already refuses a non-integer.
+        n = index(n)
         if n < 0:
             raise ValueError(f"universe size must be nonnegative, got {n}")
         if len(bodies) != len(heads):
@@ -27,17 +34,18 @@ class Engine:
         self.n = n
         self.m = len(heads)
         self.calls = 0
-        for h in heads:
+        self._heads = checked = []
+        for h in map(index, heads):
             if h < 0 or h >= n:
                 raise _out_of_range(h, n)
-        self._heads = list(heads)
+            checked.append(h)
         self._base_count = [len(b) for b in bodies]
-        self._empty_heads = [heads[i] for i, b in enumerate(bodies) if len(b) == 0]
+        self._empty_heads = [checked[i] for i, b in enumerate(bodies) if len(b) == 0]
         occ = [[] for _ in range(n)]
         for i, body in enumerate(bodies):
             for v in body:
                 if v < 0 or v >= n:
-                    raise _out_of_range(v, n)
+                    raise _out_of_range(index(v), n)
                 occ[v].append(i)
         self._occ = occ
 
@@ -52,6 +60,7 @@ class Engine:
         Counts as one call, like :meth:`closure`, but chaining stops as soon
         as ``target`` is derived.
         """
+        target = index(target)
         if target < 0 or target >= self.n:
             raise _out_of_range(target, self.n)
         return self._chain(seed, target) is None

@@ -3,12 +3,17 @@
 Exit codes: 0 decided/enumerated, 1 recognizer answered false, 2 input
 error, 3 resource guard tripped.  Every verb accepts --json and emits one
 object {command, result, witness, stats}; see docs/cli_output.schema.json.
+
+``main(argv)`` runs one command in process and returns its exit code.  It
+builds the argument parser on its first call and reuses it for every later
+call in the process; ``build_parser()`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -365,6 +370,7 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every verb; callers may change the one they get."""
     p = argparse.ArgumentParser(
         prog="hornkeys",
         description="Minimal keys of pure Horn functions, unique-key "
@@ -459,8 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and shared by later
+    # calls: parse_args returns a fresh Namespace and leaves the parser as it
+    # was, and building it costs far more than parsing.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

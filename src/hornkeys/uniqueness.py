@@ -53,7 +53,14 @@ class Witness:
 
 
 def verify_witness(w: Witness, obj) -> bool:
-    """Re-check a witness against the definition it claims to violate."""
+    """Re-check a witness against the definition it claims to violate.
+
+    A witness that names a vertex outside 0..n-1 is rejected.
+    """
+    vertices, v = w.data
+    universe = range(obj.n)
+    if v not in universe or not all(u in universe for u in vertices):
+        return False
     if w.kind == "transversal-pair-missing":
         t, v = w.data
         dual = minimal_transversals(obj).edges

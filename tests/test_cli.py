@@ -308,6 +308,53 @@ def test_exit_code_2_on_bad_input(run, tmp_path):
     assert run(["dual", empty_edge])[0] == 2
 
 
+NAMED_PHI_HORN = "horn 4 6\nnames a b c d\n" + PHI_HORN.split("\n", 1)[1]
+
+
+# main() reuses one parser within the process; no call may see another's options.
+def test_parser_reuse_keeps_no_limit(run, tmp_path):
+    f = _file(tmp_path, "phi.horn", PHI_HORN)
+    assert run(["keys", f, "--limit", "1"]) == (0, "3 4\n", "")
+    assert run(["keys", f]) == (0, "3 4\n2 3\n1 2\n", "")
+
+
+def test_parser_reuse_keeps_no_output_flags(run, tmp_path):
+    f = _file(tmp_path, "phi.horn", NAMED_PHI_HORN)
+    code, out, _ = run(["keys", f, "--json", "--names"])
+    assert code == 0 and _json_ok(out)["result"] == [["c", "d"], ["b", "c"], ["a", "b"]]
+    assert run(["keys", f]) == (0, "3 4\n2 3\n1 2\n", "")
+    assert run(["key-min", f, "--set", "1,2,3", "--names", "--json"])[0] == 0
+    assert run(["key-min", f, "--set", "1,2,3"]) == (0, "2 3\n", "")
+
+
+def test_parser_reuse_after_usage_error(run, tmp_path, capsys):
+    f = _file(tmp_path, "phi.horn", PHI_HORN)
+    for argv in (["key-min", f], ["keys", f, "--limit", "x"], ["no-such-verb"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "usage: hornkeys" in capsys.readouterr().err
+    assert run(["key-min", f, "--set", "1,2,3"]) == (0, "2 3\n", "")
+    assert run(["keys", f]) == (0, "3 4\n2 3\n1 2\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["keys", "--help"], ["oracle", "--help"]])
+def test_parser_reuse_gives_the_same_help(capsys, argv):
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: hornkeys")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
 GOLDEN_INPUTS = {
     "phi.horn": PHI_HORN,
     "wheel.tss": WHEEL_TSS,

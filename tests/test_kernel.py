@@ -150,6 +150,41 @@ def test_engine_rejects_bad_clauses(engine_cls, n, bodies, heads):
         engine_cls(n, bodies, heads)
 
 
+@pytest.mark.parametrize(
+    "n, bodies, heads",
+    [
+        (3, [[0]], [1.0]),
+        (3, [[0]], [7.0]),
+        (3, [[1.0]], [0]),
+        (3, [[7.0]], [0]),
+        (3, [[-1.0]], [0]),
+        (3, [[0], [1]], [1.0, 7]),
+        (3.0, [[0]], [1]),
+        (-1.0, [], []),
+    ],
+)
+def test_engine_rejects_non_integer_indices(engine_cls, n, bodies, heads):
+    with pytest.raises(TypeError):
+        engine_cls(n, bodies, heads)
+
+
+def test_engine_checks_indices_in_order(engine_cls):
+    # an out-of-range head before a float one is the error both backends report
+    with pytest.raises(ValueError):
+        engine_cls(3, [[0], [1]], [7, 1.0])
+
+
+def test_engine_rejects_non_integer_target(engine_cls):
+    eng = engine_cls(3, [[0]], [1])
+    for target in (1.0, 7.0, -1.0, "1"):
+        with pytest.raises(TypeError):
+            eng.derives([0], target)
+    # a rejected target is refused before the call, so it is not counted
+    assert eng.calls == 0
+    assert eng.derives([0], 1) is True
+    assert eng.calls == 1
+
+
 def test_engine_rejects_out_of_range_seed(engine_cls):
     eng = engine_cls(3, [[0]], [1])
     with pytest.raises(ValueError):

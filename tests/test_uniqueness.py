@@ -39,6 +39,29 @@ def test_tampered_witness_fails_verification(chain_family):
         hk.Witness("nonsense-kind", ())
 
 
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("transversal-pair-missing", (frozenset({0, 2}), 99)),
+        ("transversal-pair-missing", (frozenset({0, 2}), -1)),
+        ("addable-clause", (frozenset({0}), 99)),
+        ("addable-clause", (frozenset({0}), -1)),
+        ("addable-clause", (frozenset({0, 9}), 1)),
+    ],
+)
+def test_witness_outside_the_universe_fails_verification(kind, data):
+    matching = hk.sperner(4, [{0, 1}, {2, 3}])
+    assert not hk.verify_witness(hk.Witness(kind, data), matching)
+
+
+def test_graph_witness_outside_the_universe_fails_verification():
+    matching = hk.graph(4, [(0, 1), (2, 3)])
+    for data in [(frozenset({0, 2, 7}), 7), (frozenset({0, 2, -1}), 0)]:
+        assert not hk.verify_witness(hk.Witness("no-individual-neighbor", data), matching)
+    path = hk.graph(3, [(0, 1), (1, 2)])
+    assert hk.verify_witness(hk.Witness("no-individual-neighbor", (frozenset({0, 2}), 0)), path)
+
+
 def test_recognizer_rejects_degenerate_families():
     with pytest.raises(InputError):
         hk.is_unique_key_hypergraph(hk.sperner(3, []))
