@@ -6,9 +6,14 @@
  * by setup.py as a plain extension; it needs only the CPython C API.
  *
  * The engine owns no Python objects, only flat arrays fixed at
- * construction: the head of each clause, the size of each body, and a
- * variable -> clause occurrence index in CSR form.  Each call allocates its
- * own scratch, so a seed iterable that calls back into the engine is safe.
+ * construction: the head of each clause, the size of each body, the body
+ * variables in clause order, a variable -> clause occurrence index and a
+ * head -> clause index, all in CSR form.  ``derives`` answers from the seed
+ * alone when it can: True for a target in the seed or with a clause body
+ * inside it, False for a target that heads no clause.  ``minimize`` runs the
+ * greedy ascending-drop loop of key minimization, one counted call per drop
+ * tried.  Each call allocates its own scratch, so a seed iterable that calls
+ * back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -20,8 +25,12 @@ typedef struct {
     Py_ssize_t n, m, n_empty;
     Py_ssize_t *heads;       /* m: head of each clause */
     Py_ssize_t *base_count;  /* m: body size of each clause */
+    Py_ssize_t *body_start;  /* m + 1: body of i is body_item[body_start[i]..body_start[i+1]) */
+    Py_ssize_t *body_item;
     Py_ssize_t *occ_start;   /* n + 1: clauses of v are occ_item[occ_start[v]..occ_start[v+1]) */
     Py_ssize_t *occ_item;
+    Py_ssize_t *head_start;  /* n + 1: clauses with head h are head_item[head_start[h]..head_start[h+1]) */
+    Py_ssize_t *head_item;
     Py_ssize_t *empty_heads; /* n_empty: heads of the clauses with empty bodies */
     long calls;
 } Engine;
@@ -50,8 +59,12 @@ Engine_dealloc(Engine *self)
     PyTypeObject *tp = Py_TYPE(self);
     PyMem_Free(self->heads);
     PyMem_Free(self->base_count);
+    PyMem_Free(self->body_start);
+    PyMem_Free(self->body_item);
     PyMem_Free(self->occ_start);
     PyMem_Free(self->occ_item);
+    PyMem_Free(self->head_start);
+    PyMem_Free(self->head_item);
     PyMem_Free(self->empty_heads);
     tp->tp_free((PyObject *)self);
     Py_DECREF(tp);
@@ -64,51 +77,60 @@ static int
 Engine_build(Engine *self, PyObject *bodies, PyObject *heads)
 {
     Py_ssize_t n = self->n, m = PyList_GET_SIZE(heads);
-    Py_ssize_t i, j, k, v, total = 0, *vars = NULL, *fill = NULL;
+    Py_ssize_t i, j, k, v, total = 0, *fill = NULL;
     int status = -1;
 
     self->m = m;
     self->heads = PyMem_New(Py_ssize_t, m ? m : 1);
     self->base_count = PyMem_New(Py_ssize_t, m ? m : 1);
-    self->occ_start = PyMem_New(Py_ssize_t, n + 1);
-    if (!self->heads || !self->base_count || !self->occ_start) {
+    self->body_start = PyMem_New(Py_ssize_t, m + 1);
+    self->head_item = PyMem_New(Py_ssize_t, m ? m : 1);
+    self->occ_start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    self->head_start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    if (!self->heads || !self->base_count || !self->body_start || !self->head_item
+        || !self->occ_start || !self->head_start) {
         PyErr_NoMemory();
         return -1;
     }
     for (i = 0; i < m; i++) {
         if ((self->heads[i] = as_index(PyList_GET_ITEM(heads, i), n)) < 0)
             return -1;
+        self->head_start[self->heads[i] + 1]++;
     }
+    self->body_start[0] = 0;
     for (i = 0; i < m; i++) {
         PyObject *body = PySequence_List(PyList_GET_ITEM(bodies, i));
         if (!body || PyList_SetItem(bodies, i, body) < 0)
             return -1;
         self->base_count[i] = PyList_GET_SIZE(body);
         total += self->base_count[i];
+        self->body_start[i + 1] = total;
         if (self->base_count[i] == 0)
             self->n_empty++;
     }
 
     /* The body variables, flat in clause order, and their occurrence counts. */
-    vars = PyMem_New(Py_ssize_t, total ? total : 1);
+    self->body_item = PyMem_New(Py_ssize_t, total ? total : 1);
     self->occ_item = PyMem_New(Py_ssize_t, total ? total : 1);
     self->empty_heads = PyMem_New(Py_ssize_t, self->n_empty ? self->n_empty : 1);
     fill = PyMem_New(Py_ssize_t, n ? n : 1);
-    if (!vars || !self->occ_item || !self->empty_heads || !fill) {
+    if (!self->body_item || !self->occ_item || !self->empty_heads || !fill) {
         PyErr_NoMemory();
         goto done;
     }
-    memset(self->occ_start, 0, (n + 1) * sizeof(Py_ssize_t));
     for (i = 0, k = 0; i < m; i++) {
         PyObject *body = PyList_GET_ITEM(bodies, i);
         for (j = 0; j < self->base_count[i]; j++, k++) {
-            if ((vars[k] = as_index(PyList_GET_ITEM(body, j), n)) < 0)
+            if ((v = as_index(PyList_GET_ITEM(body, j), n)) < 0)
                 goto done;
-            self->occ_start[vars[k] + 1]++;
+            self->body_item[k] = v;
+            self->occ_start[v + 1]++;
         }
     }
-    for (v = 0; v < n; v++)
+    for (v = 0; v < n; v++) {
         self->occ_start[v + 1] += self->occ_start[v];
+        self->head_start[v + 1] += self->head_start[v];
+    }
 
     memcpy(fill, self->occ_start, n * sizeof(Py_ssize_t));
     self->n_empty = 0;
@@ -116,12 +138,14 @@ Engine_build(Engine *self, PyObject *bodies, PyObject *heads)
         if (self->base_count[i] == 0)
             self->empty_heads[self->n_empty++] = self->heads[i];
         for (j = 0; j < self->base_count[i]; j++, k++)
-            self->occ_item[fill[vars[k]]++] = i;
+            self->occ_item[fill[self->body_item[k]]++] = i;
     }
+    memcpy(fill, self->head_start, n * sizeof(Py_ssize_t));
+    for (i = 0; i < m; i++)
+        self->head_item[fill[self->heads[i]]++] = i;
     status = 0;
 
 done:
-    PyMem_Free(vars);
     PyMem_Free(fill);
     return status;
 }
@@ -163,24 +187,20 @@ fail:
     return NULL;
 }
 
-/* Chains forward from ``seed`` into ``in_f`` (n + 1 zeroed flags) and
- * ``queue`` (room for n variables), stopping once ``target`` is derived.
- * Flag n is never set, so target = n chains to the end.  Returns 1 when
- * ``target`` was derived, 0 when the closure is complete (its size stored
- * in *size), -1 with an exception set. */
-static int
-chain(Engine *self, PyObject *seed, Py_ssize_t target,
-      unsigned char *in_f, Py_ssize_t *queue, Py_ssize_t *count, Py_ssize_t *size)
+/* Checks ``seed`` and flags it in ``in_f`` (n + 1 zeroed flags), listing
+ * each of its variables once in ``queue``.  Returns how many were listed,
+ * or -1 with an exception set. */
+static Py_ssize_t
+flag_seed(const Engine *self, PyObject *seed, unsigned char *in_f, Py_ssize_t *queue)
 {
-    Py_ssize_t n = self->n, top = 0, i, j, k, v, h;
+    Py_ssize_t top = 0, v;
     PyObject *it, *item;
 
-    self->calls++;
     it = PyObject_GetIter(seed);
     if (!it)
         return -1;
     while ((item = PyIter_Next(it))) {
-        v = as_index(item, n);
+        v = as_index(item, self->n);
         Py_DECREF(item);
         if (v < 0) {
             Py_DECREF(it);
@@ -192,10 +212,40 @@ chain(Engine *self, PyObject *seed, Py_ssize_t target,
         }
     }
     Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    if (in_f[target])
-        return 1;
+    return PyErr_Occurred() ? -1 : top;
+}
+
+/* The verdict on a target outside the flagged set when one step decides
+ * it: 0 when it heads no clause, 1 when some clause body is inside the set
+ * (an empty one included), -1 when only chaining can tell. */
+static int
+one_step(const Engine *self, const unsigned char *in_f, Py_ssize_t target)
+{
+    Py_ssize_t j, k, i, end, first = self->head_start[target], last = self->head_start[target + 1];
+
+    if (first == last)
+        return 0;
+    for (j = first; j < last; j++) {
+        i = self->head_item[j];
+        end = self->body_start[i + 1];
+        for (k = self->body_start[i]; k < end && in_f[self->body_item[k]]; k++)
+            ;
+        if (k == end)
+            return 1;
+    }
+    return -1;
+}
+
+/* Chains forward from the ``top`` flagged variables in ``queue`` (room for
+ * n), stopping once ``target`` is derived; flag n is never set, so target =
+ * n chains to the end.  Returns 1 when ``target`` was derived, else 0 with
+ * the closure's size in *size. */
+static int
+chain(const Engine *self, Py_ssize_t target, unsigned char *in_f, Py_ssize_t *queue,
+      Py_ssize_t top, Py_ssize_t *count, Py_ssize_t *size)
+{
+    Py_ssize_t i, j, k, v, h;
+
     for (j = 0; j < self->n_empty; j++) {
         h = self->empty_heads[j];
         if (!in_f[h]) {
@@ -225,40 +275,59 @@ chain(Engine *self, PyObject *seed, Py_ssize_t target,
     return 0;
 }
 
-/* Runs ``chain`` with fresh scratch; the closure as a sorted list when
- * ``as_list``, else the verdict as a bool. */
+/* The variables flagged in ``in_f[0..n)`` as a sorted list of ``size``. */
+static PyObject *
+flagged_list(const unsigned char *in_f, Py_ssize_t n, Py_ssize_t size)
+{
+    Py_ssize_t v, k = 0;
+    PyObject *out = PyList_New(size);
+
+    for (v = 0; out && v < n; v++) {
+        if (!in_f[v])
+            continue;
+        PyObject *x = PyLong_FromSsize_t(v);
+        if (!x) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, k++, x);
+    }
+    return out;
+}
+
+/* Runs one counted call with fresh scratch: the closure of ``seed`` as a
+ * sorted list when ``as_list``, else whether it derives ``target``. */
 static PyObject *
 run(Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
 {
-    Py_ssize_t n = self->n, size = 0, v, k = 0;
+    Py_ssize_t n = self->n, size = 0, top;
     /* One block: count[m], queue[n], then in_f[n + 1]. */
     Py_ssize_t words = self->m + n;
-    Py_ssize_t *scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1);
+    Py_ssize_t *scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1), *queue;
     unsigned char *in_f;
     PyObject *out = NULL;
     int r;
 
     if (!scratch)
         return PyErr_NoMemory();
+    queue = scratch + self->m;
     in_f = (unsigned char *)(scratch + words);
     memset(in_f, 0, n + 1);
-    r = chain(self, seed, target, in_f, scratch + self->m, scratch, &size);
+    self->calls++;
+    if ((top = flag_seed(self, seed, in_f, queue)) < 0)
+        r = -1;
+    else if (as_list)
+        r = chain(self, n, in_f, queue, top, scratch, &size);
+    else if (in_f[target])
+        r = 1;
+    else if ((r = one_step(self, in_f, target)) < 0)
+        r = chain(self, target, in_f, queue, top, scratch, &size);
     if (r == 1)
         out = Py_NewRef(Py_True);
     else if (r == 0 && !as_list)
         out = Py_NewRef(Py_False);
-    else if (r == 0 && (out = PyList_New(size))) {
-        for (v = 0; v < n; v++) {
-            if (!in_f[v])
-                continue;
-            PyObject *x = PyLong_FromSsize_t(v);
-            if (!x) {
-                Py_CLEAR(out);
-                break;
-            }
-            PyList_SET_ITEM(out, k++, x);
-        }
-    }
+    else if (r == 0)
+        out = flagged_list(in_f, n, size);
     PyMem_Free(scratch);
     return out;
 }
@@ -288,13 +357,71 @@ Engine_derives(Engine *self, PyObject *args, PyObject *kwds)
     return run(self, seed, target, 0);
 }
 
+static PyObject *
+Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"seed", NULL};
+    Py_ssize_t n = self->n, nk = 0, size = 0, i, j, top, closed, v;
+    /* One block: count[m], queue[n], key[n], then in_k[n + 1] and in_f[n + 1]. */
+    Py_ssize_t words = self->m + 2 * n;
+    Py_ssize_t *scratch, *queue, *key;
+    unsigned char *in_k, *in_f;
+    PyObject *seed, *out = NULL;
+    int r;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
+        return NULL;
+    if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 2 * (n + 1))))
+        return PyErr_NoMemory();
+    queue = scratch + self->m;
+    key = queue + n;
+    in_k = (unsigned char *)(scratch + words);
+    in_f = in_k + n + 1;
+    memset(in_k, 0, n + 1);
+    if (flag_seed(self, seed, in_k, key) < 0)
+        goto done;
+
+    /* in_k flags cur, the key so far; key[0..nk) lists the seed ascending. */
+    for (v = 0; v < n; v++) {
+        if (in_k[v])
+            key[nk++] = v;
+    }
+    size = nk;
+    for (i = 0; i < nk; i++) {
+        v = key[i];
+        self->calls++;
+        in_k[v] = 0;
+        if ((r = one_step(self, in_k, v)) < 0) {
+            memcpy(in_f, in_k, n + 1);
+            for (j = 0, top = 0; j < nk; j++) {
+                if (in_k[key[j]])
+                    queue[top++] = key[j];
+            }
+            r = chain(self, v, in_f, queue, top, scratch, &closed);
+        }
+        if (r)
+            size--;
+        else
+            in_k[v] = 1;
+    }
+    out = flagged_list(in_k, n, size);
+
+done:
+    PyMem_Free(scratch);
+    return out;
+}
+
 static PyMethodDef Engine_methods[] = {
     {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_VARARGS | METH_KEYWORDS,
      "Return the sorted list of variables derivable from ``seed``."},
     {"derives", (PyCFunction)(void (*)(void))Engine_derives, METH_VARARGS | METH_KEYWORDS,
      "True iff ``target`` is in the closure of ``seed``.\n\n"
-     "Counts as one call, like closure, but chaining stops as soon as\n"
-     "``target`` is derived."},
+     "Counts as one call, like closure.  A target in the seed or with a\n"
+     "clause body inside it is True, one that heads no clause is False;\n"
+     "otherwise chaining stops as soon as ``target`` is derived."},
+    {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_VARARGS | METH_KEYWORDS,
+     "Shrink the key ``seed`` by greedy drops in ascending order.\n\n"
+     "Returns the sorted minimal key; each drop tried counts one call."},
     {NULL, NULL, 0, NULL},
 };
 

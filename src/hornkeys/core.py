@@ -118,7 +118,8 @@ class HornCNF:
 
     def fresh_engine(self) -> Engine:
         """A new engine with its own call counter (used by enumeration runs)."""
-        bodies = [tuple(sorted(c.body)) for c in self.clauses]
+        # Body order changes no result, so the frozensets go in unsorted.
+        bodies = [c.body for c in self.clauses]
         heads = [c.head for c in self.clauses]
         return Engine(self.universe.n, bodies, heads)
 
@@ -151,7 +152,9 @@ def forward_closure(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
 def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
     """True iff ``body -> head`` follows from the CNF (heads in the body do)."""
     body = _as_varset(body, cnf.n)
-    if not isinstance(head, int) or head < 0 or head >= cnf.n:
+    if not isinstance(head, int) or isinstance(head, bool):
+        raise InputError(f"head index must be an int, got {head!r}")
+    if head < 0 or head >= cnf.n:
         raise InputError(f"head index {head} out of range 0..{cnf.n - 1}")
     return cnf.engine().derives(body, head)
 
@@ -160,19 +163,6 @@ def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:
     """True iff the closure of ``k`` is the whole universe."""
     seed = _as_varset(k, cnf.n)
     return len(cnf.engine().closure(sorted(seed))) == cnf.n
-
-
-def _minimize(engine: Engine, s: frozenset[int]) -> frozenset[int]:
-    # Drops are attempted in ascending variable order; a drop is kept whenever
-    # the remainder is still a key.  This is the single tie-breaking rule that
-    # makes enumeration output reproducible.  ``s`` must be a key: then every
-    # ``cur`` is one, and ``cur - {v}`` is a key exactly when it derives v.
-    cur = set(s)
-    for v in sorted(s):
-        trial = cur - {v}
-        if engine.derives(trial, v):
-            cur = trial
-    return frozenset(cur)
 
 
 def minimize_key(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
@@ -185,7 +175,7 @@ def minimize_key(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
             f"{sorted(cnf.universe.full_set() - closed)}",
             witness=closed,
         )
-    return _minimize(cnf.engine(), seed)
+    return frozenset(cnf.engine().minimize(seed))
 
 
 def equivalent(cnf1: HornCNF, cnf2: HornCNF) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .core import HornCNF, _as_varset, _minimize, is_key
+from .core import HornCNF, _as_varset, is_key
 from .errors import ContractError, ResourceGuardError
 
 
@@ -37,7 +37,7 @@ class KeyEnumerationStats:
 
 def first_minimal_key(cnf: HornCNF) -> frozenset[int]:
     """Greedy minimization of V itself (V is always a key)."""
-    return _minimize(cnf.engine(), cnf.universe.full_set())
+    return frozenset(cnf.engine().minimize(range(cnf.n)))
 
 
 def _bodies_by_head(cnf: HornCNF) -> list[list[frozenset[int]]]:
@@ -57,7 +57,7 @@ def _expand(engine, by_head, key: frozenset[int], stats: KeyEnumerationStats):
         base = key - {v}
         for body in by_head[v]:
             stats.candidates += 1
-            k2 = _minimize(engine, base | body)
+            k2 = frozenset(engine.minimize(base | body))
             if k2 not in seen:
                 seen.add(k2)
                 out.append(k2)
@@ -92,7 +92,7 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
     """
     engine = cnf.fresh_engine()
     by_head = _bodies_by_head(cnf)
-    first = _minimize(engine, cnf.universe.full_set())
+    first = frozenset(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
     prev_mark = None  # closure count at the previous emission

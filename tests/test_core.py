@@ -63,6 +63,13 @@ def test_is_implicate(intro_cnf):
     assert not hk.is_implicate(intro_cnf, {C}, D)
 
 
+@pytest.mark.parametrize("head", [True, False, 1.0, "1", None, -1, 5])
+def test_is_implicate_rejects_bad_heads(intro_cnf, head):
+    # a bool head is refused like a bool body variable, not read as 0 or 1
+    with pytest.raises(InputError):
+        hk.is_implicate(intro_cnf, {A}, head)
+
+
 def test_is_key(intro_cnf):
     assert hk.is_key(intro_cnf, {A, B, C, D, E})
     assert hk.is_key(intro_cnf, {A, C})

@@ -10,6 +10,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hornkeys as hk
 from hornkeys import _closure_py
@@ -132,6 +134,72 @@ def test_engine_basics(engine_cls):
     assert with_units.derives([], 1) is False
 
 
+def test_derives_shortcuts(engine_cls):
+    # 0 -> 1, {} -> 2, {0, 3} -> 4, 1 -> 4; variables 0 and 3 head no clause
+    eng = engine_cls(5, [[0], [], [0, 3], [1]], [1, 2, 4, 4])
+    assert eng.derives([0, 1], 0) is True  # head-free, in the seed
+    assert eng.derives([1, 2, 4], 0) is False  # head-free, out of the seed
+    assert eng.derives([4], 3) is False
+    assert eng.derives([], 2) is True  # its only clause has an empty body
+    assert eng.derives([3], 2) is True
+    assert eng.derives([0, 3], 4) is True  # one step: a body inside the seed
+    assert eng.derives([1], 4) is True
+    assert eng.derives([0], 4) is True  # two steps: 0 -> 1 -> 4
+    assert eng.derives([3], 4) is False
+    assert eng.calls == 9
+
+
+def test_head_free_target_still_checks_the_seed(engine_cls):
+    eng = engine_cls(3, [[0]], [1])
+    with pytest.raises(ValueError):
+        eng.derives([0, 3], 2)  # 2 heads no clause, but 3 is out of range
+    with pytest.raises(ValueError):
+        eng.derives([2, -1], 2)  # the target is in the seed, -1 is not a variable
+    assert eng.calls == 2
+
+
+def _reference_minimize(eng, seed):
+    cur = set(seed)
+    for v in sorted(cur):
+        if eng.derives(cur - {v}, v):
+            cur.discard(v)
+    return sorted(cur)
+
+
+def test_minimize_matches_a_loop_of_derives(engine_cls):
+    rng = random.Random(0x3141)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        eng = engine_cls(n, *_random_clauses(rng, n, rng.randint(0, 14)))
+        for mask in rng.sample(range(1 << n), min(1 << n, 12)):
+            seed = _seeds(n, mask) + _seeds(n, rng.randrange(1 << n))  # repeats too
+            if len(eng.closure(seed)) != n:
+                seed = list(range(n))  # minimize asks for a key
+            calls = eng.calls
+            expected = _reference_minimize(eng, seed)
+            spent = eng.calls - calls
+            assert eng.minimize(seed) == expected
+            assert eng.calls - calls - spent == spent == len(set(seed))
+
+
+def test_minimize_basics(engine_cls):
+    # 0 <-> 1, {0, 2} -> 3, {} -> 4
+    eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
+    assert eng.minimize(range(5)) == [1, 2]
+    assert eng.minimize({4, 3, 2, 1, 0}) == [1, 2]
+    assert eng.minimize(iter([0, 2, 3])) == [0, 2]
+    assert eng.calls == 5 + 5 + 3
+    assert engine_cls(0, [], []).minimize([]) == []
+
+
+@pytest.mark.parametrize("seed", [[0, 1, 5], [0, -1], [2**80], None])
+def test_minimize_rejects_a_bad_seed_before_any_call(engine_cls, seed):
+    eng = engine_cls(3, [[0], [1]], [1, 2])
+    with pytest.raises((ValueError, TypeError)):
+        eng.minimize(seed)
+    assert eng.calls == 0
+
+
 @pytest.mark.parametrize(
     "n, bodies, heads",
     [
@@ -203,6 +271,81 @@ def test_engine_rejects_out_of_range_seed(engine_cls):
     assert eng.calls == 3
 
 
+@pytest.mark.parametrize("bad", [0.0, 2.0, 7.0, -1.0, "0"])
+def test_engine_rejects_non_integer_seed(engine_cls, bad):
+    eng = engine_cls(3, [[0]], [1])
+    with pytest.raises(TypeError):
+        eng.closure([0, bad])
+    with pytest.raises(TypeError):
+        eng.derives([bad], 2)
+    with pytest.raises(TypeError):
+        eng.minimize([1, bad])
+    assert eng.calls == 2
+
+
 def test_engine_rejects_mismatched_lists():
     with pytest.raises(ValueError):
         _closure_py.Engine(3, [[0], [1]], [2])
+
+
+@st.composite
+def _cnfs(draw):
+    """(n, bodies, heads) with n <= 12, empty bodies and duplicate clauses."""
+    n = draw(st.integers(0, 12))
+    clauses = []
+    if n:
+        for head in draw(st.lists(st.integers(0, n - 1), max_size=24)):
+            others = [v for v in range(n) if v != head]
+            body = draw(st.lists(st.sampled_from(others), max_size=4, unique=True)) if others else []
+            clauses.append((body, head))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=4))
+    return n, [b for b, _ in clauses], [h for _, h in clauses]
+
+
+def _seed_lists(n):
+    # out-of-range and non-integer entries included; repeats too
+    entries = st.integers(-2, n + 1) | st.sampled_from([0.0, -1.0, float(n), 2**70])
+    return st.lists(entries, max_size=n + 3)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as e:
+        return type(e)
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), cnf=_cnfs())
+def test_backends_agree_on_random_input(compiled, data, cnf):
+    py, cc = _closure_py.Engine(*cnf), compiled.Engine(*cnf)
+    n = cnf[0]
+    for _ in range(6):
+        seed = data.draw(_seed_lists(n))
+        target = data.draw(st.integers(-1, n))
+        for method, args in (("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,))):
+            assert _outcome(getattr(py, method), *args) == _outcome(getattr(cc, method), *args)
+        assert py.calls == cc.calls
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), cnf=_cnfs(), backend=st.sampled_from(["python", "c"]))
+def test_minimize_is_the_greedy_key_shrink(compiled, data, cnf, backend):
+    n = cnf[0]
+    eng = (_closure_py.Engine if backend == "python" else compiled.Engine)(*cnf)
+    seed = set(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)))
+    key = seed | (set(range(n)) - set(eng.closure(seed)))  # every seed grows into a key
+    cur = set(key)
+    for v in sorted(key):
+        if len(eng.closure(cur - {v})) == n:
+            cur.discard(v)
+    calls = eng.calls
+    assert eng.minimize(key) == sorted(cur)
+    assert eng.calls == calls + len(key)
+

@@ -1,5 +1,6 @@
 """Minimal-key enumeration, the key graph, and the ρ progress measure."""
 
+import hashlib
 import random
 
 import pytest
@@ -197,3 +198,91 @@ def test_rho_progress_toward_k2():
                 assert better, (sorted(k1), sorted(k2))
                 checked += 1
     assert checked > 20
+
+
+# sha256 of (ordered keys, closures, candidates, startup_closures,
+# max_delay_closures) for each case, recorded before the kernel gained its
+# goal-directed shortcuts and ``minimize``.  Kernel speed-ups must leave every
+# one of these unchanged: the counters are part of the enumeration contract.
+COUNTER_DIGESTS = {
+    ("limited", 0): "df22669bd5cfcd9f06a33e74202290081664d27f161a1a2c5bde375f86b9d456",
+    ("limited", 1): "6a111c9311d62ac1d86fde4c181c45a7310e6e684e4117cee01450e958e1e500",
+    ("limited", 2): "059f229da47b23608f559074d09240488023bf3980f534e0134b4b838aa5572d",
+    ("limited", 3): "fcac848635df22ec770f9c700cf2b63fb60c3ca2e719edd26a840a77e8681dca",
+    ("limited", 4): "7d380d201edc0706588f12fedff9347dd3d24bc95087b9e3702329942ee7df85",
+    ("limited", 5): "08358d45d371a9c8e813318c4692e9c9910389838d2438d1ac56589073c084a6",
+    ("limited", 6): "9e8df1abc490ae570e13b36b135734b4b4cecec7a7da8a63a5b1add0d636b4ab",
+    ("limited", 7): "043163b8344d2d2524d44c4d20355f2aed929f8545eabf61f123bf6d62d184b0",
+    ("limited", 8): "bce5da8df88cdd5509f27f220519aec49827223fda8f8718a521006543543db9",
+    ("limited", 9): "fb78d40280dee2d4abc8ef6fb53eae374f7a0078a5548b006fd04e223452c5a5",
+    ("limited", 10): "8960355cbdbf39d13800453f85d7d8ff2d214667af6ad78470ac62991e5edf8c",
+    ("limited", 11): "5d6356da6756b11882f405eeb205a5b75b2cee63e3ebef3335f7c39f3bdfaf46",
+    ("limited", 12): "0b27b2c832a0f9391c972e409ee3c70492360e6713546f70faf740beed8ba1d4",
+    ("limited", 13): "fea4a968cd2f9aa364b1455845355a67e1e268aa3ed140838198eacfe79921bc",
+    ("limited", 14): "37a4b75ece34d44bfb3aa186bde89d0c91b0d0d06b1f0656b009d157e3678dd8",
+    ("limited", 15): "bc7265057962d8ba88878208822ed81e8cc7fbc8d0b1e9a5600909aea8f33dc5",
+    ("limited", 16): "124c80b5b48a0ce4baf8422e843854b885f639c9b881cfe4c3c804ed62f16442",
+    ("limited", 17): "23a191dbe4d6fbf03355b54135a3c9f76d90f4dbf34934b0d6911b37f1c27c72",
+    ("limited", 18): "4babf180eca65653aff729f84ec4cfcc72a479f850167da0347686b03a7489f3",
+    ("limited", 19): "1ed16713f9e136d6363c4765061de10df5be4577ba263c2ca64735df41f60c11",
+    ("limited", 20): "7c44420b77530f18ac51bcfed96e6ca4c1534785d59df98879290d1f6284baab",
+    ("limited", 21): "b69573243456b2716839e2b62c53208cdbad0ba7cdc480648b6c54900d0f3b92",
+    ("limited", 22): "79016082cd7875837c5dd841796bac3d334d4603a4d61a44a9d6bd09e398bc03",
+    ("limited", 23): "eabce5b4eb241133717f762f0791d2facf10e8f50402faa2772c739ee2346d78",
+    ("limited", 24): "5f9c106d5d3ee79bc34af338e8dc60ea26d36d19e399b3124019169c7f3bfca2",
+    ("limited", 25): "ef058930b63686e7032160249cd1a2222982cb3ce8094635e390cd97d2c0b9ed",
+    ("limited", 26): "7b300ae5462c51122eb145b7ef583e60c917af226de7a92884f391ec0ceb1657",
+    ("limited", 27): "1384f2f02f7f4e1d0845edef2681356e6b0164596e528f75cc42493d6baf181f",
+    ("limited", 28): "b6f5b5a138d76efa7c1dde266889c2bcf97c43d5296d26fae3e05a0ec6c0bdf9",
+    ("limited", 29): "57d1c6806c16329518758b6953698a965bcb3f8e8d8d54133819fc255b3e464c",
+    ("limited", 30): "a6ed04a61cb15a773c56a2d4e797e69fcecf2d8e955063b33a174ba73f46599b",
+    ("limited", 31): "afc33a79604a0c5f39af4fe9866abbb882ee499d2bad81ca76abe2f23bdfa12a",
+    ("limited", 32): "d5a2ca0aae1588c341aff81aad322e79da29bee505bed126d5c500fa19052515",
+    ("limited", 33): "6dd86790b346b1ba06aecb141ca2fb82f6df85e6e2ac031ef3b328c919c0d013",
+    ("limited", 34): "2b216f532294c1cec19b3ead4e96f86659194cb4002255a65ccd6355e73a466e",
+    ("limited", 35): "2bdf2daf0ff370da6db74cee462f23fb82ac68354674fb62cf3774b65f7551a0",
+    ("limited", 36): "98fb1eebfd33424f5c490d97ed2f7d53c55f4b409360dbacf53046f43ea8cd39",
+    ("limited", 37): "317948a0025a5f38f3f5cc2bc6c186a1db9b7c5644c33efc6dffe993558dcb62",
+    ("limited", 38): "075eb4b6f6bb26dd8c538080fa55159b47585cea8ba81d233a169a54c720d3b6",
+    ("limited", 39): "47fd429c909d1d6333d41f8c00ecc985917d70656a684a6a22ba322b4bb662df",
+    ("full", 0): "cf9c1bc1381b2dca7970baa33870657cccdd184875d689cc90c08dbc56dd079d",
+    ("full", 1): "d839f9873c5718fd959578d06fa9aaaa65853909ae07550854ef463777447d88",
+    ("full", 2): "57806b01703cb24fb04aed3a8c7df0b2dbe4227058785973c031aa008cc3b556",
+    ("full", 3): "ad04c8c6ba533514ba22f8ece7bb9b44aa15a67d0814b54d2d8e847b2c051477",
+    ("units", 0): "309ea9b6f3ad446e83b96b5831b338b9d4acceeb4703ed75a4f23786518d907b",
+    ("units", 1): "fab722d93a26f204881e5caa60f25c31068379f4c4b9c279fa38a934be4793a0",
+    ("units", 2): "b211c0da35b197d3edd3d79d8c15c94590b870cf3d730938983429acf9d0df64",
+    ("units", 3): "9b7c4c742840a14b3230b863188dbe4db4538a386827664a203dc1e4b16d4da8",
+}
+
+
+def _units_and_duplicates(seed):
+    cnf = random_horn_cnf(seed, 10, 20, 3)
+    clauses = [(c.body, c.head) for c in cnf.clauses]
+    clauses += [(set(), seed % 10), clauses[0], clauses[5]]
+    return hk.horn_cnf(10, clauses)
+
+
+def _counter_case(kind, seed):
+    if kind == "limited":
+        return random_horn_cnf(seed, 36, 108, 3), 5
+    if kind == "full":
+        return random_horn_cnf(seed, 12, 30, 3), None
+    return _units_and_duplicates(seed), None
+
+
+@pytest.mark.parametrize(
+    "kind, seed", list(COUNTER_DIGESTS), ids=[f"{k}{s}" for k, s in COUNTER_DIGESTS]
+)
+def test_enumeration_counters_are_unchanged(kind, seed):
+    cnf, limit = _counter_case(kind, seed)
+    stats = hk.KeyEnumerationStats()
+    keys = [sorted(k) for k in hk.iter_minimal_keys(cnf, limit=limit, stats=stats)]
+    record = (
+        keys,
+        stats.closures,
+        stats.candidates,
+        stats.startup_closures,
+        stats.max_delay_closures,
+    )
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == COUNTER_DIGESTS[kind, seed]
