@@ -94,10 +94,17 @@ class HornCNF:
         for i, c in enumerate(clauses):
             if not isinstance(c, HornClause):
                 raise InputError(f"clause {i} is not a HornClause")
-            if c.head < 0 or c.head >= n:
-                raise InputError(f"clause {i}: head {c.head} out of range 0..{n - 1}")
+            # An index is an int and not a bool; testing for a plain int first
+            # keeps the common case as cheap as a single isinstance.
+            head = c.head
+            if type(head) is not int and (not isinstance(head, int) or isinstance(head, bool)):
+                raise InputError(f"clause {i}: head must be an int, got {head!r}")
+            if head < 0 or head >= n:
+                raise InputError(f"clause {i}: head {head} out of range 0..{n - 1}")
             for v in c.body:
-                if not isinstance(v, int) or v < 0 or v >= n:
+                if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+                    raise InputError(f"clause {i}: body variable must be an int, got {v!r}")
+                if v < 0 or v >= n:
                     raise InputError(f"clause {i}: body variable {v} out of range")
         self.clauses = clauses
         self._engine = None

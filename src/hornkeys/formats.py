@@ -12,10 +12,8 @@ from typing import Optional
 from .core import HornClause, HornCNF, VariableUniverse
 from .errors import InputError
 from .hypergraph import Graph, SpernerHypergraph
-from .tss import BODY_ROLES, HEAD_ROLES, HUB_ROLE, RoleMap, ThresholdGraph
+from .tss import ROLES, RoleMap, ThresholdGraph
 from .uniqueness import GeneralCNF
-
-_ROLES = BODY_ROLES + HEAD_ROLES + (HUB_ROLE,)
 
 
 def _lines(text: str):
@@ -68,11 +66,17 @@ def _check_label(label: str):
 
 
 def _names_line(universe: VariableUniverse) -> list[str]:
-    if universe.labels is None:
+    labels = universe.labels
+    if labels is None:
         return []
-    for lab in universe.labels:
-        _check_label(lab)
-    return ["names " + " ".join(universe.labels)]
+    # str.split() splits at exactly the characters that str.isspace() accepts,
+    # so the joined line splits back into the labels iff no label is empty or
+    # holds whitespace.
+    line = " ".join(labels)
+    if "#" in line or line.split() != list(labels):
+        for lab in labels:
+            _check_label(lab)
+    return ["names " + line]
 
 
 def parse_horn(text: str) -> HornCNF:
@@ -159,8 +163,7 @@ def parse_graph(text: str) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     out = [f"hg {g.n} {len(g.edges)}"] + _names_line(g.universe)
-    for u, v in g.edges:
-        out.append(f"{u + 1} {v + 1}")
+    out += [f"{u + 1} {v + 1}" for u, v in g.edges]
     return "\n".join(out) + "\n"
 
 
@@ -253,7 +256,7 @@ def parse_roles(text: str) -> RoleMap:
         clause = _int(toks[1], lineno, "a clause index") - 1
         role = toks[2]
         var = _int(toks[3], lineno, "a variable id") - 1
-        if role not in _ROLES:
+        if role not in ROLES:
             raise InputError(f"line {lineno}: unknown role {role!r}")
         if not (n_orig <= vid < n_total):
             raise InputError(f"line {lineno}: vertex {vid + 1} outside the gadget range")

@@ -8,6 +8,7 @@ enumeration for plain graphs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from ._bitset import bits_of, mask_of, set_of
@@ -169,28 +170,47 @@ def key_horn_cnf(b: SpernerHypergraph) -> HornCNF:
 
 
 class Graph:
-    """Undirected simple graph: a 2-uniform hypergraph with adjacency."""
+    """Undirected simple graph: a 2-uniform hypergraph with adjacency.
+
+    ``edges`` is the sorted tuple of ``(u, v)`` pairs with ``u < v``.  The
+    neighbor sets ``adj`` are built from it on first use and then kept.
+    """
 
     def __init__(self, universe: VariableUniverse, edges: Iterable[Iterable[int]]):
         self.universe = universe
         n = universe.n
-        uniq = set()
+        # The pair (u, v) with u < v is filed under the code u*n + v, so that
+        # sorting the codes sorts the pairs.  A pair of plain ints is checked
+        # directly; anything else goes through _as_varset.
+        pairs = {}
         for e in edges:
+            if type(e) is tuple and len(e) == 2:
+                u, v = e
+                if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v:
+                    if u < v:
+                        pairs[u * n + v] = e
+                    else:
+                        pairs[v * n + u] = (v, u)
+                    continue
             e = _as_varset(e, n)
             if len(e) != 2:
                 raise InputError(f"graph edge must have 2 distinct endpoints, got {sorted(e)}")
-            uniq.add(tuple(sorted(e)))
-        self.edges = tuple(sorted(uniq))
-        adj = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = tuple(frozenset(a) for a in adj)
+            u, v = sorted(e)
+            pairs[u * n + v] = (u, v)
+        self.edges = tuple([pairs[c] for c in sorted(pairs)])
         self._adj_masks: Optional[list[int]] = None
 
     @property
     def n(self) -> int:
         return self.universe.n
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(frozenset, adj))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
@@ -200,7 +220,11 @@ class Graph:
 
     def adj_masks(self) -> list[int]:
         if self._adj_masks is None:
-            self._adj_masks = [mask_of(a) for a in self.adj]
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            self._adj_masks = masks
         return self._adj_masks
 
     def as_hypergraph(self) -> SpernerHypergraph:

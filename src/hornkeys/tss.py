@@ -30,10 +30,12 @@ class ThresholdGraph:
 
     def __init__(self, graph: Graph, thresholds: Iterable[int]):
         self.graph = graph
-        t = tuple(int(x) for x in thresholds)
+        t = tuple(thresholds)
         if len(t) != graph.n:
             raise InputError(f"expected {graph.n} thresholds, got {len(t)}")
         for v, k in enumerate(t):
+            if type(k) is not int and (not isinstance(k, int) or isinstance(k, bool)):
+                raise InputError(f"threshold of vertex {v} must be an int, got {k!r}")
             if k < 1:
                 raise InputError(f"threshold of vertex {v} must be >= 1, got {k}")
         self.thresholds = t
@@ -107,6 +109,7 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
 BODY_ROLES = ("x", "y", "z", "w")
 HEAD_ROLES = ("xh", "yh", "zh", "wh")
 HUB_ROLE = "p"
+ROLES = frozenset(BODY_ROLES + HEAD_ROLES + (HUB_ROLE,))
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class RoleMap:
 
     def __post_init__(self):
         for vid, (ci, role, var) in self.roles.items():
-            if role not in BODY_ROLES + HEAD_ROLES + (HUB_ROLE,):
+            if role not in ROLES:
                 raise InputError(f"vertex {vid}: unknown gadget role {role!r}")
             if not (self.n_original <= vid < self.n_total):
                 raise InputError(f"role entry {vid} outside the gadget range")
@@ -138,21 +141,12 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
     need threshold 0): saturate unit clauses away before reducing.
     """
     n = cnf.n
-    labels = [cnf.universe.name(v) for v in range(n)]
+    name = cnf.universe.name
+    labels = [name(v) for v in range(n)]
     edges: list[tuple[int, int]] = []
     roles: dict[int, tuple[int, str, int]] = {}
     thresholds = [1] * n
     nxt = n
-
-    def fresh(label: str, t: int, clause_idx: int, role: str, var: int) -> int:
-        nonlocal nxt
-        vid = nxt
-        nxt += 1
-        labels.append(label)
-        thresholds.append(t)
-        roles[vid] = (clause_idx, role, var)
-        return vid
-
     for ci, c in enumerate(cnf.clauses):
         if not c.body:
             raise InputError(
@@ -160,20 +154,28 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
                 f"seed side before reducing"
             )
         tag = f"C{ci + 1}"
-        hub = fresh(f"p^{tag}", len(c.body), ci, HUB_ROLE, c.head)
-        for a in sorted(c.body):
-            aname = cnf.universe.name(a)
-            x = fresh(f"x^{tag}_{aname}", 1, ci, "x", a)
-            y = fresh(f"y^{tag}_{aname}", 1, ci, "y", a)
-            z = fresh(f"z^{tag}_{aname}", 1, ci, "z", a)
-            w = fresh(f"w^{tag}_{aname}", 2, ci, "w", a)
-            edges += [(a, x), (x, y), (x, z), (y, w), (z, w), (w, hub)]
-        hname = cnf.universe.name(c.head)
-        xh = fresh(f"x^{tag}_{hname}", 1, ci, "xh", c.head)
-        yh = fresh(f"y^{tag}_{hname}", 1, ci, "yh", c.head)
-        zh = fresh(f"z^{tag}_{hname}", 1, ci, "zh", c.head)
-        wh = fresh(f"w^{tag}_{hname}", 2, ci, "wh", c.head)
-        edges += [(hub, xh), (xh, yh), (xh, zh), (yh, wh), (zh, wh), (wh, c.head)]
+        hub = nxt
+        labels.append(f"p^{tag}")
+        thresholds.append(len(c.body))
+        roles[hub] = (ci, HUB_ROLE, c.head)
+        nxt += 1
+        # One chain x, y, z, w per body variable, from the variable to the
+        # hub, then one for the head, from the hub to the head.
+        chains = [(a, a, hub, BODY_ROLES) for a in sorted(c.body)]
+        chains.append((c.head, hub, c.head, HEAD_ROLES))
+        for var, src, dst, (rx, ry, rz, rw) in chains:
+            vname = name(var)
+            x, y, z, w = nxt, nxt + 1, nxt + 2, nxt + 3
+            labels += (
+                f"x^{tag}_{vname}", f"y^{tag}_{vname}", f"z^{tag}_{vname}", f"w^{tag}_{vname}"
+            )
+            thresholds += (1, 1, 1, 2)
+            roles[x] = (ci, rx, var)
+            roles[y] = (ci, ry, var)
+            roles[z] = (ci, rz, var)
+            roles[w] = (ci, rw, var)
+            edges += ((src, x), (x, y), (x, z), (y, w), (z, w), (w, dst))
+            nxt += 4
 
     universe = VariableUniverse(nxt, tuple(labels))
     tg = ThresholdGraph(Graph(universe, edges), thresholds)

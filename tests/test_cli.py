@@ -362,7 +362,72 @@ GOLDEN_INPUTS = {
     "k3.hg": "hg 3 3\n1 2\n1 3\n2 3\n",
     "chain.hg": CHAIN_HG,
     "fig.cnf": FIG_CNF,
+    "small.horn": "horn 3 2\nnames a b c\n1 -> 2\n1 3 -> 2\n",
+    "tiny.horn": "horn 2 1\n1 -> 2\n",
 }
+
+# Texts that the transformation verbs write, recorded byte for byte.
+SMALL_TSS = (
+    "tss 25 30\n"
+    "names a b c p^C1 x^C1_a y^C1_a z^C1_a w^C1_a x^C1_b y^C1_b z^C1_b w^C1_b "
+    "p^C2 x^C2_a y^C2_a z^C2_a w^C2_a x^C2_c y^C2_c z^C2_c w^C2_c "
+    "x^C2_b y^C2_b z^C2_b w^C2_b\n"
+    "e 1 5\ne 1 14\ne 2 12\ne 2 25\ne 3 18\ne 4 8\ne 4 9\ne 5 6\ne 5 7\ne 6 8\n"
+    "e 7 8\ne 9 10\ne 9 11\ne 10 12\ne 11 12\ne 13 17\ne 13 21\ne 13 22\ne 14 15\n"
+    "e 14 16\ne 15 17\ne 16 17\ne 18 19\ne 18 20\ne 19 21\ne 20 21\ne 22 23\n"
+    "e 22 24\ne 23 25\ne 24 25\n"
+    "t 1 1\nt 2 1\nt 3 1\nt 4 1\nt 5 1\nt 6 1\nt 7 1\nt 8 2\nt 9 1\nt 10 1\n"
+    "t 11 1\nt 12 2\nt 13 2\nt 14 1\nt 15 1\nt 16 1\nt 17 2\nt 18 1\nt 19 1\n"
+    "t 20 1\nt 21 2\nt 22 1\nt 23 1\nt 24 1\nt 25 2\n"
+)
+SMALL_ROLES = (
+    "roles 3 25\n"
+    "4 1 p 2\n5 1 x 1\n6 1 y 1\n7 1 z 1\n8 1 w 1\n9 1 xh 2\n10 1 yh 2\n11 1 zh 2\n"
+    "12 1 wh 2\n13 2 p 2\n14 2 x 1\n15 2 y 1\n16 2 z 1\n17 2 w 1\n18 2 x 3\n"
+    "19 2 y 3\n20 2 z 3\n21 2 w 3\n22 2 xh 2\n23 2 yh 2\n24 2 zh 2\n25 2 wh 2\n"
+)
+TINY_TSS = (
+    "tss 11 12\n"
+    "names 1 2 p^C1 x^C1_1 y^C1_1 z^C1_1 w^C1_1 x^C1_2 y^C1_2 z^C1_2 w^C1_2\n"
+    "e 1 4\ne 2 11\ne 3 7\ne 3 8\ne 4 5\ne 4 6\ne 5 7\ne 6 7\ne 8 9\ne 8 10\n"
+    "e 9 11\ne 10 11\n"
+    "t 1 1\nt 2 1\nt 3 1\nt 4 1\nt 5 1\nt 6 1\nt 7 2\nt 8 1\nt 9 1\nt 10 1\n"
+    "t 11 2\n"
+)
+TINY_ROLES = (
+    "roles 2 11\n"
+    "3 1 p 2\n4 1 x 1\n5 1 y 1\n6 1 z 1\n7 1 w 1\n8 1 xh 2\n9 1 yh 2\n10 1 zh 2\n"
+    "11 1 wh 2\n"
+)
+FIG_GRAPH = (
+    "hg 16 27\n"
+    "names x1 nx1 y1 x2 nx2 y2 x3 nx3 y3 x4 nx4 y4 C1 C2 C3 z\n"
+    "1 2\n1 3\n1 13\n2 3\n2 14\n4 5\n4 6\n4 13\n5 6\n5 14\n5 15\n7 8\n7 9\n"
+    "8 9\n8 13\n8 15\n10 11\n10 12\n10 14\n11 12\n11 15\n13 14\n13 15\n13 16\n"
+    "14 15\n14 16\n15 16\n"
+)
+WHEEL_PSI = (
+    "horn 5 14\nnames a b c d e\n"
+    "2 -> 1\n4 -> 1\n5 -> 1\n1 -> 2\n3 -> 2\n2 -> 3\n4 -> 3\n5 -> 3\n1 -> 4\n"
+    "3 -> 4\n5 -> 4\n1 3 -> 5\n1 4 -> 5\n3 4 -> 5\n"
+)
+CHAIN_PHI = (
+    "horn 4 6\nnames a b c d\n"
+    "1 2 -> 3\n1 2 -> 4\n2 3 -> 1\n2 3 -> 4\n3 4 -> 1\n3 4 -> 2\n"
+)
+
+
+def _text_json(command, text):
+    """The exact --json line of a verb whose result is one text."""
+    return f'{{"command": "{command}", "result": {json.dumps(text)}, "witness": null, "stats": null}}\n'
+
+
+def _horn2tss_json(tss, roles):
+    return (
+        f'{{"command": "horn2tss", "result": {{"tss": {json.dumps(tss)}, '
+        f'"roles": {json.dumps(roles)}}}, "witness": null, "stats": null}}\n'
+    )
+
 
 # Exact stdout and exit code of verbs whose text and --json renderings
 # share helpers, so any drift in either shape shows up byte for byte.
@@ -446,6 +511,20 @@ GOLDEN = [
         1,
         '{"command": "oracle", "result": false, "witness": null, "stats": null}\n',
     ),
+    (["horn2tss", "small.horn", "--json"], 0, _horn2tss_json(SMALL_TSS, SMALL_ROLES)),
+    (["horn2tss", "tiny.horn", "--json"], 0, _horn2tss_json(TINY_TSS, TINY_ROLES)),
+    (["sat2graph", "fig.cnf"], 0, FIG_GRAPH),
+    (["sat2graph", "fig.cnf", "--json"], 0, _text_json("sat2graph", FIG_GRAPH)),
+    (["tss2horn", "wheel.tss"], 0, WHEEL_PSI),
+    (["tss2horn", "wheel.tss", "--json"], 0, _text_json("tss2horn", WHEEL_PSI)),
+    (["phi-b", "chain.hg"], 0, CHAIN_PHI),
+    (["phi-b", "chain.hg", "--json"], 0, _text_json("phi-b", CHAIN_PHI)),
+    (["dual", "chain.hg"], 0, "hg 4 3\nnames a b c d\n1 3\n2 3\n2 4\n"),
+    (
+        ["dual", "chain.hg", "--json"],
+        0,
+        '{"command": "dual", "result": [[1, 3], [2, 3], [2, 4]], "witness": null, "stats": null}\n',
+    ),
 ]
 
 
@@ -459,6 +538,14 @@ def test_golden_output(run, tmp_path, monkeypatch, argv, code, stdout):
     assert (got_code, out) == (code, stdout)
     if "--json" in argv:
         _json_ok(out)
+
+
+def test_golden_horn2tss_files(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _file(tmp_path, "small.horn", GOLDEN_INPUTS["small.horn"])
+    assert run(["horn2tss", "small.horn", "-o", "g.tss"]) == (0, "", "")
+    assert Path("g.tss").read_text() == SMALL_TSS
+    assert Path("g.tss.roles").read_text() == SMALL_ROLES
 
 
 def test_installed_entry_point(tmp_path):

@@ -144,6 +144,16 @@ def test_clause_validation():
         hk.VariableUniverse(2, labels=("x", "x"))
 
 
+@pytest.mark.parametrize(
+    "clause",
+    [({True}, 2), ({False}, 2), ({0.0}, 1), ({"0"}, 1), ({0}, True), ({0}, 1.0), ({0}, "1"), ({0}, None)],
+)
+def test_clause_indices_must_be_ints(clause):
+    # a bool used to read as 0 or 1, and a float head failed later in the kernel
+    with pytest.raises(InputError, match=r"^clause 1: .* must be an int, got "):
+        hk.horn_cnf(3, [({0}, 1), clause])
+
+
 def test_empty_bodies_and_empty_cnf():
     cnf = hk.horn_cnf(3, [(set(), 0), (set(), 1)])
     assert hk.forward_closure(cnf, set()) == {0, 1}

@@ -195,3 +195,17 @@ def test_labels_must_be_writable():
     cnf = hk.horn_cnf(2, [({0}, 1)], labels=("a b", "c"))  # space inside a label
     with pytest.raises(InputError):
         serialize_horn(cnf)
+
+
+@pytest.mark.parametrize("label", ["", " ", "a b", "\t", "a\u00a0", "\x1c", "\u2028", "#", "a#b"])
+def test_the_first_unwritable_label_is_named(label):
+    # "ok" is writable and "x y" is not, so the error must name ``label``
+    message = f"label {label!r} cannot be written to a text format"
+    for labels in [("ok", label), ("ok", label, "x y")]:
+        g = hk.graph(len(labels), [(0, 1)], labels=labels)
+        with pytest.raises(InputError) as exc:
+            serialize_graph(g)
+        assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            serialize_tss(hk.ThresholdGraph(g, [1] * len(labels)))
+        assert str(exc.value) == message

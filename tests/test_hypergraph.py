@@ -185,6 +185,48 @@ def test_graph_validation():
         hk.graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 1), [0, 1], {0, 1}, frozenset({0, 1}), (1, 0), (0, 1)])
+def test_graph_accepts_every_spelling_of_an_edge(edge):
+    assert hk.graph(3, [edge]).edges == ((0, 1),)
+    assert hk.graph(3, [edge, (0, 1), edge]).edges == ((0, 1),)  # duplicates collapse
+
+
+@pytest.mark.parametrize(
+    "edge,message",
+    [
+        ((0, 0), "graph edge must have 2 distinct endpoints, got [0]"),
+        ((0,), "graph edge must have 2 distinct endpoints, got [0]"),
+        ((0, 1, 2), "graph edge must have 2 distinct endpoints, got [0, 1, 2]"),
+        ((1, True), "graph edge must have 2 distinct endpoints, got [1]"),
+        ((0, 5), "variable index 5 out of range 0..2"),
+        ((-1, 0), "variable index -1 out of range 0..2"),
+        ((True, 1), "variable index must be an int, got True"),
+        ((0, True), "variable index must be an int, got True"),
+        ((2, False), "variable index must be an int, got False"),
+        ((0, 1.0), "variable index must be an int, got 1.0"),
+    ],
+)
+def test_graph_rejects_bad_edges(edge, message):
+    with pytest.raises(InputError) as exc:
+        hk.graph(3, [(1, 2), edge])
+    assert str(exc.value) == message
+
+
+def test_graph_adjacency_matches_its_edges():
+    rng = random.Random(3)
+    for n in range(8):
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+        g = hk.graph(n, [(u, v) for u, v in pairs if u != v])
+        want = [{u for e in g.edges for u in e if v in e and u != v} for v in range(n)]
+        assert [set(g.neighbors(v)) for v in range(n)] == want
+        assert [g.degree(v) for v in range(n)] == [len(w) for w in want]
+        assert g.adj_masks() == [sum(1 << u for u in w) for w in want]
+        assert g.adj is g.adj and all(isinstance(a, frozenset) for a in g.adj)
+        assert list(g.edges) == sorted(g.edges) and all(u < v for u, v in g.edges)
+        assert g == hk.graph(n, [(v, u) for u, v in reversed(g.edges)])
+        assert hash(g) == hash(hk.graph(n, [(v, u) for u, v in g.edges]))
+
+
 def test_graph_as_hypergraph_round_trip():
     g = hk.graph(4, [(2, 3), (0, 1)])
     h = g.as_hypergraph()

@@ -46,6 +46,13 @@ def test_threshold_graph_validation():
         hk.threshold_graph(2, [(0, 1)], [1])  # one threshold per vertex
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "2", None])
+def test_threshold_graph_rejects_non_int_thresholds(bad):
+    # used to be truncated by int(): 1.7 and True both read as 1, "2" as 2
+    with pytest.raises(InputError, match="threshold of vertex 1 must be an int"):
+        hk.threshold_graph(2, [(0, 1)], [1, bad])
+
+
 def test_tss_to_horn_worked_example(wheel_tss):
     psi = hk.tss_to_horn(wheel_tss)
     got = [(tuple(sorted(c.body)), c.head) for c in psi.clauses]
