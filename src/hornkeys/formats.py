@@ -110,7 +110,7 @@ def serialize_horn(cnf: HornCNF) -> str:
 
 
 def _parse_edge_lines(rest, n: int, arity: Optional[int]):
-    edges = []
+    first_line = {}
     for lineno, line in rest:
         ids = [_vertex(t, n, lineno) for t in line.split()]
         if len(set(ids)) != len(ids):
@@ -118,11 +118,10 @@ def _parse_edge_lines(rest, n: int, arity: Optional[int]):
         if arity is not None and len(ids) != arity:
             raise InputError(f"line {lineno}: expected an edge of {arity} vertices")
         e = frozenset(ids)
-        for other_line, other in edges:
-            if e == other:
-                raise InputError(f"line {lineno}: duplicate of edge at line {other_line}")
-        edges.append((lineno, e))
-    return edges
+        if e in first_line:
+            raise InputError(f"line {lineno}: duplicate of edge at line {first_line[e]}")
+        first_line[e] = lineno
+    return [(lineno, e) for e, lineno in first_line.items()]
 
 
 def parse_hypergraph(text: str) -> SpernerHypergraph:

@@ -196,25 +196,14 @@ def closure_layers(cnf: HornCNF, s) -> list[frozenset[int]]:
     Layer 0 is ``s``; layer i+1 holds the heads that first become derivable
     once all earlier layers are available.  The layers partition the closure.
     """
-    s = _as_varset(s, cnf.n)
-    layers = [s]
-    current = set(s)
-    remaining = list(cnf.clauses)
+    current = _as_varset(s, cnf.n)
+    layers = [current]
     while True:
-        new = set()
-        rest = []
-        for c in remaining:
-            if c.body <= current:
-                if c.head not in current:
-                    new.add(c.head)
-            else:
-                rest.append(c)
-        new -= current
+        new = frozenset(c.head for c in cnf.clauses if c.body <= current) - current
         if not new:
             return layers
-        layers.append(frozenset(new))
+        layers.append(new)
         current |= new
-        remaining = rest
 
 
 def rho_measure(cnf: HornCNF, k1, k2) -> tuple[int, ...]:

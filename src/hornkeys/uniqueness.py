@@ -14,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bitset import bits_of, set_of
-from .core import forward_closure
+from ._bitset import bits_of, mask_of, set_of
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import (
     Graph,
     SpernerHypergraph,
     VariableUniverse,
     _minimal_masks,
-    key_horn_cnf,
+    is_transversal,
     maximal_independent_sets,
     minimal_transversals,
     project,
@@ -63,27 +62,30 @@ def verify_witness(w: Witness, obj) -> bool:
         return False
     if w.kind == "transversal-pair-missing":
         t, v = w.data
-        dual = minimal_transversals(obj).edges
-        if t not in dual or v in t:
+        # Only a set can equal a minimal transversal; a list or tuple never does.
+        if not isinstance(t, (set, frozenset)) or v in t or not is_transversal(obj, t):
             return False
+        # Another minimal transversal inside T ∪ {v} misses some u ∈ T, so it
+        # exists iff some (T ∪ {v}) - {u} is a transversal.  That test also
+        # covers every T - {u}, so a T that passes is minimal.
         tv = t | {v}
-        return not any(t2 != t and t2 <= tv for t2 in dual)
+        return not any(is_transversal(obj, tv - {u}) for u in t)
     if w.kind == "no-individual-neighbor":
         i, v = w.data
+        adj = obj.adj
         if v not in i or any(a <= i for a in map(frozenset, obj.edges)):
             return False
         outside = set(range(obj.n)) - i
-        if any(not (obj.adj[u] & i) for u in outside):
+        if any(not (adj[u] & i) for u in outside):
             return False  # not maximal
-        return not any(obj.adj[u] & i == {v} for u in outside)
+        return not any(adj[u] & i == {v} for u in outside)
     if w.kind == "addable-clause":
         a, v = w.data
         full = obj.universe.full_set()
+        # No clause of Φ_B fires on an independent A, so v ∉ A makes A→v a non-implicate.
         if any(e <= a for e in obj.edges) or v in a:
             return False
-        if v in support_union(project(obj, full - a)):
-            return False
-        return v not in forward_closure(key_horn_cnf(obj), a)
+        return v not in support_union(project(obj, full - a))
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 
@@ -151,6 +153,7 @@ def addable_clauses(
 
 
 def _two_coloring(g: Graph) -> Optional[list[int]]:
+    adj = g.adj
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] != -1:
@@ -159,7 +162,7 @@ def _two_coloring(g: Graph) -> Optional[list[int]]:
         queue = [s]
         while queue:
             u = queue.pop()
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     queue.append(v)
@@ -183,20 +186,21 @@ def is_unique_key_graph(g: Graph) -> tuple[bool, Optional[Witness]]:
     if _is_perfect_matching(g):
         return True, None
     adj = g.adj_masks()
-    n = g.n
     for i in maximal_independent_sets(g):
-        imask = 0
-        for v in i:
-            imask |= 1 << v
-        for v in sorted(i):
-            vbit = 1 << v
-            if not any(
-                not (imask >> u) & 1 and adj[u] & imask == vbit for u in range(n)
-            ):
-                w = Witness("no-individual-neighbor", (i, v))
-                if not verify_witness(w, g):
-                    raise ContractError("recognizer produced an invalid witness", witness=w)
-                return False, w
+        imask = mask_of(i)
+        # N(u) ∩ I with at most one bit names u's individual neighbor, if any;
+        # members of I contribute nothing, as I is independent.
+        covered = 0
+        for x in adj:
+            x &= imask
+            if not x & (x - 1):
+                covered |= x
+        missing = imask & ~covered
+        if missing:
+            w = Witness("no-individual-neighbor", (i, (missing & -missing).bit_length() - 1))
+            if not verify_witness(w, g):
+                raise ContractError("recognizer produced an invalid witness", witness=w)
+            return False, w
     return True, None
 
 

@@ -100,6 +100,14 @@ def test_hypergraph_rejects_bad_input():
         serialize_hypergraph(hk.sperner(3, [set()]))  # ∅ has no text form
 
 
+@pytest.mark.parametrize("parse", [parse_hypergraph, parse_graph])
+def test_duplicate_edge_names_its_first_line(parse):
+    text = "hg 6 5\n1 2\n3 4\n5 6\n2 3\n2 1\n"  # line 6 repeats line 2 reversed
+    with pytest.raises(InputError) as e:
+        parse(text)
+    assert str(e.value) == "line 6: duplicate of edge at line 2"
+
+
 def test_graph_round_trip():
     g = hk.graph(4, [(0, 1), (2, 3)], labels=("p", "q", "r", "s"))
     text = serialize_graph(g)

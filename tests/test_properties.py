@@ -1,0 +1,132 @@
+"""Property tests: dualization, both recognizers, witness checks and chaining
+layers against the brute-force oracles, on hypothesis-drawn inputs."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import hornkeys as hk
+from hornkeys.oracles import (
+    bf_forward_closure,
+    bf_minimal_keys,
+    bf_minimal_transversals,
+    bf_unique_key,
+)
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def _sperner(draw, max_n, min_edges=0):
+    """minl of a drawn family of nonempty vertex sets on n <= max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+    return hk.minimalize(n, draw(st.lists(edge, min_size=min_edges, max_size=8)))
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs on n <= 8 vertices with at least one edge."""
+    n = draw(st.integers(2, 8))
+    pair = st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])
+    return hk.graph(n, draw(st.lists(pair, min_size=1, max_size=12)))
+
+
+@st.composite
+def _horn_cnfs(draw):
+    n = draw(st.integers(1, 8))
+    clauses = []
+    for head in draw(st.lists(st.integers(0, n - 1), max_size=12)):
+        body = draw(st.sets(st.integers(0, n - 1).filter(lambda v: v != head), max_size=3))
+        clauses.append((body, head))
+    return hk.horn_cnf(n, clauses)
+
+
+@_PROPERTY_SETTINGS
+@given(b=_sperner(max_n=10))
+def test_minimal_transversals_match_the_subset_scan(b):
+    assert hk.minimal_transversals(b) == bf_minimal_transversals(b)
+
+
+@_PROPERTY_SETTINGS
+@given(b=_sperner(max_n=7, min_edges=1))
+def test_hypergraph_recognizer_matches_the_definition(b):
+    ok, w = hk.is_unique_key_hypergraph(b)
+    addable = hk.addable_clauses(b)
+    assert ok == bf_unique_key(b) == (not addable)
+    assert (w is None) == ok
+    if w is not None:
+        assert hk.verify_witness(w, b)
+    for a, v in addable:
+        assert hk.verify_witness(hk.Witness("addable-clause", (a, v)), b)
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), b=_sperner(max_n=8))
+def test_transversal_pair_check_matches_the_dual(data, b):
+    dual = bf_minimal_transversals(b).edges
+    vertex = st.integers(0, b.n - 1)
+    t = data.draw(st.sampled_from(dual) | st.frozensets(vertex))
+    v = data.draw(vertex)
+    container = data.draw(st.sampled_from([frozenset, set, list, tuple]))
+    expected = (
+        container in (frozenset, set)
+        and t in dual
+        and v not in t
+        and not any(t2 != t and t2 <= t | {v} for t2 in dual)
+    )
+    w = hk.Witness("transversal-pair-missing", (container(t), v))
+    assert hk.verify_witness(w, b) == expected
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), b=_sperner(max_n=6, min_edges=1))
+def test_addable_clause_check_matches_the_definition(data, b):
+    """A→v is addable when it is no implicate of Φ_B and Φ_B ∧ (A→v) keeps B's keys."""
+    vertex = st.integers(0, b.n - 1)
+    bodies = [a for a, _ in hk.addable_clauses(b)] or [frozenset()]
+    a = data.draw(st.sampled_from(bodies) | st.frozensets(vertex))
+    v = data.draw(vertex)
+    phi = hk.key_horn_cnf(b)
+    expected = (
+        v not in a
+        and v not in bf_forward_closure(phi, a)
+        and bf_minimal_keys(hk.HornCNF(b.universe, phi.clauses + (hk.HornClause(a, v),)))
+        == set(b.edges)
+    )
+    assert hk.verify_witness(hk.Witness("addable-clause", (a, v)), b) == expected
+
+
+@_PROPERTY_SETTINGS
+@given(g=_graphs())
+def test_graph_recognizer_gives_the_first_witness_in_mis_order(g):
+    lonely = (
+        (i, v)
+        for i in hk.maximal_independent_sets(g)
+        for v in sorted(i)
+        if not any(g.adj[u] & i == {v} for u in set(range(g.n)) - i)
+    )
+    first = next(lonely, None)
+    ok, w = hk.is_unique_key_graph(g)
+    assert ok == bf_unique_key(g.as_hypergraph()) == (first is None)
+    assert (w is None) if ok else (w.data == first and hk.verify_witness(w, g))
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), cnf=_horn_cnfs())
+def test_closure_layers_grow_by_one_chaining_step(data, cnf):
+    s = data.draw(st.frozensets(st.integers(0, cnf.n - 1)))
+    layers = hk.closure_layers(cnf, s)
+    assert layers[0] == s
+    derived = set()
+    for i, layer in enumerate(layers):
+        derived |= layer
+        step = {
+            h
+            for h in range(cnf.n)
+            if h not in derived and any(c.head == h and c.body <= derived for c in cnf.clauses)
+        }
+        assert step == (layers[i + 1] if i + 1 < len(layers) else set())
+    assert derived == bf_forward_closure(cnf, s)
+    assert sum(map(len, layers)) == len(derived)
