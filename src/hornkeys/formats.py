@@ -131,14 +131,20 @@ def parse_hypergraph(text: str) -> SpernerHypergraph:
     if len(rest) != k:
         raise InputError(f"expected {k} edge lines, found {len(rest)}")
     edges = _parse_edge_lines(rest, n, None)
-    for l1, a in edges:
-        for l2, b in edges:
-            if a < b:
-                raise InputError(
-                    f"line {l1}: edge is contained in the edge at line {l2} "
-                    f"(not an antichain)"
-                )
-    return SpernerHypergraph(VariableUniverse(n, labels), [e for _, e in edges])
+    try:
+        return SpernerHypergraph(VariableUniverse(n, labels), [e for _, e in edges])
+    except InputError:
+        # The build checks the antichain on bitmasks; the k² line-pair search
+        # runs only when it failed.  A broken antichain is reported before
+        # any other error, such as a repeated label.
+        for l1, a in edges:
+            for l2, b in edges:
+                if a < b:
+                    raise InputError(
+                        f"line {l1}: edge is contained in the edge at line {l2} "
+                        f"(not an antichain)"
+                    ) from None
+        raise
 
 
 def serialize_hypergraph(h: SpernerHypergraph) -> str:

@@ -3,10 +3,14 @@
 A Sperner hypergraph B is *unique key* when exactly one pure Horn function
 has B as its set of minimal keys.  Two equivalent tests are provided: the
 dual-transversal characterization (is_unique_key_hypergraph) and emptiness
-of the addable-clause family (addable_clauses).  For graphs there is an
-individual-neighbor test over maximal independent sets, a perfect-matching
-fast path for bipartite inputs, and the SAT gadget G_Phi used to generate
-hard instances.
+of the addable-clause family (addable_clauses).  The first is decided per
+minimal transversal T: B is unique key iff V ⊆ T ∪ U(T) for every T, where
+U(T) is the union over u ∈ T of the intersection of the edges that meet T
+only in u.  The reason: another minimal transversal fits inside T ∪ {v}
+iff some (T ∪ {v}) ∖ {u} is a transversal, iff v lies in all those edges.
+For graphs there is an individual-neighbor test over maximal independent
+sets, a perfect-matching fast path for bipartite inputs, and the SAT gadget
+G_Phi used to generate hard instances.
 """
 
 from __future__ import annotations
@@ -58,12 +62,14 @@ def verify_witness(w: Witness, obj) -> bool:
     """
     vertices, v = w.data
     universe = range(obj.n)
+    # Every kind names a set of vertices; a list or tuple is never one.
+    if not isinstance(vertices, (set, frozenset)):
+        return False
     if v not in universe or not all(u in universe for u in vertices):
         return False
     if w.kind == "transversal-pair-missing":
         t, v = w.data
-        # Only a set can equal a minimal transversal; a list or tuple never does.
-        if not isinstance(t, (set, frozenset)) or v in t or not is_transversal(obj, t):
+        if v in t or not is_transversal(obj, t):
             return False
         # Another minimal transversal inside T ∪ {v} misses some u ∈ T, so it
         # exists iff some (T ∪ {v}) - {u} is a transversal.  That test also
@@ -102,20 +108,39 @@ def is_unique_key_hypergraph(
     """Dual-based test: B is unique key iff for every minimal transversal T
     and every v ∉ T some distinct minimal transversal fits inside T ∪ {v}.
 
-    Returns (True, None) or (False, witness); the witness is re-verified
-    before being returned.
+    Decided per T from its private edges, the edges e with e ∩ T = {u} for
+    some u ∈ T.  Let U(T) be the union over u ∈ T of the intersection of
+    u's private edges.  B is unique key iff V ⊆ T ∪ U(T) for every T,
+    because another minimal transversal fits inside T ∪ {v} iff some
+    (T ∪ {v}) ∖ {u} is a transversal, that is iff v lies in every private
+    edge of some u.  Each T costs O(|B|) mask operations.
+
+    Returns (True, None) or (False, witness); the witness is the first T in
+    the dual's canonical order with the lowest v ∉ T ∪ U(T), and it is
+    re-verified before being returned.
     """
     _require_edges(b)
     dual = minimal_transversals(b, cap).edges
-    full = b.universe.full_set()
+    edge_masks = b.edge_masks()
+    full = (1 << b.n) - 1
     for t in dual:
-        for v in sorted(full - t):
-            tv = t | {v}
-            if not any(t2 != t and t2 <= tv for t2 in dual):
-                w = Witness("transversal-pair-missing", (t, v))
-                if not verify_witness(w, b):
-                    raise ContractError("recognizer produced an invalid witness", witness=w)
-                return False, w
+        tmask = mask_of(t)
+        # u's bit -> the intersection of u's private edges.  A minimal
+        # transversal hits every edge and gives each u ∈ T a private edge,
+        # which holds u, so T ⊆ U(T).
+        common = {}
+        for e in edge_masks:
+            u = e & tmask
+            if not u & (u - 1):
+                common[u] = common.get(u, e) & e
+        missing = full
+        for c in common.values():
+            missing &= ~c
+        if missing:
+            w = Witness("transversal-pair-missing", (t, (missing & -missing).bit_length() - 1))
+            if not verify_witness(w, b):
+                raise ContractError("recognizer produced an invalid witness", witness=w)
+            return False, w
     return True, None
 
 

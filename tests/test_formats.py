@@ -100,6 +100,29 @@ def test_hypergraph_rejects_bad_input():
         serialize_hypergraph(hk.sperner(3, [set()]))  # ∅ has no text form
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("hg 3 2\n1 2\n1 2 3", "line 2: edge is contained in the edge at line 3 (not an antichain)"),
+        # Line 4 lies in lines 2 and 5, and line 6 in lines 3 and 5.
+        (
+            "hg 4 5\n1 2 3\n3 4\n1 2\n1 2 4\n4\n",
+            "line 4: edge is contained in the edge at line 2 (not an antichain)",
+        ),
+        # The antichain error comes before the one for the repeated label.
+        (
+            "hg 3 2\nnames a b a\n2\n2 3\n",
+            "line 3: edge is contained in the edge at line 4 (not an antichain)",
+        ),
+        ("hg 3 2\nnames a b a\n1\n2 3\n", "labels must be pairwise distinct"),
+    ],
+)
+def test_hypergraph_errors_name_the_first_fault(text, message):
+    with pytest.raises(InputError) as e:
+        parse_hypergraph(text)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("parse", [parse_hypergraph, parse_graph])
 def test_duplicate_edge_names_its_first_line(parse):
     text = "hg 6 5\n1 2\n3 4\n5 6\n2 3\n2 1\n"  # line 6 repeats line 2 reversed

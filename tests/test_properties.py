@@ -63,6 +63,24 @@ def test_hypergraph_recognizer_matches_the_definition(b):
 
 
 @_PROPERTY_SETTINGS
+@given(b=_sperner(max_n=8, min_edges=1))
+def test_hypergraph_recognizer_gives_the_first_failing_pair(b):
+    """The witness is the first (T, v), T in canonical order and v ascending,
+    such that no other minimal transversal lies inside T ∪ {v}."""
+    dual = bf_minimal_transversals(b).edges
+    failing = (
+        (t, v)
+        for t in dual
+        for v in range(b.n)
+        if v not in t and not any(t2 != t and t2 <= t | {v} for t2 in dual)
+    )
+    first = next(failing, None)
+    ok, w = hk.is_unique_key_hypergraph(b)
+    assert ok == (first is None)
+    assert (w is None) if ok else (w.data == first and hk.verify_witness(w, b))
+
+
+@_PROPERTY_SETTINGS
 @given(data=st.data(), b=_sperner(max_n=8))
 def test_transversal_pair_check_matches_the_dual(data, b):
     dual = bf_minimal_transversals(b).edges
@@ -88,14 +106,16 @@ def test_addable_clause_check_matches_the_definition(data, b):
     bodies = [a for a, _ in hk.addable_clauses(b)] or [frozenset()]
     a = data.draw(st.sampled_from(bodies) | st.frozensets(vertex))
     v = data.draw(vertex)
+    container = data.draw(st.sampled_from([frozenset, set, list, tuple]))
     phi = hk.key_horn_cnf(b)
     expected = (
-        v not in a
+        container in (frozenset, set)
+        and v not in a
         and v not in bf_forward_closure(phi, a)
         and bf_minimal_keys(hk.HornCNF(b.universe, phi.clauses + (hk.HornClause(a, v),)))
         == set(b.edges)
     )
-    assert hk.verify_witness(hk.Witness("addable-clause", (a, v)), b) == expected
+    assert hk.verify_witness(hk.Witness("addable-clause", (container(a), v)), b) == expected
 
 
 @_PROPERTY_SETTINGS

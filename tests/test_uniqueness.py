@@ -32,6 +32,29 @@ def test_star_family_is_unique_key(star_family):
     assert ok and w is None
 
 
+@pytest.mark.parametrize("k", [6, 7, 9])
+def test_perfect_matchings_are_unique_key(k):
+    matching = hk.sperner(2 * k, [{2 * i, 2 * i + 1} for i in range(k)])
+    assert hk.is_unique_key_hypergraph(matching) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "n, edges, witness",
+    [
+        # The path 0-1-2-3-4: only the last minimal transversal {1, 3} fails.
+        (5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], ({1, 3}, 0)),
+        # A matching plus {1, 2, 4}: {0, 2, 5} fails at 3, not at the lower 1.
+        (6, [{0, 1}, {2, 3}, {4, 5}, {1, 2, 4}], ({0, 2, 5}, 3)),
+    ],
+)
+def test_hypergraph_witness_is_the_first_failing_pair(n, edges, witness):
+    b = hk.sperner(n, edges)
+    ok, w = hk.is_unique_key_hypergraph(b)
+    assert not ok
+    assert w.data == (frozenset(witness[0]), witness[1])
+    assert hk.verify_witness(w, b)
+
+
 def test_tampered_witness_fails_verification(chain_family):
     bogus = hk.Witness("transversal-pair-missing", (frozenset({B, C}), D))
     assert not hk.verify_witness(bogus, chain_family)
@@ -52,6 +75,23 @@ def test_tampered_witness_fails_verification(chain_family):
 def test_witness_outside_the_universe_fails_verification(kind, data):
     matching = hk.sperner(4, [{0, 1}, {2, 3}])
     assert not hk.verify_witness(hk.Witness(kind, data), matching)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_witness_vertex_set_must_be_a_set(container, chain_family):
+    path = hk.graph(3, [(0, 1), (1, 2)])
+    valid = [
+        ("addable-clause", hk.addable_clauses(chain_family)[0], chain_family),
+        ("no-individual-neighbor", ({0, 2}, 0), path),
+    ]
+    invalid = [
+        ("addable-clause", ({0}, 2), hk.sperner(4, [{0, 1}, {2, 3}])),
+        ("no-individual-neighbor", ({0, 2}, 0), hk.graph(4, [(0, 1), (2, 3)])),
+    ]
+    for kind, (s, v), obj in valid:
+        assert hk.verify_witness(hk.Witness(kind, (frozenset(s), v)), obj)
+    for kind, (s, v), obj in valid + invalid:
+        assert not hk.verify_witness(hk.Witness(kind, (container(s), v)), obj)
 
 
 def test_graph_witness_outside_the_universe_fails_verification():
