@@ -115,23 +115,58 @@ def support_union(b: SpernerHypergraph) -> frozenset[int]:
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    """The inclusion-minimal members of a family of bitmasks, deduplicated."""
-    # Sort by popcount so each candidate only needs checks against kept,
-    # smaller-or-equal-size masks.
+    """The inclusion-minimal members of a family of bitmasks, deduplicated.
+
+    Sorted by (popcount, mask).  A proper subset has a smaller popcount, so
+    each candidate is tested only against the kept masks of smaller size; a
+    uniform family takes no pair tests.
+    """
     out: list[int] = []
+    smaller: tuple[int, ...] = ()
+    size = -1
     for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if not any(k & m == k for k in out):
+        if m.bit_count() != size:
+            size, smaller = m.bit_count(), tuple(out)
+        if not any(k & m == k for k in smaller):
             out.append(m)
     return out
+
+
+def _private_cover(t: int, edge_masks: Iterable[int]) -> int:
+    """U(t): the union over u ∈ t of the intersection of u's private edges.
+
+    A private edge of u is an edge e with e ∩ t = {u}.  For a minimal
+    transversal t of the edges, (t ∪ {v}) ∖ {u} is a transversal iff v lies
+    in every private edge of u, so v ∉ U(t) iff no (t ∪ {v}) ∖ {u} is one.
+    """
+    common = {}
+    for e in edge_masks:
+        u = e & t
+        if not u & (u - 1):
+            common[u] = common.get(u, e) & e
+    cover = 0
+    for c in common.values():
+        cover |= c
+    return cover
 
 
 def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> SpernerHypergraph:
     """The dual hypergraph B^d of all inclusion-minimal transversals.
 
-    Sequential edge-by-edge multiplication with intermediate minimalization;
-    exact, intended for desk scale.  The intermediate family size is capped
-    (``cap``, default from HORNKEYS_DUAL_CAP) and exceeding it raises a
-    resource error carrying the partial count.
+    Berge multiplication, edge by edge, with no minimalization step.  Let
+    cur be the minimal transversals of the earlier edges and e the next
+    one.  Each t ∈ cur that hits e stays minimal.  Each t that misses e
+    gives t ∪ {v} for v ∈ e ∖ U(t), with U(t) taken over the earlier edges
+    (see _private_cover): e is the private edge of v, and u ∈ t keeps one
+    iff v ∉ the intersection of u's private edges.  These are exactly the
+    minimal members of the full product, so the step needs no antichain
+    check, and no set arises twice: t ∪ {v} meets e only in v, which fixes
+    t, and it cannot equal a kept t', which would contain t.
+
+    Exact, intended for desk scale.  The family size is capped after every
+    edge, the first included (``cap``, default from HORNKEYS_DUAL_CAP), and
+    a step that could expand past 8·cap sets is refused before it starts;
+    either raises a resource error carrying the partial count.
     """
     cap = dual_cap(cap)
     if any(not e for e in b.edges):
@@ -140,14 +175,24 @@ def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> Spe
         # Every set, including ∅, hits all zero edges.
         return SpernerHypergraph(b.universe, [frozenset()])
     masks = b.edge_masks()
-    cur = _minimal_masks(1 << v for v in bits_of(masks[0]))
-    for i, em in enumerate(masks[1:], start=2):
-        if len(cur) * em.bit_count() > 8 * cap:
+    cur = [0]  # ∅, the one minimal transversal of no edges
+    for i, em in enumerate(masks, start=1):
+        # The first step only lists e's vertices, so it is not refused.
+        if i > 1 and len(cur) * em.bit_count() > 8 * cap:
             raise ResourceGuardError(
                 f"dualization guard: {len(cur)} partial transversals before "
                 f"edge {i} of {len(masks)} would expand past {8 * cap}"
             )
-        cur = _minimal_masks(t | (1 << v) for t in cur for v in bits_of(em))
+        earlier = masks[: i - 1]
+        bits = [1 << v for v in bits_of(em)]
+        nxt = []
+        for t in cur:
+            if t & em:
+                nxt.append(t)
+            else:
+                cover = _private_cover(t, earlier)
+                nxt.extend([t | bit for bit in bits if not bit & cover])
+        cur = nxt
         if len(cur) > cap:
             raise ResourceGuardError(
                 f"dualization guard: {len(cur)} partial transversals after "

@@ -25,6 +25,7 @@ from .hypergraph import (
     SpernerHypergraph,
     VariableUniverse,
     _minimal_masks,
+    _private_cover,
     is_transversal,
     maximal_independent_sets,
     minimal_transversals,
@@ -124,18 +125,8 @@ def is_unique_key_hypergraph(
     edge_masks = b.edge_masks()
     full = (1 << b.n) - 1
     for t in dual:
-        tmask = mask_of(t)
-        # u's bit -> the intersection of u's private edges.  A minimal
-        # transversal hits every edge and gives each u ∈ T a private edge,
-        # which holds u, so T ⊆ U(T).
-        common = {}
-        for e in edge_masks:
-            u = e & tmask
-            if not u & (u - 1):
-                common[u] = common.get(u, e) & e
-        missing = full
-        for c in common.values():
-            missing &= ~c
+        # Each u ∈ T has a private edge, which holds u, so T ⊆ U(T).
+        missing = full & ~_private_cover(mask_of(t), edge_masks)
         if missing:
             w = Witness("transversal-pair-missing", (t, (missing & -missing).bit_length() - 1))
             if not verify_witness(w, b):

@@ -148,6 +148,52 @@ def test_dual_cap(monkeypatch, chain_family):
         hk.minimal_transversals(chain_family)
 
 
+def test_dual_cap_counts_the_first_edge():
+    full = hk.sperner(3, [{0, 1, 2}])
+    message = "dualization guard: 3 partial transversals after edge 1 of 1 exceeds cap 1"
+    with pytest.raises(ResourceGuardError) as exc:
+        hk.minimal_transversals(full, cap=1)
+    assert str(exc.value) == message
+    with pytest.raises(ResourceGuardError) as exc:
+        hk.is_unique_key_hypergraph(full, cap=1)
+    assert str(exc.value) == message
+    assert len(hk.minimal_transversals(full, cap=3).edges) == 3
+    # The first edge is never refused beforehand, even past 8·cap vertices.
+    with pytest.raises(ResourceGuardError) as exc:
+        hk.minimal_transversals(hk.sperner(9, [range(9)]), cap=1)
+    assert str(exc.value) == "dualization guard: 9 partial transversals after edge 1 of 1 exceeds cap 1"
+
+
+def _matching(k, r):
+    return hk.sperner(r * k, [set(range(r * i, r * i + r)) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+@pytest.mark.parametrize(
+    "r, cap, message",
+    [
+        (2, 2, "4 partial transversals after edge 2 of {k} exceeds cap 2"),
+        (2, 100, "128 partial transversals after edge 7 of {k} exceeds cap 100"),
+        (2, 200, "256 partial transversals after edge 8 of {k} exceeds cap 200"),
+        (9, 9, "9 partial transversals before edge 2 of {k} would expand past 72"),
+        (9, 100, "729 partial transversals after edge 3 of {k} exceeds cap 100"),
+        (9, 729, "729 partial transversals before edge 4 of {k} would expand past 5832"),
+    ],
+)
+def test_dual_guard_messages_on_perfect_matchings(k, r, cap, message):
+    with pytest.raises(ResourceGuardError) as exc:
+        hk.minimal_transversals(_matching(k, r), cap=cap)
+    assert str(exc.value) == "dualization guard: " + message.format(k=k)
+
+
+@pytest.mark.parametrize("extra", [{1, 3, 5}, {0, 9}, {1, 2}, {3, 4, 9}, {0, 2, 4, 6, 8}])
+def test_dual_of_a_matching_plus_an_overlapping_edge(extra):
+    # Edges that miss every earlier edge and edges that overlap one, in a
+    # single family.
+    b = hk.sperner(10, [*_matching(5, 2).edges, extra])
+    assert hk.minimal_transversals(b) == bf_minimal_transversals(b)
+
+
 def test_key_horn_cnf(chain_family):
     cnf = hk.key_horn_cnf(chain_family)
     got = [(tuple(sorted(c.body)), c.head) for c in cnf.clauses]

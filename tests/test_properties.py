@@ -5,6 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hornkeys as hk
+from hornkeys._bitset import bits_of
+from hornkeys.errors import ResourceGuardError
+from hornkeys.hypergraph import _minimal_masks
 from hornkeys.oracles import (
     bf_forward_closure,
     bf_minimal_keys,
@@ -47,6 +50,52 @@ def _horn_cnfs(draw):
 @given(b=_sperner(max_n=10))
 def test_minimal_transversals_match_the_subset_scan(b):
     assert hk.minimal_transversals(b) == bf_minimal_transversals(b)
+
+
+@_PROPERTY_SETTINGS
+@given(data=st.data(), b=_sperner(max_n=9, min_edges=1))
+def test_each_berge_step_is_the_minimal_product(data, b):
+    """After edge i, the dual of the first i edges is minl{t ∪ {v}} over the
+    previous family and v ∈ e_i, and a cap trips the guard that this
+    sequence of families predicts, with its message."""
+    masks = b.edge_masks()
+    families = []
+    cur = [0]
+    for em in masks:
+        cur = _minimal_masks(t | (1 << v) for t in cur for v in bits_of(em))
+        families.append(cur)
+    for i, family in enumerate(families, start=1):
+        prefix = hk.sperner(b.n, b.edges[:i])
+        assert sorted(hk.minimal_transversals(prefix).edge_masks()) == sorted(family)
+    cap = data.draw(st.integers(masks[0].bit_count(), max(map(len, families))))
+    expected = None
+    for i, em in enumerate(masks, start=1):
+        if i > 1 and len(families[i - 2]) * em.bit_count() > 8 * cap:
+            expected = (
+                f"dualization guard: {len(families[i - 2])} partial transversals "
+                f"before edge {i} of {len(masks)} would expand past {8 * cap}"
+            )
+            break
+        if len(families[i - 1]) > cap:
+            expected = (
+                f"dualization guard: {len(families[i - 1])} partial transversals "
+                f"after edge {i} of {len(masks)} exceeds cap {cap}"
+            )
+            break
+    try:
+        hk.minimal_transversals(b, cap)
+        message = None
+    except ResourceGuardError as exc:
+        message = str(exc)
+    assert message == expected
+
+
+@_PROPERTY_SETTINGS
+@given(masks=st.lists(st.integers(0, 255), max_size=30))
+def test_minimal_masks_match_an_all_pairs_scan(masks):
+    family = set(masks)
+    minimal = [m for m in family if not any(k != m and k & m == k for k in family)]
+    assert _minimal_masks(masks) == sorted(minimal, key=lambda m: (m.bit_count(), m))
 
 
 @_PROPERTY_SETTINGS
