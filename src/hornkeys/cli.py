@@ -204,11 +204,7 @@ def cmd_tss_enum(args) -> int:
 def cmd_key_min(args) -> int:
     cnf = parse_horn(_read(args.input))
     s = _parse_set(args.set, cnf.universe)
-    try:
-        k = minimize_key(cnf, s)
-    except ContractError as e:
-        raise InputError(str(e)) from None
-    return _emit_set(args, "key-min", k, cnf.universe, args.names)
+    return _emit_set(args, "key-min", minimize_key(cnf, s), cnf.universe, args.names)
 
 
 # --- recognizers -----------------------------------------------------------
@@ -477,10 +473,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ContractError as e:
+    except (InputError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceGuardError as e:

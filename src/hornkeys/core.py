@@ -54,13 +54,30 @@ class VariableUniverse:
         return frozenset(range(self.n))
 
 
-def _as_varset(s: Iterable[int], n: int) -> frozenset[int]:
+def _is_int(v) -> bool:
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_index(v, n: int) -> bool:
+    """The vertex-id rule: an int, not a bool, in 0..n-1."""
+    return _is_int(v) and 0 <= v < n
+
+
+def _index(v, n: int, what: str) -> int:
+    """``v`` if it is an index of 0..n-1, else an InputError naming ``what``."""
+    if _is_index(v, n):
+        return v
+    if not _is_int(v):
+        raise InputError(f"{what} must be an int, got {v!r}")
+    raise InputError(f"{what} {v} out of range 0..{n - 1}")
+
+
+def _as_varset(s: Iterable[int], n: int, what: str = "variable index") -> frozenset[int]:
     out = frozenset(s)
+    # Hot loops test for a plain int in range inline and leave the rest to _index.
     for v in out:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"variable index must be an int, got {v!r}")
-        if v < 0 or v >= n:
-            raise InputError(f"variable index {v} out of range 0..{n - 1}")
+        if type(v) is not int or not 0 <= v < n:
+            _index(v, n, what)
     return out
 
 
@@ -94,18 +111,12 @@ class HornCNF:
         for i, c in enumerate(clauses):
             if not isinstance(c, HornClause):
                 raise InputError(f"clause {i} is not a HornClause")
-            # An index is an int and not a bool; testing for a plain int first
-            # keeps the common case as cheap as a single isinstance.
             head = c.head
-            if type(head) is not int and (not isinstance(head, int) or isinstance(head, bool)):
-                raise InputError(f"clause {i}: head must be an int, got {head!r}")
-            if head < 0 or head >= n:
-                raise InputError(f"clause {i}: head {head} out of range 0..{n - 1}")
+            if type(head) is not int or not 0 <= head < n:
+                _index(head, n, f"clause {i}: head")
             for v in c.body:
-                if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
-                    raise InputError(f"clause {i}: body variable must be an int, got {v!r}")
-                if v < 0 or v >= n:
-                    raise InputError(f"clause {i}: body variable {v} out of range")
+                if type(v) is not int or not 0 <= v < n:
+                    _index(v, n, f"clause {i}: body variable")
         self.clauses = clauses
         self._engine = None
 
@@ -159,11 +170,7 @@ def forward_closure(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
 def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
     """True iff ``body -> head`` follows from the CNF (heads in the body do)."""
     body = _as_varset(body, cnf.n)
-    if not isinstance(head, int) or isinstance(head, bool):
-        raise InputError(f"head index must be an int, got {head!r}")
-    if head < 0 or head >= cnf.n:
-        raise InputError(f"head index {head} out of range 0..{cnf.n - 1}")
-    return cnf.engine().derives(body, head)
+    return cnf.engine().derives(body, _index(head, cnf.n, "head index"))
 
 
 def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:

@@ -261,6 +261,10 @@ def parse_roles(text: str) -> RoleMap:
         clause = _int(toks[1], lineno, "a clause index") - 1
         role = toks[2]
         var = _int(toks[3], lineno, "a variable id") - 1
+        if clause < 0:
+            raise InputError(f"line {lineno}: clause index {clause + 1} is below 1")
+        if not (0 <= var < n_orig):
+            raise InputError(f"line {lineno}: variable id {var + 1} outside 1..{n_orig}")
         if role not in ROLES:
             raise InputError(f"line {lineno}: unknown role {role!r}")
         if not (n_orig <= vid < n_total):

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._bitset import bits_of, mask_of
-from .core import HornClause, HornCNF, VariableUniverse, _as_varset, is_key
+from .core import HornClause, HornCNF, VariableUniverse, _as_varset, _index, is_key
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import Graph
 from .keygen import (
@@ -193,12 +193,15 @@ def lift_target_set_to_key(
     The key collects the original vertices of ``s``, the variable attached to
     any chain vertex of ``s``, and the head of any clause whose hub is in
     ``s``; its size never exceeds |s|.  When ``tg`` is supplied the target-set
-    precondition and the key contract are both checked.
+    precondition and the key contract are both checked.  A role map built
+    from another CNF is refused: its original vertices or the clauses it
+    lifts through do not match ``cnf``.
     """
-    s = frozenset(int(v) for v in s)
-    for v in s:
-        if v < 0 or v >= roles.n_total:
-            raise InputError(f"vertex {v} outside the gadget universe")
+    if roles.n_original != cnf.n:
+        raise InputError(
+            f"role map has {roles.n_original} original vertices, the CNF has {cnf.n} variables"
+        )
+    s = _as_varset(s, roles.n_total, "vertex")
     if tg is not None and len(activate(tg, s)) != tg.n:
         raise ContractError("the given set is not a target set of the gadget")
     key = set()
@@ -207,10 +210,11 @@ def lift_target_set_to_key(
             key.add(v)
             continue
         ci, role, var = roles.roles[v]
+        ci = _index(ci, cnf.m, f"role entry {v}: clause index")
         if role == HUB_ROLE:
             key.add(cnf.clauses[ci].head)
         else:
-            key.add(var)
+            key.add(_index(var, cnf.n, f"role entry {v}: variable"))
     out = frozenset(key)
     if len(out) > len(s) or (tg is not None and not is_key(cnf, out)):
         raise ContractError("lifted set violates the key contract", witness=out)

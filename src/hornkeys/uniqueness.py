@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._bitset import bits_of, mask_of, set_of
+from .core import _is_index
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import (
     Graph,
@@ -59,40 +60,35 @@ class Witness:
 def verify_witness(w: Witness, obj) -> bool:
     """Re-check a witness against the definition it claims to violate.
 
-    A witness that names a vertex outside 0..n-1 is rejected.
+    Data other than a (set or frozenset, vertex) pair of ids 0..n-1 is rejected.
     """
-    vertices, v = w.data
-    universe = range(obj.n)
-    # Every kind names a set of vertices; a list or tuple is never one.
-    if not isinstance(vertices, (set, frozenset)):
+    if type(w.data) is not tuple or len(w.data) != 2:
         return False
-    if v not in universe or not all(u in universe for u in vertices):
+    s, v = w.data
+    if not isinstance(s, (set, frozenset)) or not all(_is_index(u, obj.n) for u in (v, *s)):
         return False
     if w.kind == "transversal-pair-missing":
-        t, v = w.data
-        if v in t or not is_transversal(obj, t):
+        if v in s or not is_transversal(obj, s):
             return False
         # Another minimal transversal inside T ∪ {v} misses some u ∈ T, so it
         # exists iff some (T ∪ {v}) - {u} is a transversal.  That test also
         # covers every T - {u}, so a T that passes is minimal.
-        tv = t | {v}
-        return not any(is_transversal(obj, tv - {u}) for u in t)
+        tv = s | {v}
+        return not any(is_transversal(obj, tv - {u}) for u in s)
     if w.kind == "no-individual-neighbor":
-        i, v = w.data
         adj = obj.adj
-        if v not in i or any(a <= i for a in map(frozenset, obj.edges)):
+        if v not in s or any(a <= s for a in map(frozenset, obj.edges)):
             return False
-        outside = set(range(obj.n)) - i
-        if any(not (adj[u] & i) for u in outside):
+        outside = set(range(obj.n)) - s
+        if any(not (adj[u] & s) for u in outside):
             return False  # not maximal
-        return not any(adj[u] & i == {v} for u in outside)
+        return not any(adj[u] & s == {v} for u in outside)
     if w.kind == "addable-clause":
-        a, v = w.data
         full = obj.universe.full_set()
         # No clause of Φ_B fires on an independent A, so v ∉ A makes A→v a non-implicate.
-        if any(e <= a for e in obj.edges) or v in a:
+        if any(e <= s for e in obj.edges) or v in s:
             return False
-        return v not in support_union(project(obj, full - a))
+        return v not in support_union(project(obj, full - s))
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 

@@ -63,7 +63,7 @@ def test_is_implicate(intro_cnf):
     assert not hk.is_implicate(intro_cnf, {C}, D)
 
 
-@pytest.mark.parametrize("head", [True, False, 1.0, "1", None, -1, 5])
+@pytest.mark.parametrize("head", [True, False, 1.0, 0.0, 1.5, "1", b"1", (1,), None, -1, 5, 2**70])
 def test_is_implicate_rejects_bad_heads(intro_cnf, head):
     # a bool head is refused like a bool body variable, not read as 0 or 1
     with pytest.raises(InputError):

@@ -207,6 +207,12 @@ def test_roles_rejects_malformed():
         parse_roles("roles 2 4\n3 1 p 1")  # missing vertex 4
     with pytest.raises(InputError):
         parse_roles("roles 2 4\n3 1 p 1\n3 1 p 1\n4 1 p 1")  # duplicate
+    with pytest.raises(InputError, match="^line 2: clause index 0 "):
+        parse_roles("roles 2 3\n3 0 p 2")  # clause ids start at 1
+    with pytest.raises(InputError, match="^line 2: variable id 0 "):
+        parse_roles("roles 2 3\n3 1 p 0")  # variable ids start at 1
+    with pytest.raises(InputError, match="^line 3: variable id 3 "):
+        parse_roles("roles 2 4\n3 1 p 1\n4 1 x 3")  # only 2 original variables
 
 
 def test_random_round_trips():

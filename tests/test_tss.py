@@ -203,10 +203,22 @@ def test_horn_to_tss_minimum_sizes_coincide():
 
 def test_lift_validates_input(intro_cnf):
     tg, roles = hk.horn_to_tss(intro_cnf)
-    with pytest.raises(InputError):
-        hk.lift_target_set_to_key(intro_cnf, roles, {tg.n})
+    for s in [{tg.n}, {-1}, {1.7}, {"2"}, {True}]:
+        with pytest.raises(InputError):
+            hk.lift_target_set_to_key(intro_cnf, roles, s)
     with pytest.raises(ContractError):
         hk.lift_target_set_to_key(intro_cnf, roles, {0}, tg=tg)  # {a} not a target set
+    # Role maps of other CNFs: fewer variables, a clause past the last one,
+    # and a chain vertex attached to a variable the CNF does not have.
+    _, fewer = hk.horn_to_tss(hk.horn_cnf(3, [({0}, 1), ({1}, 2)]))
+    _, more = hk.horn_to_tss(
+        hk.horn_cnf(5, [(c.body, c.head) for c in intro_cnf.clauses] + [({3}, 4)])
+    )
+    hub = next(v for v, (ci, role, _) in more.roles.items() if (ci, role) == (4, "p"))
+    stray = hk.RoleMap(5, 6, {5: (0, "x", 7)})
+    for rm, s in [(fewer, {3, 4}), (fewer, {12}), (more, {hub}), (stray, {5})]:
+        with pytest.raises(InputError):
+            hk.lift_target_set_to_key(intro_cnf, rm, s)
 
 
 def test_exhaustive_lift_on_one_small_gadget():

@@ -70,11 +70,27 @@ def test_tampered_witness_fails_verification(chain_family):
         ("addable-clause", (frozenset({0}), 99)),
         ("addable-clause", (frozenset({0}), -1)),
         ("addable-clause", (frozenset({0, 9}), 1)),
+        # Valid witnesses on the chain family with one id that is not a plain
+        # int: ({1, 3}, 0) and ({0, 2}, 3) are missing pairs, and 1→3 and
+        # 2→0 are addable clauses.
+        ("transversal-pair-missing", (frozenset({1, 3}), False)),
+        ("transversal-pair-missing", (frozenset({True, 3}), 0)),
+        ("transversal-pair-missing", (frozenset({0, 2}), 3.0)),
+        ("transversal-pair-missing", (frozenset({0, 2.0}), 3)),
+        ("transversal-pair-missing", (frozenset({0, 2}), "3")),
+        ("addable-clause", (frozenset({True}), 3)),
+        ("addable-clause", (frozenset({2}), 0.0)),
+        ("addable-clause", (frozenset({2}), "0")),
+        # Data that is not a (vertex set, vertex) pair, for every kind.
+        *(
+            (kind, data)
+            for kind in ("transversal-pair-missing", "no-individual-neighbor", "addable-clause")
+            for data in [None, (), (frozenset({0, 2}),), (frozenset({0, 2}), 3, 0), [frozenset({0, 2}), 3]]
+        ),
     ],
 )
-def test_witness_outside_the_universe_fails_verification(kind, data):
-    matching = hk.sperner(4, [{0, 1}, {2, 3}])
-    assert not hk.verify_witness(hk.Witness(kind, data), matching)
+def test_witness_outside_the_universe_fails_verification(kind, data, chain_family):
+    assert not hk.verify_witness(hk.Witness(kind, data), chain_family)
 
 
 @pytest.mark.parametrize("container", [list, tuple])
@@ -100,6 +116,18 @@ def test_graph_witness_outside_the_universe_fails_verification():
         assert not hk.verify_witness(hk.Witness("no-individual-neighbor", data), matching)
     path = hk.graph(3, [(0, 1), (1, 2)])
     assert hk.verify_witness(hk.Witness("no-individual-neighbor", (frozenset({0, 2}), 0)), path)
+    # The same witness with an id that is not a plain int, or not as a pair.
+    for data in [
+        (frozenset({0, 2}), False),
+        (frozenset({0, 2}), 0.0),
+        (frozenset({0, 2}), "0"),
+        (frozenset({0.0, 2}), 0),
+        None,
+        (frozenset({0, 2}),),
+        (frozenset({0, 2}), 0, 0),
+        [frozenset({0, 2}), 0],
+    ]:
+        assert not hk.verify_witness(hk.Witness("no-individual-neighbor", data), path)
 
 
 def test_recognizer_rejects_degenerate_families():
