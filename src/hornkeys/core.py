@@ -63,17 +63,38 @@ def _is_index(v, n: int) -> bool:
     return _is_int(v) and 0 <= v < n
 
 
+def _not_an_int(v, what: str) -> InputError:
+    return InputError(f"{what} must be an int, got {v!r}")
+
+
 def _index(v, n: int, what: str) -> int:
     """``v`` if it is an index of 0..n-1, else an InputError naming ``what``."""
     if _is_index(v, n):
         return v
     if not _is_int(v):
-        raise InputError(f"{what} must be an int, got {v!r}")
+        raise _not_an_int(v, what)
     raise InputError(f"{what} {v} out of range 0..{n - 1}")
 
 
+def _unhashable(s, what: str) -> Optional[InputError]:
+    """The InputError for the first unhashable member of ``s``, if one is found.
+
+    Called only once ``frozenset(s)`` has failed, so plain ids cost nothing more.
+    """
+    if isinstance(s, Iterable):
+        for v in s:
+            try:
+                hash(v)
+            except TypeError:
+                return _not_an_int(v, what)
+    return None
+
+
 def _as_varset(s: Iterable[int], n: int, what: str = "variable index") -> frozenset[int]:
-    out = frozenset(s)
+    try:
+        out = frozenset(s)
+    except TypeError as e:
+        raise (_unhashable(s, what) or e) from None
     # Hot loops test for a plain int in range inline and leave the rest to _index.
     for v in out:
         if type(v) is not int or not 0 <= v < n:
@@ -89,8 +110,14 @@ class HornClause:
     head: int
 
     def __post_init__(self):
-        object.__setattr__(self, "body", frozenset(self.body))
-        if self.head in self.body:
+        try:
+            body = frozenset(self.body)
+            tautology = self.head in body
+        except TypeError as e:
+            bad = _unhashable(self.body, "body variable") or _unhashable((self.head,), "head")
+            raise (bad or e) from None
+        object.__setattr__(self, "body", body)
+        if tautology:
             raise InputError(
                 f"clause head {self.head} occurs in its own body (tautology)"
             )
@@ -157,7 +184,7 @@ def horn_cnf(n, implications, labels=None) -> HornCNF:
     """Build a CNF from ``(body_iterable, head)`` pairs; convenience helper."""
     universe = VariableUniverse(n, labels)
     return HornCNF(
-        universe, [HornClause(frozenset(body), head) for body, head in implications]
+        universe, [HornClause(body, head) for body, head in implications]
     )
 
 

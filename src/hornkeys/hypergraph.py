@@ -297,43 +297,60 @@ def as_graph(b: SpernerHypergraph) -> Graph:
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
-    """Every maximal independent set exactly once, deterministic order.
+    """Every maximal independent set exactly once, in canonical order.
 
-    Incremental construction over vertices 0..n-1: a maximal independent set
-    of the subgraph induced on the first i vertices is extended by either
-    keeping it (when vertex i conflicts) or adding i; the swap-child
-    (I ∖ N(i)) ∪ {i} is emitted only when it is maximal and its greedy
-    completion reproduces I, which makes every MIS reachable exactly once.
-    Delay between outputs is polynomial in the graph size.
+    The order is part of the contract.  It is a depth-first search over the
+    prefixes 0..i of the vertices (Tsukiyama et al. 1977; Johnson,
+    Yannakakis and Papadimitriou 1988).  A node is a maximal independent set
+    I of the subgraph on vertices 0..i-1.  If i has no neighbour in I, its one
+    child is I ∪ {i}.  Otherwise it has the keep child I, visited first, and
+    the swap child (I ∖ N(i)) ∪ {i}, admitted iff it is maximal on 0..i and
+    the greedy ascending completion of I ∖ N(i) on 0..i-1 reproduces I.  That
+    makes every maximal independent set reachable exactly once, and the delay
+    between outputs is polynomial in the graph size.
     """
-    n = g.n
-    if n == 0:
-        yield frozenset()
-        return
+    yield from map(set_of, _mis_masks(g))
+
+
+def _mis_masks(g: Graph) -> Iterator[int]:
+    """The maximal independent sets of ``g`` as bitmasks, in canonical order.
+
+    At a conflict, R = I ∩ N(i) ≠ ∅ and the swap child is S = (I ∖ R) ∪ {i}.
+    Call u < i free when it is neither in I ∖ R nor adjacent to it; every
+    member of R is free.  S is maximal iff every free vertex lies in N(i).
+    The greedy completion of I ∖ R walks the free vertices in ascending
+    order, each one it takes removing itself and its neighbours.  It
+    reproduces I iff every vertex it takes lies in R.
+    """
     adj = g.adj_masks()
-
-    def greedy_complete(mask: int, upto: int) -> int:
-        for u in range(upto):
-            if not (mask >> u) & 1 and not (adj[u] & mask):
-                mask |= 1 << u
-        return mask
-
+    n = g.n
     stack = [(0, 0)]
     while stack:
         i, cur = stack.pop()
-        if i == n:
-            yield frozenset(bits_of(cur))
-            continue
-        bit = 1 << i
-        if not (adj[i] & cur):
-            stack.append((i + 1, cur | bit))
-            continue
-        swap = (cur & ~adj[i]) | bit
-        maximal = True
-        for u in range(i):
-            if not (swap >> u) & 1 and not (adj[u] & swap):
-                maximal = False
-                break
-        if maximal and greedy_complete(swap & ~bit, i) == cur:
-            stack.append((i + 1, swap))
-        stack.append((i + 1, cur))
+        # The keep child is visited next, so it is followed here without a push.
+        while i < n:
+            bit = 1 << i
+            ni = adj[i]
+            r = cur & ni
+            if not r:
+                cur |= bit
+                i += 1
+                continue
+            base = cur ^ r
+            dom = 0
+            rest = base
+            while rest:
+                low = rest & -rest
+                dom |= adj[low.bit_length() - 1]
+                rest ^= low
+            free = (bit - 1) & ~(base | dom)
+            if not free & ~ni:
+                while free:
+                    low = free & -free
+                    if not low & r:
+                        break
+                    free &= ~(low | adj[low.bit_length() - 1])
+                else:
+                    stack.append((i + 1, base | bit))
+            i += 1
+        yield cur

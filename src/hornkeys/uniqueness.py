@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._bitset import bits_of, mask_of, set_of
-from .core import _is_index
+from .core import _is_index, _is_int, _not_an_int
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import (
     Graph,
     SpernerHypergraph,
     VariableUniverse,
     _minimal_masks,
+    _mis_masks,
     _private_cover,
     is_transversal,
-    maximal_independent_sets,
     minimal_transversals,
     project,
     support_union,
@@ -184,35 +184,44 @@ def _two_coloring(g: Graph) -> Optional[list[int]]:
 
 
 def _is_perfect_matching(g: Graph) -> bool:
-    return all(g.degree(v) == 1 for v in range(g.n))
+    return all(m and not m & (m - 1) for m in g.adj_masks())
 
 
 def is_unique_key_graph(g: Graph) -> tuple[bool, Optional[Witness]]:
     """Individual-neighbor test, streaming over maximal independent sets.
 
     G is unique key iff every maximal independent set I and every v ∈ I has
-    an individual neighbor: some u ∉ I with N(u) ∩ I = {v}.  A perfect-
-    matching fast path answers positives in linear time; negatives always
-    come with a re-verified (I, v) witness.
+    an individual neighbor: some u ∉ I with N(u) ∩ I = {v}.  Each I costs
+    O(|I|) mask operations: folding N(v) over v ∈ I marks the vertices with
+    exactly one neighbour in I, and v is covered iff N(v) meets them.  A
+    perfect-matching fast path answers positives in linear time; negatives
+    come with a re-verified (I, v) witness, the first I in the order of
+    maximal_independent_sets with its lowest uncovered v.
     """
     if _is_perfect_matching(g):
         return True, None
     adj = g.adj_masks()
-    for i in maximal_independent_sets(g):
-        imask = mask_of(i)
-        # N(u) ∩ I with at most one bit names u's individual neighbor, if any;
-        # members of I contribute nothing, as I is independent.
-        covered = 0
-        for x in adj:
-            x &= imask
-            if not x & (x - 1):
-                covered |= x
-        missing = imask & ~covered
-        if missing:
-            w = Witness("no-individual-neighbor", (i, (missing & -missing).bit_length() - 1))
-            if not verify_witness(w, g):
-                raise ContractError("recognizer produced an invalid witness", witness=w)
-            return False, w
+    for imask in _mis_masks(g):
+        once = twice = 0
+        rest = imask
+        while rest:
+            low = rest & -rest
+            x = adj[low.bit_length() - 1]
+            twice |= once & x
+            once |= x
+            rest ^= low
+        # Members of I have no neighbour in I, so single lies outside I.
+        single = once & ~twice
+        rest = imask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if not adj[v] & single:
+                w = Witness("no-individual-neighbor", (set_of(imask), v))
+                if not verify_witness(w, g):
+                    raise ContractError("recognizer produced an invalid witness", witness=w)
+                return False, w
+            rest ^= low
     return True, None
 
 
@@ -240,7 +249,9 @@ class GeneralCNF:
         )
         for i, clause in enumerate(self.clauses):
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.n:
+                if not _is_int(lit):
+                    raise _not_an_int(lit, f"clause {i + 1}: literal")
+                if lit == 0 or abs(lit) > self.n:
                     raise InputError(
                         f"clause {i + 1}: literal {lit!r} out of range ±1..±{self.n}"
                     )

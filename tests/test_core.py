@@ -154,6 +154,22 @@ def test_clause_indices_must_be_ints(clause):
         hk.horn_cnf(3, [({0}, 1), clause])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hk.horn_cnf(2, [({0}, [1])]), "head must be an int, got [1]"),
+        (lambda: hk.horn_cnf(2, [([[0]], 1)]), "body variable must be an int, got [0]"),
+        (lambda: hk.is_key(hk.horn_cnf(2, [({0}, 1)]), [[0]]), "variable index must be an int, got [0]"),
+    ],
+    ids=["head", "body", "is_key"],
+)
+def test_unhashable_ids_are_input_errors(call, message):
+    # these used to escape as TypeError: unhashable type: 'list'
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_empty_bodies_and_empty_cnf():
     cnf = hk.horn_cnf(3, [(set(), 0), (set(), 1)])
     assert hk.forward_closure(cnf, set()) == {0, 1}

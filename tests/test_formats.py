@@ -20,7 +20,12 @@ from hornkeys.formats import (
     serialize_roles,
     serialize_tss,
 )
-from hornkeys.oracles import random_horn_cnf, random_sperner, random_threshold_graph
+from hornkeys.oracles import (
+    random_general_cnf,
+    random_horn_cnf,
+    random_sperner,
+    random_threshold_graph,
+)
 
 
 def test_horn_round_trip(intro_cnf):
@@ -179,12 +184,22 @@ def test_general_cnf_round_trip(sat_cnf):
     assert text.splitlines()[0] == "cnf 4 3"
     assert text.splitlines()[1] == "1 2 -3"
     assert parse_general_cnf(text) == sat_cnf
+    for seed in range(20):
+        cnf = random_general_cnf(seed, 1 + seed % 6, seed % 9, 4)
+        assert parse_general_cnf(serialize_general_cnf(cnf)) == cnf
     with pytest.raises(InputError):
         parse_general_cnf("cnf 2 1\n1 3")
     with pytest.raises(InputError):
         parse_general_cnf("cnf 2 1\n1 0")
     with pytest.raises(InputError):
         serialize_general_cnf(hk.GeneralCNF(2, ((),)))
+
+
+@pytest.mark.parametrize("lit", [True, False, 1.0, "1", None])
+def test_general_cnf_literals_must_be_ints(lit):
+    # a bool used to build, serialize as `True` and then fail to parse
+    with pytest.raises(InputError, match=r"^clause 2: literal must be an int, got "):
+        hk.GeneralCNF(2, ((1,), (lit, -2)))
 
 
 def test_roles_round_trip(intro_cnf):

@@ -1,5 +1,6 @@
 """Unique-key recognizers, witnesses, addable clauses, and the SAT gadget."""
 
+import hashlib
 import random
 
 import pytest
@@ -279,3 +280,39 @@ def test_bond_hypergraphs_are_unique_key():
         bonds = graphic_matroid_cuts(g)
         ok, w = hk.is_unique_key_hypergraph(bonds)
         assert ok and w is None
+
+
+# sha256 of the ordered MIS lists and the (verdict, witness) of is_unique_key_graph
+# on each case below, recorded before the generator was rewritten on bitmasks.
+MIS_DIGESTS = {
+    ("random", 0.1): "7b662763d90e4b79d12ba40c90ff8c0978f9113bef0d36c9cdea810a7597e6b8",
+    ("random", 0.3): "00a2b878b35b84f05810dde44aeb76b02f0b3e95e4d1c57c8937ffc0a42abcc7",
+    ("random", 0.5): "0a66a776dd259ac664224bdc79dcd107a2a29b99dba4b142f2c4c7a596a8bce7",
+    ("random", 0.7): "7f437190c02ca52d67a81bc9c15040d834b65d99e951936371a291253e77ce49",
+    ("gadget", 0): "f1eaf238eed94fb710e0b67aa437dd25da9466ddd9f71092485338f1f0c02167",
+    ("gadget", 1): "ecbeadfba15443ca0cce1dcd0d8c6215249cba43dc36c7efee0e29b256082b41",
+    ("gadget", 2): "fad63b667f5bbc334b574505c36cd2cc93e2b58ccf1c3659a4948f725da0ccc9",
+    ("gadget", 3): "5e13db06724d0e6b7a7ca5e42b193e2208b1b369063fa67efc38dab430f247a9",
+    ("k35_35", 0): "b8db0c7629bcf7fd188ef677a0b5671299d091db2bf547f6e511161c5f25a091",
+}
+
+
+def _mis_cases(kind, arg):
+    if kind == "random":
+        return [random_graph(seed, n, arg) for n in range(1, 17) for seed in range(3)]
+    if kind == "gadget":
+        # Satisfiable and unsatisfiable formulas, so both verdicts occur.
+        return [hk.build_sat_graph(random_general_cnf(1000 + arg, 3, m)) for m in (4, 8, 12)]
+    return [hk.graph(70, [(u, v) for u in range(35) for v in range(35, 70)])]
+
+
+@pytest.mark.parametrize(
+    "kind, arg", list(MIS_DIGESTS), ids=[f"{k}{a}" for k, a in MIS_DIGESTS]
+)
+def test_mis_order_and_graph_witnesses_are_unchanged(kind, arg):
+    record = []
+    for g in _mis_cases(kind, arg):
+        ok, w = hk.is_unique_key_graph(g)
+        witness = None if w is None else (sorted(w.data[0]), w.data[1])
+        record.append(([sorted(i) for i in hk.maximal_independent_sets(g)], ok, witness))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == MIS_DIGESTS[kind, arg]
