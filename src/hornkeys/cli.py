@@ -55,7 +55,6 @@ from .oracles import (
 from .tss import (
     activate,
     horn_to_tss,
-    is_target_set,
     iter_minimal_target_sets,
     minimum_target_set,
     tss_to_horn,

@@ -76,25 +76,26 @@ def _index(v, n: int, what: str) -> int:
     raise InputError(f"{what} {v} out of range 0..{n - 1}")
 
 
-def _unhashable(s, what: str) -> Optional[InputError]:
-    """The InputError for the first unhashable member of ``s``, if one is found.
-
-    Called only once ``frozenset(s)`` has failed, so plain ids cost nothing more.
-    """
-    if isinstance(s, Iterable):
-        for v in s:
-            try:
-                hash(v)
-            except TypeError:
-                return _not_an_int(v, what)
-    return None
+def _not_a_varset(s, what: str, e: TypeError) -> Exception:
+    """The error for a set ``s`` that ``frozenset(s)`` refused; plain ids never get here."""
+    try:
+        if iter(s) is s:  # a one-shot iterator, spent by the failed frozenset
+            return InputError(f"{what} must be an int, got an unhashable value")
+    except TypeError:
+        return InputError(f"{what} set must be an iterable of ids, got {s!r}")
+    for v in s:
+        try:
+            hash(v)
+        except TypeError:
+            return _not_an_int(v, what)
+    return e
 
 
 def _as_varset(s: Iterable[int], n: int, what: str = "variable index") -> frozenset[int]:
     try:
         out = frozenset(s)
     except TypeError as e:
-        raise (_unhashable(s, what) or e) from None
+        raise _not_a_varset(s, what, e) from None
     # Hot loops test for a plain int in range inline and leave the rest to _index.
     for v in out:
         if type(v) is not int or not 0 <= v < n:
@@ -112,10 +113,12 @@ class HornClause:
     def __post_init__(self):
         try:
             body = frozenset(self.body)
-            tautology = self.head in body
         except TypeError as e:
-            bad = _unhashable(self.body, "body variable") or _unhashable((self.head,), "head")
-            raise (bad or e) from None
+            raise _not_a_varset(self.body, "body variable", e) from None
+        try:
+            tautology = self.head in body
+        except TypeError:
+            raise _not_an_int(self.head, "head") from None
         object.__setattr__(self, "body", body)
         if tautology:
             raise InputError(

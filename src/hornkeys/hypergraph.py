@@ -32,25 +32,22 @@ class SpernerHypergraph:
             e = _as_varset(e, n)
             uniq[tuple(sorted(e))] = e
         ordered = tuple(uniq[k] for k in sorted(uniq))
-        # An edge lies inside another iff its complement contains the other's
-        # complement, so the maximal edges are the complements of the minimal
-        # complements; the error names the first non-maximal edge.
-        full = (1 << n) - 1
-        maximal = {full ^ m for m in _minimal_masks(full ^ mask_of(e) for e in ordered)}
-        if len(maximal) < len(ordered):
-            a = next(e for e in ordered if mask_of(e) not in maximal)
-            b = next(e for e in ordered if a < e)
+        masks = [mask_of(e) for e in ordered]
+        if len(_minimal_masks(masks)) < len(masks):
+            a, b = next((a, b) for a in ordered for b in ordered if a < b)
             raise InputError(
                 f"not an antichain: edge {sorted(a)} is contained in edge {sorted(b)}"
             )
         self.edges = ordered
+        self._edge_masks = masks
 
     @property
     def n(self) -> int:
         return self.universe.n
 
     def edge_masks(self) -> list[int]:
-        return [mask_of(e) for e in self.edges]
+        """The edges as bitmasks, in edge order; shared, so callers must not mutate it."""
+        return self._edge_masks
 
     def __eq__(self, other):
         if not isinstance(other, SpernerHypergraph):
@@ -171,9 +168,6 @@ def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> Spe
     cap = dual_cap(cap)
     if any(not e for e in b.edges):
         raise InputError("cannot dualize a family containing the empty edge")
-    if not b.edges:
-        # Every set, including ∅, hits all zero edges.
-        return SpernerHypergraph(b.universe, [frozenset()])
     masks = b.edge_masks()
     cur = [0]  # ∅, the one minimal transversal of no edges
     for i, em in enumerate(masks, start=1):
@@ -218,7 +212,8 @@ class Graph:
     """Undirected simple graph: a 2-uniform hypergraph with adjacency.
 
     ``edges`` is the sorted tuple of ``(u, v)`` pairs with ``u < v``.  The
-    neighbor sets ``adj`` are built from it on first use and then kept.
+    neighbor bitmasks ``adj_masks()`` are built from it on first use and then
+    kept; the neighbor sets ``adj`` are read off them.
     """
 
     def __init__(self, universe: VariableUniverse, edges: Iterable[Iterable[int]]):
@@ -251,11 +246,7 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(frozenset, adj))
+        return tuple(map(set_of, self.adj_masks()))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]

@@ -15,7 +15,16 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._bitset import bits_of, mask_of
-from .core import HornClause, HornCNF, VariableUniverse, _as_varset, _index, is_key
+from .core import (
+    HornClause,
+    HornCNF,
+    VariableUniverse,
+    _as_varset,
+    _index,
+    _is_int,
+    _not_an_int,
+    is_key,
+)
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import Graph
 from .keygen import (
@@ -34,8 +43,8 @@ class ThresholdGraph:
         if len(t) != graph.n:
             raise InputError(f"expected {graph.n} thresholds, got {len(t)}")
         for v, k in enumerate(t):
-            if type(k) is not int and (not isinstance(k, int) or isinstance(k, bool)):
-                raise InputError(f"threshold of vertex {v} must be an int, got {k!r}")
+            if not _is_int(k):
+                raise _not_an_int(k, f"threshold of vertex {v}")
             if k < 1:
                 raise InputError(f"threshold of vertex {v} must be >= 1, got {k}")
         self.thresholds = t
@@ -93,6 +102,7 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
     Σ_v C(deg v, t v), polynomial only for bounded thresholds, so thresholds
     above ``max_threshold`` raise a resource error naming the vertex.
     """
+    adj = tg.graph.adj_masks()
     clauses = []
     for v in range(tg.n):
         t = tg.thresholds[v]
@@ -101,7 +111,7 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
                 f"threshold {t} at vertex {tg.universe.name(v)} exceeds the "
                 f"guard {max_threshold}"
             )
-        for body in combinations(sorted(tg.graph.neighbors(v)), t):
+        for body in combinations(bits_of(adj[v]), t):
             clauses.append(HornClause(frozenset(body), v))
     return HornCNF(tg.universe, clauses)
 

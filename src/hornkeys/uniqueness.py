@@ -16,9 +16,9 @@ G_Phi used to generate hard instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from ._bitset import bits_of, mask_of, set_of
+from ._bitset import bits_of, set_of
 from .core import _is_index, _is_int, _not_an_int
 from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import (
@@ -77,8 +77,8 @@ def verify_witness(w: Witness, obj) -> bool:
         return not any(is_transversal(obj, tv - {u}) for u in s)
     if w.kind == "no-individual-neighbor":
         adj = obj.adj
-        if v not in s or any(a <= s for a in map(frozenset, obj.edges)):
-            return False
+        if v not in s or any(adj[u] & s for u in s):
+            return False  # not independent
         outside = set(range(obj.n)) - s
         if any(not (adj[u] & s) for u in outside):
             return False  # not maximal
@@ -117,12 +117,12 @@ def is_unique_key_hypergraph(
     re-verified before being returned.
     """
     _require_edges(b)
-    dual = minimal_transversals(b, cap).edges
+    dual = minimal_transversals(b, cap)
     edge_masks = b.edge_masks()
     full = (1 << b.n) - 1
-    for t in dual:
+    for t, tm in zip(dual.edges, dual.edge_masks()):
         # Each u ∈ T has a private edge, which holds u, so T ⊆ U(T).
-        missing = full & ~_private_cover(mask_of(t), edge_masks)
+        missing = full & ~_private_cover(tm, edge_masks)
         if missing:
             w = Witness("transversal-pair-missing", (t, (missing & -missing).bit_length() - 1))
             if not verify_witness(w, b):

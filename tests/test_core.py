@@ -160,8 +160,12 @@ def test_clause_indices_must_be_ints(clause):
         (lambda: hk.horn_cnf(2, [({0}, [1])]), "head must be an int, got [1]"),
         (lambda: hk.horn_cnf(2, [([[0]], 1)]), "body variable must be an int, got [0]"),
         (lambda: hk.is_key(hk.horn_cnf(2, [({0}, 1)]), [[0]]), "variable index must be an int, got [0]"),
+        # a one-shot iterator is spent by the failed frozenset, and 5 is no set at all
+        (lambda: hk.horn_cnf(2, [(iter([[0]]), 1)]), "body variable must be an int, got an unhashable value"),
+        (lambda: hk.sperner(3, [iter([[0]])]), "variable index must be an int, got an unhashable value"),
+        (lambda: hk.is_key(hk.horn_cnf(2, [({0}, 1)]), 5), "variable index set must be an iterable of ids, got 5"),
     ],
-    ids=["head", "body", "is_key"],
+    ids=["head", "body", "is_key", "body-iterator", "edge-iterator", "is_key-int"],
 )
 def test_unhashable_ids_are_input_errors(call, message):
     # these used to escape as TypeError: unhashable type: 'list'

@@ -33,6 +33,26 @@ def test_sperner_validation():
     assert hk.check_sperner([])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([{0, 1, 2}, {0}, {1, 2}, {1}, {3}], "edge [0] is contained in edge [0, 1, 2]"),
+        ([{2, 3}, {1, 2, 3}, {0, 1, 2, 3}, {3}], "edge [1, 2, 3] is contained in edge [0, 1, 2, 3]"),
+        ([{0, 4}, {1, 2}, {0, 1, 2, 4}, {4}], "edge [0, 4] is contained in edge [0, 1, 2, 4]"),
+        ([{1, 3}, {0, 1, 2, 3}, {0, 1}, {3}], "edge [0, 1] is contained in edge [0, 1, 2, 3]"),
+        ([set(), {0}], "edge [] is contained in edge [0]"),
+        # [0, 1, 2] ⊃ [2] comes first, but [0, 3] is the first contained edge
+        ([{0, 3}, {0, 3, 4}, {2}, {0, 1, 2}], "edge [0, 3] is contained in edge [0, 3, 4]"),
+        ([{1, 3}, {1}, {0, 1, 2}], "edge [1] is contained in edge [0, 1, 2]"),
+    ],
+)
+def test_antichain_error_names_the_first_contained_edge(edges, message):
+    # the first edge in canonical order lying inside another, and the first such other
+    with pytest.raises(InputError) as err:
+        hk.sperner(5, edges)
+    assert str(err.value) == "not an antichain: " + message
+
+
 def test_empty_edge_and_empty_family_are_representable():
     assert hk.sperner(3, []).edges == ()
     assert hk.sperner(3, [set()]).edges == (frozenset(),)

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hornkeys as hk
-from hornkeys._bitset import bits_of
+from hornkeys._bitset import bits_of, mask_of
 from hornkeys.errors import ResourceGuardError
 from hornkeys.hypergraph import _minimal_masks
 from hornkeys.oracles import (
@@ -88,6 +88,14 @@ def test_each_berge_step_is_the_minimal_product(data, b):
     except ResourceGuardError as exc:
         message = str(exc)
     assert message == expected
+
+
+@_PROPERTY_SETTINGS
+@given(b=_sperner(max_n=9))
+def test_edge_masks_are_the_edges_in_order(b):
+    dual = hk.minimal_transversals(b)
+    for h in (b, dual, hk.minimal_transversals(hk.sperner(b.n, []))):
+        assert h.edge_masks() == [mask_of(e) for e in h.edges]
 
 
 @_PROPERTY_SETTINGS

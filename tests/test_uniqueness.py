@@ -111,6 +111,14 @@ def test_witness_vertex_set_must_be_a_set(container, chain_family):
         assert not hk.verify_witness(hk.Witness(kind, (container(s), v)), obj)
 
 
+def test_graph_witness_that_is_not_independent_fails_verification():
+    # Maximal and without an individual neighbor for v, but holding an edge.
+    triangle = hk.graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert not hk.verify_witness(hk.Witness("no-individual-neighbor", ({0, 1, 2}, 0)), triangle)
+    path = hk.graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not hk.verify_witness(hk.Witness("no-individual-neighbor", ({0, 1, 3}, 0)), path)
+
+
 def test_graph_witness_outside_the_universe_fails_verification():
     matching = hk.graph(4, [(0, 1), (2, 3)])
     for data in [(frozenset({0, 2, 7}), 7), (frozenset({0, 2, -1}), 0)]:
