@@ -26,6 +26,8 @@ class VariableUniverse:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise _not_an_int(self.n, "universe size")
         if self.n < 0:
             raise InputError(f"universe size must be nonnegative, got {self.n}")
         if self.labels is not None:

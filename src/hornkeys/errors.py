@@ -32,10 +32,13 @@ DEFAULT_DUAL_CAP = 10**6
 DEFAULT_BF_MAX_VARS = 16
 
 
-def _env_int(name, fallback):
+def _guard(override, name, default):
+    """``override`` when given, else the environment variable ``name``, else ``default``."""
+    if override is not None:
+        return override
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -43,18 +46,12 @@ def _env_int(name, fallback):
 
 
 def subset_budget(override=None):
-    if override is not None:
-        return override
-    return _env_int("HORNKEYS_SUBSET_BUDGET", DEFAULT_SUBSET_BUDGET)
+    return _guard(override, "HORNKEYS_SUBSET_BUDGET", DEFAULT_SUBSET_BUDGET)
 
 
 def dual_cap(override=None):
-    if override is not None:
-        return override
-    return _env_int("HORNKEYS_DUAL_CAP", DEFAULT_DUAL_CAP)
+    return _guard(override, "HORNKEYS_DUAL_CAP", DEFAULT_DUAL_CAP)
 
 
 def bf_max_vars(override=None):
-    if override is not None:
-        return override
-    return _env_int("HORNKEYS_BF_MAX_VARS", DEFAULT_BF_MAX_VARS)
+    return _guard(override, "HORNKEYS_BF_MAX_VARS", DEFAULT_BF_MAX_VARS)

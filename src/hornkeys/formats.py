@@ -37,54 +37,56 @@ def _vertex(tok: str, n: int, lineno: int) -> int:
     return v - 1
 
 
-def _header(items, magic: str, fields: int):
+def _records(text: str, magic: str, what: Optional[str] = None, names: bool = True):
+    """The prologue every format shares, read off ``text``.
+
+    Returns ``(n, k, labels, rest)``: the two counts of the `magic n k`
+    header, the labels of the `names` line right after it (None when absent,
+    or when ``names`` is False), and the numbered record lines that follow.
+    When ``what`` names the records, exactly k of them must follow.
+    """
+    items = list(_lines(text))
     if not items:
         raise InputError(f"empty input, expected a `{magic}` header")
     lineno, line = items[0]
     parts = line.split()
     if parts[0] != magic:
         raise InputError(f"line {lineno}: expected `{magic}` header, got {parts[0]!r}")
-    if len(parts) != fields + 1:
-        raise InputError(f"line {lineno}: `{magic}` header needs {fields} integers")
-    return [_int(p, lineno, "a header count") for p in parts[1:]]
-
-
-def _names(items, n: int) -> tuple[Optional[tuple[str, ...]], list]:
-    rest = items[1:]
-    if rest and rest[0][1].split()[0] == "names":
+    if len(parts) != 3:
+        raise InputError(f"line {lineno}: `{magic}` header needs 2 integers")
+    n, k = [_int(p, lineno, "a header count") for p in parts[1:]]
+    labels, rest = None, items[1:]
+    if names and rest and rest[0][1].split()[0] == "names":
         lineno, line = rest[0]
         toks = line.split()[1:]
         if len(toks) != n:
             raise InputError(f"line {lineno}: expected {n} names, got {len(toks)}")
-        return tuple(toks), rest[1:]
-    return None, rest
+        labels, rest = tuple(toks), rest[1:]
+    if what is not None and len(rest) != k:
+        raise InputError(f"expected {k} {what} lines, found {len(rest)}")
+    return n, k, labels, rest
 
 
-def _check_label(label: str):
-    if not label or any(c.isspace() for c in label) or "#" in label:
-        raise InputError(f"label {label!r} cannot be written to a text format")
-
-
-def _names_line(universe: VariableUniverse) -> list[str]:
-    labels = universe.labels
-    if labels is None:
-        return []
-    # str.split() splits at exactly the characters that str.isspace() accepts,
-    # so the joined line splits back into the labels iff no label is empty or
-    # holds whitespace.
-    line = " ".join(labels)
-    if "#" in line or line.split() != list(labels):
-        for lab in labels:
-            _check_label(lab)
-    return ["names " + line]
+def _text(header: str, universe: Optional[VariableUniverse], lines: list[str]) -> str:
+    """The header, a `names` line when ``universe`` has labels, then ``lines``."""
+    out = [header]
+    labels = None if universe is None else universe.labels
+    if labels is not None:
+        # str.split() splits at exactly the characters that str.isspace()
+        # accepts, so the joined line splits back into the labels iff no
+        # label is empty or holds whitespace.
+        line = " ".join(labels)
+        if "#" in line or line.split() != list(labels):
+            for lab in labels:
+                if not lab or any(c.isspace() for c in lab) or "#" in lab:
+                    raise InputError(f"label {lab!r} cannot be written to a text format")
+        out.append("names " + line)
+    out += lines
+    return "\n".join(out) + "\n"
 
 
 def parse_horn(text: str) -> HornCNF:
-    items = list(_lines(text))
-    n, m = _header(items, "horn", 2)
-    labels, rest = _names(items, n)
-    if len(rest) != m:
-        raise InputError(f"expected {m} clause lines, found {len(rest)}")
+    n, _, labels, rest = _records(text, "horn", "clause")
     clauses = []
     for lineno, line in rest:
         toks = line.split()
@@ -102,11 +104,11 @@ def parse_horn(text: str) -> HornCNF:
 
 
 def serialize_horn(cnf: HornCNF) -> str:
-    out = [f"horn {cnf.n} {cnf.m}"] + _names_line(cnf.universe)
+    out = []
     for c in cnf.clauses:
         body = " ".join(str(v + 1) for v in sorted(c.body))
         out.append((body + " " if body else "") + f"-> {c.head + 1}")
-    return "\n".join(out) + "\n"
+    return _text(f"horn {cnf.n} {cnf.m}", cnf.universe, out)
 
 
 def _parse_edge_lines(rest, n: int, arity: Optional[int]):
@@ -125,11 +127,7 @@ def _parse_edge_lines(rest, n: int, arity: Optional[int]):
 
 
 def parse_hypergraph(text: str) -> SpernerHypergraph:
-    items = list(_lines(text))
-    n, k = _header(items, "hg", 2)
-    labels, rest = _names(items, n)
-    if len(rest) != k:
-        raise InputError(f"expected {k} edge lines, found {len(rest)}")
+    n, _, labels, rest = _records(text, "hg", "edge")
     edges = _parse_edge_lines(rest, n, None)
     try:
         return SpernerHypergraph(VariableUniverse(n, labels), [e for _, e in edges])
@@ -150,32 +148,23 @@ def parse_hypergraph(text: str) -> SpernerHypergraph:
 def serialize_hypergraph(h: SpernerHypergraph) -> str:
     if any(not e for e in h.edges):
         raise InputError("the hg format cannot express the empty edge")
-    out = [f"hg {h.n} {len(h.edges)}"] + _names_line(h.universe)
-    for e in h.edges:
-        out.append(" ".join(str(v + 1) for v in sorted(e)))
-    return "\n".join(out) + "\n"
+    out = [" ".join(str(v + 1) for v in sorted(e)) for e in h.edges]
+    return _text(f"hg {h.n} {len(h.edges)}", h.universe, out)
 
 
 def parse_graph(text: str) -> Graph:
-    items = list(_lines(text))
-    n, k = _header(items, "hg", 2)
-    labels, rest = _names(items, n)
-    if len(rest) != k:
-        raise InputError(f"expected {k} edge lines, found {len(rest)}")
+    n, _, labels, rest = _records(text, "hg", "edge")
     edges = _parse_edge_lines(rest, n, 2)
     return Graph(VariableUniverse(n, labels), [e for _, e in edges])
 
 
 def serialize_graph(g: Graph) -> str:
-    out = [f"hg {g.n} {len(g.edges)}"] + _names_line(g.universe)
-    out += [f"{u + 1} {v + 1}" for u, v in g.edges]
-    return "\n".join(out) + "\n"
+    out = [f"{u + 1} {v + 1}" for u, v in g.edges]
+    return _text(f"hg {g.n} {len(g.edges)}", g.universe, out)
 
 
 def parse_tss(text: str) -> ThresholdGraph:
-    items = list(_lines(text))
-    n, m = _header(items, "tss", 2)
-    labels, rest = _names(items, n)
+    n, m, labels, rest = _records(text, "tss")
     edges = []
     seen_edges = {}
     thresholds: dict[int, int] = {}
@@ -214,20 +203,13 @@ def parse_tss(text: str) -> ThresholdGraph:
 
 
 def serialize_tss(tg: ThresholdGraph) -> str:
-    out = [f"tss {tg.n} {len(tg.graph.edges)}"] + _names_line(tg.universe)
-    for u, v in tg.graph.edges:
-        out.append(f"e {u + 1} {v + 1}")
-    for v in range(tg.n):
-        out.append(f"t {v + 1} {tg.thresholds[v]}")
-    return "\n".join(out) + "\n"
+    out = [f"e {u + 1} {v + 1}" for u, v in tg.graph.edges]
+    out += [f"t {v + 1} {tg.thresholds[v]}" for v in range(tg.n)]
+    return _text(f"tss {tg.n} {len(tg.graph.edges)}", tg.universe, out)
 
 
 def parse_general_cnf(text: str) -> GeneralCNF:
-    items = list(_lines(text))
-    n, m = _header(items, "cnf", 2)
-    rest = items[1:]
-    if len(rest) != m:
-        raise InputError(f"expected {m} clause lines, found {len(rest)}")
+    n, _, _, rest = _records(text, "cnf", "clause", names=False)
     clauses = []
     for lineno, line in rest:
         lits = []
@@ -241,19 +223,18 @@ def parse_general_cnf(text: str) -> GeneralCNF:
 
 
 def serialize_general_cnf(cnf: GeneralCNF) -> str:
-    out = [f"cnf {cnf.n} {cnf.m}"]
+    out = []
     for clause in cnf.clauses:
         if not clause:
             raise InputError("the cnf format cannot express an empty clause")
         out.append(" ".join(str(lit) for lit in clause))
-    return "\n".join(out) + "\n"
+    return _text(f"cnf {cnf.n} {cnf.m}", None, out)
 
 
 def parse_roles(text: str) -> RoleMap:
-    items = list(_lines(text))
-    n_orig, n_total = _header(items, "roles", 2)
+    n_orig, n_total, _, rest = _records(text, "roles", names=False)
     roles = {}
-    for lineno, line in items[1:]:
+    for lineno, line in rest:
         toks = line.split()
         if len(toks) != 4:
             raise InputError(f"line {lineno}: expected `<vid> <clause> <role> <var>`")
@@ -272,15 +253,12 @@ def parse_roles(text: str) -> RoleMap:
         if vid in roles:
             raise InputError(f"line {lineno}: duplicate entry for vertex {vid + 1}")
         roles[vid] = (clause, role, var)
-    missing = [v + 1 for v in range(n_orig, n_total) if v not in roles]
-    if missing:
-        raise InputError(f"missing role entries for vertices {missing}")
     return RoleMap(n_orig, n_total, roles)
 
 
 def serialize_roles(rm: RoleMap) -> str:
-    out = [f"roles {rm.n_original} {rm.n_total}"]
+    out = []
     for vid in sorted(rm.roles):
         clause, role, var = rm.roles[vid]
         out.append(f"{vid + 1} {clause + 1} {role} {var + 1}")
-    return "\n".join(out) + "\n"
+    return _text(f"roles {rm.n_original} {rm.n_total}", None, out)

@@ -67,18 +67,18 @@ def _expand(engine, by_head, key: frozenset[int], stats: KeyEnumerationStats):
 def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
     """Out-neighbors of a minimal key in D_Φ, deterministic order.
 
-    Raises a contract error when ``key`` is not a minimal key.
+    Raises a contract error when ``key`` is not a minimal key; for a key that
+    is not minimal, it names the lowest droppable v, the first greedy drop.
     """
     key = _as_varset(key, cnf.n)
     engine = cnf.engine()
     if len(engine.closure(key)) != cnf.n:
         raise ContractError(f"{sorted(key)} is not a key", witness=key)
-    for v in key:
-        if engine.derives(key - {v}, v):
-            raise ContractError(
-                f"{sorted(key)} is not minimal: dropping {v} keeps it a key",
-                witness=key - {v},
-            )
+    v = min(key.difference(engine.minimize(key)), default=None)
+    if v is not None:
+        raise ContractError(
+            f"{sorted(key)} is not minimal: dropping {v} keeps it a key", witness=key - {v}
+        )
     return _expand(engine, _bodies_by_head(cnf), key, KeyEnumerationStats())
 
 

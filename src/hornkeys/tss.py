@@ -127,7 +127,8 @@ class RoleMap:
     """Gadget bookkeeping for ``horn_to_tss``.
 
     ``roles`` maps each gadget vertex id to (clause index, role, attached
-    original variable); original vertices 0..n_original-1 carry no entry.
+    original variable); original vertices 0..n_original-1 carry no entry,
+    and every gadget vertex n_original..n_total-1 must carry one.
     """
 
     n_original: int
@@ -135,11 +136,26 @@ class RoleMap:
     roles: dict
 
     def __post_init__(self):
-        for vid, (ci, role, var) in self.roles.items():
+        n0, nt = self.n_original, self.n_total
+        for size in (n0, nt):
+            if not _is_int(size):
+                raise _not_an_int(size, "role map size")
+        for vid, entry in self.roles.items():
+            # A plain int skips the call; gadgets have thousands of entries.
+            if type(vid) is not int and not _is_int(vid):
+                raise _not_an_int(vid, "role entry vertex")
+            try:
+                _, role, _ = entry
+            except (TypeError, ValueError):
+                raise InputError(f"role entry {vid} is not a (clause, role, var) triple") from None
             if role not in ROLES:
                 raise InputError(f"vertex {vid}: unknown gadget role {role!r}")
-            if not (self.n_original <= vid < self.n_total):
+            if not n0 <= vid < nt:
                 raise InputError(f"role entry {vid} outside the gadget range")
+        # Every entry is in range now, so a short count means a missing one.
+        if len(self.roles) < nt - n0:
+            missing = [v + 1 for v in range(n0, nt) if v not in self.roles]
+            raise InputError(f"missing role entries for vertices {missing}")
 
 
 def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:

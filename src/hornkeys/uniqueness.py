@@ -92,7 +92,7 @@ def verify_witness(w: Witness, obj) -> bool:
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 
-def _require_edges(b: SpernerHypergraph):
+def _require_edges(b: SpernerHypergraph | Graph):
     if not b.edges:
         raise InputError("recognizer requires a hypergraph with at least one edge")
     if any(not e for e in b.edges):
@@ -120,11 +120,11 @@ def is_unique_key_hypergraph(
     dual = minimal_transversals(b, cap)
     edge_masks = b.edge_masks()
     full = (1 << b.n) - 1
-    for t, tm in zip(dual.edges, dual.edge_masks()):
+    for tm in dual.edge_masks():
         # Each u ∈ T has a private edge, which holds u, so T ⊆ U(T).
         missing = full & ~_private_cover(tm, edge_masks)
         if missing:
-            w = Witness("transversal-pair-missing", (t, (missing & -missing).bit_length() - 1))
+            w = Witness("transversal-pair-missing", (set_of(tm), next(bits_of(missing))))
             if not verify_witness(w, b):
                 raise ContractError("recognizer produced an invalid witness", witness=w)
             return False, w
@@ -196,8 +196,10 @@ def is_unique_key_graph(g: Graph) -> tuple[bool, Optional[Witness]]:
     exactly one neighbour in I, and v is covered iff N(v) meets them.  A
     perfect-matching fast path answers positives in linear time; negatives
     come with a re-verified (I, v) witness, the first I in the order of
-    maximal_independent_sets with its lowest uncovered v.
+    maximal_independent_sets with its lowest uncovered v.  A graph with no
+    edge is refused, as by the hypergraph recognizer.
     """
+    _require_edges(g)
     if _is_perfect_matching(g):
         return True, None
     adj = g.adj_masks()
@@ -228,7 +230,8 @@ def is_unique_key_graph(g: Graph) -> tuple[bool, Optional[Witness]]:
 def is_unique_key_bipartite(g: Graph) -> bool:
     """Fast test for bipartite graphs without isolated vertices: unique key
     iff the edge set is a perfect matching.  Falls back to the general
-    checker when the preconditions fail."""
+    checker when the preconditions fail.  A graph with no edge is refused."""
+    _require_edges(g)
     if _two_coloring(g) is None or any(g.degree(v) == 0 for v in range(g.n)):
         return is_unique_key_graph(g)[0]
     return _is_perfect_matching(g)
@@ -242,6 +245,8 @@ class GeneralCNF:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise _not_an_int(self.n, "variable count")
         if self.n < 0:
             raise InputError("variable count must be nonnegative")
         object.__setattr__(

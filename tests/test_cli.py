@@ -134,6 +134,15 @@ def test_unique_graph(run, tmp_path):
     assert (code, out.strip()) == (0, "unique")
 
 
+def test_unique_verbs_refuse_an_edgeless_input(run, tmp_path):
+    # unique-graph used to answer `not unique` with exit 1 where unique-hg exits 2
+    empty = _file(tmp_path, "empty.hg", "hg 3 0\n")
+    for verb in ["unique-hg", "unique-graph"]:
+        code, out, err = run([verb, empty])
+        assert (code, out) == (2, ""), verb
+        assert "at least one edge" in err
+
+
 def test_dual(run, tmp_path):
     chain = _file(tmp_path, "chain.hg", CHAIN_HG)
     code, out, _ = run(["dual", chain])

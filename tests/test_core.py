@@ -144,6 +144,13 @@ def test_clause_validation():
         hk.VariableUniverse(2, labels=("x", "x"))
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3", None])
+def test_universe_size_must_be_an_int(n):
+    # a float or bool size used to build and then fail in full_set()
+    with pytest.raises(InputError, match=r"^universe size must be an int, got "):
+        hk.VariableUniverse(n)
+
+
 @pytest.mark.parametrize(
     "clause",
     [({True}, 2), ({False}, 2), ({0.0}, 1), ({"0"}, 1), ({0}, True), ({0}, 1.0), ({0}, "1"), ({0}, None)],

@@ -41,6 +41,16 @@ def test_neighbors_rejects_bad_input(phi_chain, intro_cnf):
         hk.neighbors(intro_cnf, {0, 1, 2})  # a key but not minimal
 
 
+def test_non_minimal_key_names_its_lowest_droppable_variable():
+    # 1 and 8 can both be dropped; the error used to follow set iteration
+    # order, so [8, 1, 0] named 8 where {0, 1, 8} named 1
+    cnf = hk.horn_cnf(9, [({0}, 1), ({0}, 8)] + [({0}, v) for v in range(2, 8)])
+    for spelling in [[8, 1, 0], {0, 1, 8}, (1, 8, 0), frozenset({8, 0, 1})]:
+        with pytest.raises(ContractError, match=r"dropping 1 keeps it a key") as info:
+            hk.neighbors(cnf, spelling)
+        assert info.value.witness == frozenset({0, 8})
+
+
 def test_neighbor_count_bounded_by_clause_count():
     rng = random.Random(31)
     for _ in range(40):

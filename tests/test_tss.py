@@ -201,6 +201,32 @@ def test_horn_to_tss_minimum_sizes_coincide():
     assert checked >= 6
 
 
+def test_role_map_must_be_complete():
+    # the parse_roles message; RoleMap(1, 3, {}) used to build, and lifting
+    # {2} through it raised KeyError
+    with pytest.raises(InputError, match=r"^missing role entries for vertices \[2, 3\]$"):
+        hk.RoleMap(1, 3, {})
+    with pytest.raises(InputError, match=r"^missing role entries for vertices \[3\]$"):
+        hk.RoleMap(1, 3, {1: (0, "p", 0)})
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 3, {1: (0, "p")}), "role entry 1 is not a (clause, role, var) triple"),
+        ((1, 3, {1: None, 2: (0, "p", 0)}), "role entry 1 is not a (clause, role, var) triple"),
+        ((1, 3, {"a": (0, "p", 0)}), "role entry vertex must be an int, got 'a'"),
+        ((1, 3, {True: (0, "p", 0), 2: (0, "p", 0)}), "role entry vertex must be an int, got True"),
+        ((1.0, 2, {1: (0, "p", 0)}), "role map size must be an int, got 1.0"),
+        ((1, True, {}), "role map size must be an int, got True"),
+    ],
+)
+def test_role_map_ids_and_sizes_must_be_ints(args, message):
+    with pytest.raises(InputError) as info:
+        hk.RoleMap(*args)
+    assert str(info.value) == message
+
+
 def test_lift_validates_input(intro_cnf):
     tg, roles = hk.horn_to_tss(intro_cnf)
     for s in [{tg.n}, {-1}, {1.7}, {"2"}, {True}]:

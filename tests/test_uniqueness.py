@@ -208,6 +208,21 @@ def test_graph_recognizer_worked_examples():
     assert hk.verify_witness(w, path)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("recognizer", [hk.is_unique_key_graph, hk.is_unique_key_bipartite])
+def test_graph_recognizers_refuse_an_edgeless_graph(recognizer, n):
+    # as is_unique_key_hypergraph and bf_unique_key do; graph(0, []) used to
+    # answer (True, None) and graph(3, []) named the witness ({0, 1, 2}, 0)
+    with pytest.raises(InputError, match="at least one edge"):
+        recognizer(hk.graph(n, []))
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_general_cnf_size_must_be_an_int(n):
+    with pytest.raises(InputError, match=r"^variable count must be an int, got "):
+        hk.GeneralCNF(n, ((1,),))
+
+
 def test_graph_recognizer_matches_hypergraph_recognizer():
     rng = random.Random(22)
     for _ in range(150):
@@ -292,11 +307,13 @@ def test_bond_hypergraphs_are_unique_key():
 
 # sha256 of the ordered MIS lists and the (verdict, witness) of is_unique_key_graph
 # on each case below, recorded before the generator was rewritten on bitmasks.
+# An edgeless graph, which the recognizer refuses, records (None, None); the
+# four random digests were recomputed with that rule on the accepting code too.
 MIS_DIGESTS = {
-    ("random", 0.1): "7b662763d90e4b79d12ba40c90ff8c0978f9113bef0d36c9cdea810a7597e6b8",
-    ("random", 0.3): "00a2b878b35b84f05810dde44aeb76b02f0b3e95e4d1c57c8937ffc0a42abcc7",
-    ("random", 0.5): "0a66a776dd259ac664224bdc79dcd107a2a29b99dba4b142f2c4c7a596a8bce7",
-    ("random", 0.7): "7f437190c02ca52d67a81bc9c15040d834b65d99e951936371a291253e77ce49",
+    ("random", 0.1): "ed4cba352fc40cdf3c6eddaf7e86819d02e2cc8603c8b9fff9b7fb35a6daee19",
+    ("random", 0.3): "c58dd18de57e25e07ed1ece583504ef4a7ef8ae5f85cf0470f1be21bc4e2ae22",
+    ("random", 0.5): "d32f9993404a65ca1505295dffeabf6effe76e54601885a650abd454b8a5bfac",
+    ("random", 0.7): "246bfb1ddb5591a022f55e0c0d3f062a795f1974e9ad26ddeead52eae1d96956",
     ("gadget", 0): "f1eaf238eed94fb710e0b67aa437dd25da9466ddd9f71092485338f1f0c02167",
     ("gadget", 1): "ecbeadfba15443ca0cce1dcd0d8c6215249cba43dc36c7efee0e29b256082b41",
     ("gadget", 2): "fad63b667f5bbc334b574505c36cd2cc93e2b58ccf1c3659a4948f725da0ccc9",
@@ -320,7 +337,13 @@ def _mis_cases(kind, arg):
 def test_mis_order_and_graph_witnesses_are_unchanged(kind, arg):
     record = []
     for g in _mis_cases(kind, arg):
-        ok, w = hk.is_unique_key_graph(g)
-        witness = None if w is None else (sorted(w.data[0]), w.data[1])
+        if not g.edges:
+            # The recognizer refuses an edgeless graph; its MIS still counts.
+            with pytest.raises(InputError, match="at least one edge"):
+                hk.is_unique_key_graph(g)
+            ok, witness = None, None
+        else:
+            ok, w = hk.is_unique_key_graph(g)
+            witness = None if w is None else (sorted(w.data[0]), w.data[1])
         record.append(([sorted(i) for i in hk.maximal_independent_sets(g)], ok, witness))
     assert hashlib.sha256(repr(record).encode()).hexdigest() == MIS_DIGESTS[kind, arg]
