@@ -19,8 +19,6 @@ class Engine:
     decrements the counters of the clauses whose bodies contain it.
     """
 
-    backend = "python"
-
     def __init__(self, n, bodies, heads):
         # A float index is a TypeError here, as in the compiled twin: n and
         # the heads go through operator.index before their range check.  A

@@ -453,22 +453,17 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__fastclosure(void)
 {
-    PyObject *mod, *type, *backend = NULL;
+    PyObject *mod, *type;
 
     mod = PyModule_Create(&module);
     if (!mod)
         return NULL;
     type = PyType_FromSpec(&Engine_spec);
-    if (type)
-        backend = PyUnicode_FromString("c");
-    if (!backend || PyObject_SetAttrString(type, "backend", backend) < 0
-        || PyModule_AddObjectRef(mod, "Engine", type) < 0) {
-        Py_XDECREF(backend);
+    if (!type || PyModule_AddObjectRef(mod, "Engine", type) < 0) {
         Py_XDECREF(type);
         Py_DECREF(mod);
         return NULL;
     }
-    Py_DECREF(backend);
     Py_DECREF(type);
     return mod;
 }

@@ -16,7 +16,7 @@ the one kernel contract, ``Engine(n, bodies, heads)`` with:
 - ``calls``: how many ``closure`` and ``derives`` calls the engine ran, plus
   one per drop ``minimize`` tried (a rejected target or ``minimize`` seed
   counts none);
-- ``n``, ``m`` and ``backend``.
+- ``n`` and ``m``.
 
 Out-of-range indices raise ``ValueError`` at construction and at each call.
 """

@@ -233,7 +233,9 @@ def serialize_general_cnf(cnf: GeneralCNF) -> str:
 
 def parse_roles(text: str) -> RoleMap:
     n_orig, n_total, _, rest = _records(text, "roles", names=False)
-    roles = {}
+    if n_total < n_orig:
+        raise InputError(f"roles header: n_total {n_total} is below n_original {n_orig}")
+    slots: list = [None] * (n_total - n_orig)
     for lineno, line in rest:
         toks = line.split()
         if len(toks) != 4:
@@ -250,15 +252,16 @@ def parse_roles(text: str) -> RoleMap:
             raise InputError(f"line {lineno}: unknown role {role!r}")
         if not (n_orig <= vid < n_total):
             raise InputError(f"line {lineno}: vertex {vid + 1} outside the gadget range")
-        if vid in roles:
+        if slots[vid - n_orig] is not None:
             raise InputError(f"line {lineno}: duplicate entry for vertex {vid + 1}")
-        roles[vid] = (clause, role, var)
-    return RoleMap(n_orig, n_total, roles)
+        slots[vid - n_orig] = (clause, role, var)
+    missing = [vid for vid, entry in enumerate(slots, n_orig + 1) if entry is None]
+    if missing:
+        raise InputError(f"missing role entries for vertices {missing}")
+    return RoleMap(n_orig, tuple(slots))
 
 
 def serialize_roles(rm: RoleMap) -> str:
-    out = []
-    for vid in sorted(rm.roles):
-        clause, role, var = rm.roles[vid]
-        out.append(f"{vid + 1} {clause + 1} {role} {var + 1}")
+    rows = enumerate(rm.roles, rm.n_original + 1)
+    out = [f"{vid} {clause + 1} {role} {var + 1}" for vid, (clause, role, var) in rows]
     return _text(f"roles {rm.n_original} {rm.n_total}", None, out)

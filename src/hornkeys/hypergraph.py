@@ -32,7 +32,7 @@ class SpernerHypergraph:
             e = _as_varset(e, n)
             uniq[tuple(sorted(e))] = e
         ordered = tuple(uniq[k] for k in sorted(uniq))
-        masks = [mask_of(e) for e in ordered]
+        masks = tuple(map(mask_of, ordered))
         if len(_minimal_masks(masks)) < len(masks):
             a, b = next((a, b) for a in ordered for b in ordered if a < b)
             raise InputError(
@@ -45,8 +45,8 @@ class SpernerHypergraph:
     def n(self) -> int:
         return self.universe.n
 
-    def edge_masks(self) -> list[int]:
-        """The edges as bitmasks, in edge order; shared, so callers must not mutate it."""
+    def edge_masks(self) -> tuple[int, ...]:
+        """The edges as bitmasks, in edge order."""
         return self._edge_masks
 
     def __eq__(self, other):
@@ -238,7 +238,7 @@ class Graph:
             u, v = sorted(e)
             pairs[u * n + v] = (u, v)
         self.edges = tuple([pairs[c] for c in sorted(pairs)])
-        self._adj_masks: Optional[list[int]] = None
+        self._adj_masks: Optional[tuple[int, ...]] = None
 
     @property
     def n(self) -> int:
@@ -254,13 +254,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def adj_masks(self) -> list[int]:
+    def adj_masks(self) -> tuple[int, ...]:
         if self._adj_masks is None:
             masks = [0] * self.n
             for u, v in self.edges:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-            self._adj_masks = masks
+            self._adj_masks = tuple(masks)
         return self._adj_masks
 
     def as_hypergraph(self) -> SpernerHypergraph:

@@ -124,38 +124,31 @@ ROLES = frozenset(BODY_ROLES + HEAD_ROLES + (HUB_ROLE,))
 
 @dataclass(frozen=True)
 class RoleMap:
-    """Gadget bookkeeping for ``horn_to_tss``.
-
-    ``roles`` maps each gadget vertex id to (clause index, role, attached
-    original variable); original vertices 0..n_original-1 carry no entry,
-    and every gadget vertex n_original..n_total-1 must carry one.
+    """Gadget bookkeeping for ``horn_to_tss``: ``roles[i]`` is the (clause
+    index, role, attached original variable) triple of gadget vertex
+    ``n_original + i``; original vertices 0..n_original-1 carry no entry.
     """
 
     n_original: int
-    n_total: int
-    roles: dict
+    roles: tuple
 
     def __post_init__(self):
-        n0, nt = self.n_original, self.n_total
-        for size in (n0, nt):
-            if not _is_int(size):
-                raise _not_an_int(size, "role map size")
-        for vid, entry in self.roles.items():
-            # A plain int skips the call; gadgets have thousands of entries.
-            if type(vid) is not int and not _is_int(vid):
-                raise _not_an_int(vid, "role entry vertex")
-            try:
-                _, role, _ = entry
-            except (TypeError, ValueError):
-                raise InputError(f"role entry {vid} is not a (clause, role, var) triple") from None
-            if role not in ROLES:
-                raise InputError(f"vertex {vid}: unknown gadget role {role!r}")
-            if not n0 <= vid < nt:
-                raise InputError(f"role entry {vid} outside the gadget range")
-        # Every entry is in range now, so a short count means a missing one.
-        if len(self.roles) < nt - n0:
-            missing = [v + 1 for v in range(n0, nt) if v not in self.roles]
-            raise InputError(f"missing role entries for vertices {missing}")
+        n0 = self.n_original
+        if not _is_int(n0):
+            raise _not_an_int(n0, "role map size")
+        if n0 < 0:
+            raise InputError(f"role map size must be nonnegative, got {n0}")
+        object.__setattr__(self, "roles", tuple(self.roles))
+        # Inline tests only: gadgets have thousands of entries.
+        for vid, entry in enumerate(self.roles, n0):
+            if type(entry) is not tuple or len(entry) != 3:
+                raise InputError(f"role entry {vid} is not a (clause, role, var) triple")
+            if entry[1] not in ROLES:
+                raise InputError(f"vertex {vid}: unknown gadget role {entry[1]!r}")
+
+    @property
+    def n_total(self) -> int:
+        return self.n_original + len(self.roles)
 
 
 def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
@@ -170,9 +163,9 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
     name = cnf.universe.name
     labels = [name(v) for v in range(n)]
     edges: list[tuple[int, int]] = []
-    roles: dict[int, tuple[int, str, int]] = {}
+    # One entry per gadget vertex in allocation order; the next id is len(labels).
+    roles: list[tuple[int, str, int]] = []
     thresholds = [1] * n
-    nxt = n
     for ci, c in enumerate(cnf.clauses):
         if not c.body:
             raise InputError(
@@ -180,32 +173,27 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
                 f"seed side before reducing"
             )
         tag = f"C{ci + 1}"
-        hub = nxt
+        hub = len(labels)
         labels.append(f"p^{tag}")
         thresholds.append(len(c.body))
-        roles[hub] = (ci, HUB_ROLE, c.head)
-        nxt += 1
+        roles.append((ci, HUB_ROLE, c.head))
         # One chain x, y, z, w per body variable, from the variable to the
         # hub, then one for the head, from the hub to the head.
         chains = [(a, a, hub, BODY_ROLES) for a in sorted(c.body)]
         chains.append((c.head, hub, c.head, HEAD_ROLES))
         for var, src, dst, (rx, ry, rz, rw) in chains:
             vname = name(var)
-            x, y, z, w = nxt, nxt + 1, nxt + 2, nxt + 3
+            x, y, z, w = range(len(labels), len(labels) + 4)
             labels += (
                 f"x^{tag}_{vname}", f"y^{tag}_{vname}", f"z^{tag}_{vname}", f"w^{tag}_{vname}"
             )
             thresholds += (1, 1, 1, 2)
-            roles[x] = (ci, rx, var)
-            roles[y] = (ci, ry, var)
-            roles[z] = (ci, rz, var)
-            roles[w] = (ci, rw, var)
+            roles += ((ci, rx, var), (ci, ry, var), (ci, rz, var), (ci, rw, var))
             edges += ((src, x), (x, y), (x, z), (y, w), (z, w), (w, dst))
-            nxt += 4
 
-    universe = VariableUniverse(nxt, tuple(labels))
+    universe = VariableUniverse(len(labels), tuple(labels))
     tg = ThresholdGraph(Graph(universe, edges), thresholds)
-    return tg, RoleMap(n, nxt, roles)
+    return tg, RoleMap(n, tuple(roles))
 
 
 def lift_target_set_to_key(
@@ -235,7 +223,7 @@ def lift_target_set_to_key(
         if v < roles.n_original:
             key.add(v)
             continue
-        ci, role, var = roles.roles[v]
+        ci, role, var = roles.roles[v - roles.n_original]
         ci = _index(ci, cnf.m, f"role entry {v}: clause index")
         if role == HUB_ROLE:
             key.add(cnf.clauses[ci].head)

@@ -94,7 +94,8 @@ def verify_witness(w: Witness, obj) -> bool:
 
 def _require_edges(b: SpernerHypergraph | Graph):
     if not b.edges:
-        raise InputError("recognizer requires a hypergraph with at least one edge")
+        what = "graph" if isinstance(b, Graph) else "hypergraph"
+        raise InputError(f"recognizer requires a {what} with at least one edge")
     if any(not e for e in b.edges):
         raise InputError("recognizer does not accept the empty edge")
 

@@ -1,5 +1,6 @@
 """CLI verbs: text output, JSON payloads against the shipped schema, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
@@ -87,8 +88,6 @@ def test_keys_json(run, tmp_path):
 
 
 def test_keys_from_stdin(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(PHI_HORN))
     code = cli.main(["keys", "-"])
     assert code == 0
@@ -137,10 +136,10 @@ def test_unique_graph(run, tmp_path):
 def test_unique_verbs_refuse_an_edgeless_input(run, tmp_path):
     # unique-graph used to answer `not unique` with exit 1 where unique-hg exits 2
     empty = _file(tmp_path, "empty.hg", "hg 3 0\n")
-    for verb in ["unique-hg", "unique-graph"]:
+    for verb, what in [("unique-hg", "hypergraph"), ("unique-graph", "graph")]:
         code, out, err = run([verb, empty])
         assert (code, out) == (2, ""), verb
-        assert "at least one edge" in err
+        assert f"recognizer requires a {what} with at least one edge" in err
 
 
 def test_dual(run, tmp_path):
@@ -555,6 +554,32 @@ def test_golden_horn2tss_files(run, tmp_path, monkeypatch):
     assert run(["horn2tss", "small.horn", "-o", "g.tss"]) == (0, "", "")
     assert Path("g.tss").read_text() == SMALL_TSS
     assert Path("g.tss.roles").read_text() == SMALL_ROLES
+
+
+def test_readme_example_session(tmp_path, monkeypatch, capsys):
+    # Replays README's "Example session" through cli.main, one pipeline
+    # stage at a time, and compares the transcript with the block.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Example session\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    _file(tmp_path, "chain.hg", CHAIN_HG)
+    transcript, codes = "", []
+    for command in (line[2:] for line in block.splitlines() if line.startswith("$ ")):
+        transcript += f"$ {command}\n"
+        out = ""
+        for stage in command.split(" | "):
+            argv = stage.split()
+            if argv[0] == "cat":
+                out = Path(argv[1]).read_text()
+                continue
+            assert argv[0] == "hornkeys", stage
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            codes.append(cli.main(argv[1:]))
+            out, err = capsys.readouterr()
+            assert err == "", stage
+        transcript += out
+    assert codes == [1, 0, 0]
+    assert transcript == block
 
 
 def test_installed_entry_point(tmp_path):

@@ -216,18 +216,32 @@ def test_roles_round_trip(intro_cnf):
 
 
 def test_roles_rejects_malformed():
-    with pytest.raises(InputError):
-        parse_roles("roles 2 4\n3 1 q 1\n4 1 p 1")  # unknown role
-    with pytest.raises(InputError):
-        parse_roles("roles 2 4\n3 1 p 1")  # missing vertex 4
-    with pytest.raises(InputError):
-        parse_roles("roles 2 4\n3 1 p 1\n3 1 p 1\n4 1 p 1")  # duplicate
+    with pytest.raises(InputError, match="^line 2: unknown role 'q'$"):
+        parse_roles("roles 2 4\n3 1 q 1\n4 1 p 1")
+    with pytest.raises(InputError, match=r"^missing role entries for vertices \[4\]$"):
+        parse_roles("roles 2 4\n3 1 p 1")
+    with pytest.raises(InputError, match=r"^missing role entries for vertices \[2, 3\]$"):
+        parse_roles("roles 1 3\n")
+    with pytest.raises(InputError, match="^line 3: duplicate entry for vertex 3$"):
+        parse_roles("roles 2 4\n3 1 p 1\n3 1 p 1\n4 1 p 1")
+    with pytest.raises(InputError, match="^line 2: vertex 2 outside the gadget range$"):
+        parse_roles("roles 2 3\n2 1 p 1")  # vertex 2 is an original one
+    with pytest.raises(InputError, match="^line 2: vertex 4 outside the gadget range$"):
+        parse_roles("roles 2 3\n4 1 p 1")
     with pytest.raises(InputError, match="^line 2: clause index 0 "):
         parse_roles("roles 2 3\n3 0 p 2")  # clause ids start at 1
     with pytest.raises(InputError, match="^line 2: variable id 0 "):
         parse_roles("roles 2 3\n3 1 p 0")  # variable ids start at 1
     with pytest.raises(InputError, match="^line 3: variable id 3 "):
         parse_roles("roles 2 4\n3 1 p 1\n4 1 x 3")  # only 2 original variables
+
+
+def test_roles_header_refuses_fewer_vertices_than_originals():
+    # used to build a role map with an empty gadget range, which no
+    # horn_to_tss output can have
+    with pytest.raises(InputError, match=r"^roles header: n_total 1 is below n_original 3$"):
+        parse_roles("roles 3 1\n")
+    assert parse_roles("roles 3 3\n") == hk.RoleMap(3, ())
 
 
 def test_random_round_trips():

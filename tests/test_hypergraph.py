@@ -278,6 +278,19 @@ def test_graph_rejects_bad_edges(edge, message):
     assert str(exc.value) == message
 
 
+def test_mask_accessors_hand_out_tuples():
+    # shared lists used to let a caller leave 3 masks beside 2 edges
+    h = hk.sperner(4, [{0, 1}, {2, 3}])
+    assert h.edge_masks() == (0b11, 0b1100)
+    g = hk.graph(3, [(0, 1)])
+    assert g.adj_masks() == (0b10, 0b1, 0)
+    with pytest.raises(AttributeError):
+        h.edge_masks().append(1)
+    with pytest.raises(TypeError):
+        g.adj_masks()[2] = 7
+    assert h.edge_masks() == (0b11, 0b1100) and g.adj_masks() == (0b10, 0b1, 0)
+
+
 def test_graph_adjacency_matches_its_edges():
     rng = random.Random(3)
     for n in range(8):
@@ -286,7 +299,7 @@ def test_graph_adjacency_matches_its_edges():
         want = [{u for e in g.edges for u in e if v in e and u != v} for v in range(n)]
         assert [set(g.neighbors(v)) for v in range(n)] == want
         assert [g.degree(v) for v in range(n)] == [len(w) for w in want]
-        assert g.adj_masks() == [sum(1 << u for u in w) for w in want]
+        assert g.adj_masks() == tuple(sum(1 << u for u in w) for w in want)
         assert g.adj is g.adj and all(isinstance(a, frozenset) for a in g.adj)
         assert list(g.edges) == sorted(g.edges) and all(u < v for u, v in g.edges)
         assert g == hk.graph(n, [(v, u) for u, v in reversed(g.edges)])

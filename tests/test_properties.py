@@ -95,7 +95,7 @@ def test_each_berge_step_is_the_minimal_product(data, b):
 def test_edge_masks_are_the_edges_in_order(b):
     dual = hk.minimal_transversals(b)
     for h in (b, dual, hk.minimal_transversals(hk.sperner(b.n, []))):
-        assert h.edge_masks() == [mask_of(e) for e in h.edges]
+        assert h.edge_masks() == tuple(mask_of(e) for e in h.edges)
 
 
 @_PROPERTY_SETTINGS

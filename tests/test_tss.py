@@ -1,5 +1,6 @@
 """Target set selection: activation, both reductions, minimum problems."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -130,11 +131,10 @@ def test_horn_to_tss_shape(intro_cnf):
     body_sizes = [len(c.body) for c in intro_cnf.clauses]
     assert tg.n == n + sum(4 * k + 5 for k in body_sizes)
     assert len(tg.graph.edges) == sum(6 * k + 6 for k in body_sizes)
-    assert roles.n_original == n and roles.n_total == tg.n
-    assert set(roles.roles) == set(range(n, tg.n))
+    assert roles.n_original == n and roles.n_total == tg.n == n + len(roles.roles)
     # original vertices keep threshold 1; hubs carry the body size
     assert all(tg.thresholds[v] == 1 for v in range(n))
-    hubs = [v for v, (ci, role, var) in roles.roles.items() if role == "p"]
+    hubs = [v for v, (ci, role, var) in enumerate(roles.roles, n) if role == "p"]
     assert sorted(tg.thresholds[h] for h in sorted(hubs)) == sorted(body_sizes)
 
 
@@ -201,27 +201,38 @@ def test_horn_to_tss_minimum_sizes_coincide():
     assert checked >= 6
 
 
-def test_role_map_must_be_complete():
-    # the parse_roles message; RoleMap(1, 3, {}) used to build, and lifting
-    # {2} through it raised KeyError
-    with pytest.raises(InputError, match=r"^missing role entries for vertices \[2, 3\]$"):
-        hk.RoleMap(1, 3, {})
-    with pytest.raises(InputError, match=r"^missing role entries for vertices \[3\]$"):
-        hk.RoleMap(1, 3, {1: (0, "p", 0)})
+def test_role_map_is_a_hashable_immutable_value():
+    # The entries used to sit in a shared dict: the map could not be hashed,
+    # and deleting an entry made lifting that vertex raise KeyError.
+    cnf = hk.horn_cnf(2, [({0}, 1)])
+    _, roles = hk.horn_to_tss(cnf)
+    again = hk.RoleMap(2, list(roles.roles))
+    assert again == roles and hash(again) == hash(roles) and len({roles, again}) == 1
+    assert roles.n_total == 2 + len(roles.roles) == 11
+    with pytest.raises(TypeError):
+        del roles.roles[0]
+    with pytest.raises(TypeError):
+        roles.roles[0] = (0, "p", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        roles.roles = ()
+    assert hk.lift_target_set_to_key(cnf, roles, {10}) == {1}
+    # An entry is one gadget vertex, so a map is complete by construction.
+    assert hk.RoleMap(1, ()).n_total == 1
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((1, 3, {1: (0, "p")}), "role entry 1 is not a (clause, role, var) triple"),
-        ((1, 3, {1: None, 2: (0, "p", 0)}), "role entry 1 is not a (clause, role, var) triple"),
-        ((1, 3, {"a": (0, "p", 0)}), "role entry vertex must be an int, got 'a'"),
-        ((1, 3, {True: (0, "p", 0), 2: (0, "p", 0)}), "role entry vertex must be an int, got True"),
-        ((1.0, 2, {1: (0, "p", 0)}), "role map size must be an int, got 1.0"),
-        ((1, True, {}), "role map size must be an int, got True"),
+        ((1, ((0, "p"),)), "role entry 1 is not a (clause, role, var) triple"),
+        ((1, (None, (0, "p", 0))), "role entry 1 is not a (clause, role, var) triple"),
+        ((1, ((0, "p", 0), [0, "p", 0])), "role entry 2 is not a (clause, role, var) triple"),
+        ((1, ((0, "p", 0), (0, "q", 0))), "vertex 2: unknown gadget role 'q'"),
+        ((1.0, ((0, "p", 0),)), "role map size must be an int, got 1.0"),
+        ((True, ()), "role map size must be an int, got True"),
+        ((-1, ()), "role map size must be nonnegative, got -1"),
     ],
 )
-def test_role_map_ids_and_sizes_must_be_ints(args, message):
+def test_role_map_size_and_entries_are_checked(args, message):
     with pytest.raises(InputError) as info:
         hk.RoleMap(*args)
     assert str(info.value) == message
@@ -240,8 +251,8 @@ def test_lift_validates_input(intro_cnf):
     _, more = hk.horn_to_tss(
         hk.horn_cnf(5, [(c.body, c.head) for c in intro_cnf.clauses] + [({3}, 4)])
     )
-    hub = next(v for v, (ci, role, _) in more.roles.items() if (ci, role) == (4, "p"))
-    stray = hk.RoleMap(5, 6, {5: (0, "x", 7)})
+    hub = next(v for v, (ci, role, _) in enumerate(more.roles, 5) if (ci, role) == (4, "p"))
+    stray = hk.RoleMap(5, ((0, "x", 7),))
     for rm, s in [(fewer, {3, 4}), (fewer, {12}), (more, {hub}), (stray, {5})]:
         with pytest.raises(InputError):
             hk.lift_target_set_to_key(intro_cnf, rm, s)

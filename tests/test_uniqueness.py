@@ -213,8 +213,11 @@ def test_graph_recognizer_worked_examples():
 def test_graph_recognizers_refuse_an_edgeless_graph(recognizer, n):
     # as is_unique_key_hypergraph and bf_unique_key do; graph(0, []) used to
     # answer (True, None) and graph(3, []) named the witness ({0, 1, 2}, 0)
-    with pytest.raises(InputError, match="at least one edge"):
+    with pytest.raises(InputError, match="^recognizer requires a graph with at least one edge$"):
         recognizer(hk.graph(n, []))
+    # the hypergraph recognizer keeps naming a hypergraph
+    with pytest.raises(InputError, match="^recognizer requires a hypergraph with at least one"):
+        hk.is_unique_key_hypergraph(hk.sperner(n, []))
 
 
 @pytest.mark.parametrize("n", [2.5, True])
