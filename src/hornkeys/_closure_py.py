@@ -88,18 +88,52 @@ class Engine:
         drop tried counts one call, as ``derives(cur - {v}, v)`` would; a bad
         seed raises before any call.  ``seed`` must be a key: then every
         ``cur`` is one, and ``cur - {v}`` is a key exactly when it derives v.
+        Drops the suffix rule settles skip the test (see ``_kernel``).
         """
         in_k, _ = self._flag(seed)
         key = [v for v in range(self.n) if in_k[v]]
+        free = None  # by variable, the suffix rule's verdicts once a chain is due
         for v in key:
             self.calls += 1
             in_k[v] = 0
+            if free and free[v]:
+                continue
             found = self._one_step(in_k, v)
             if found is None:
+                if free is None and 2 * len(key) > self.n:
+                    free = self._suffix_free(key[key.index(v):])
+                    if free[v]:
+                        continue
                 found = self._chain(in_k[:], [u for u in key if in_k[u]], v)
             if not found:
                 in_k[v] = 1
         return [v for v in key if in_k[v]]
+
+    def _suffix_free(self, suffix):
+        # Flags, by variable, each u of the ascending ``suffix`` that lies in
+        # the closure of the later ones (the suffix rule of the kernel
+        # contract).  One closure grows from the top of ``suffix`` down, each
+        # variable added once and chained on the same counters; once it holds
+        # every variable, the lower flags keep their 1.
+        n = self.n
+        free = [1] * n
+        in_c = [0] * (n + 1)
+        count = self._base_count[:]
+        queue = list(dict.fromkeys(self._empty_heads))
+        for h in queue:
+            in_c[h] = 1
+        size = 0
+        for u in reversed(suffix):
+            self._chain(in_c, queue, n, count)
+            size += len(queue)
+            if size == n:
+                break
+            queue = []
+            if not in_c[u]:
+                free[u] = 0
+                in_c[u] = 1
+                queue.append(u)
+        return free
 
     def _flag(self, seed):
         # Checks ``seed`` and returns its flags (n + 1 of them, flag n never
@@ -133,19 +167,22 @@ class Engine:
                 return True
         return None
 
-    def _chain(self, in_f, queue, target):
+    def _chain(self, in_f, queue, target, count=None):
         # Chains forward from the flagged set.  Returns True as soon as
         # ``target`` is derived, else False with ``in_f`` flagging the whole
         # closure; target=n chains to the end.  ``queue`` holds each derived
-        # variable once and grows while the loop below walks it.
+        # variable once and grows while the loop below walks it.  A given
+        # ``count`` holds the counters of earlier chains on the same flags,
+        # with the unit heads flagged: the chain resumes from ``queue``.
         push = queue.append
-        for h in self._empty_heads:
-            if not in_f[h]:
-                if h == target:
-                    return True
-                in_f[h] = 1
-                push(h)
-        count = self._base_count[:]
+        if count is None:
+            for h in self._empty_heads:
+                if not in_f[h]:
+                    if h == target:
+                        return True
+                    in_f[h] = 1
+                    push(h)
+            count = self._base_count[:]
         heads = self._heads
         occ = self._occ
         for v in queue:

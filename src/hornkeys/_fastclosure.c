@@ -12,8 +12,9 @@
  * alone when it can: True for a target in the seed or with a clause body
  * inside it, False for a target that heads no clause.  ``minimize`` runs the
  * greedy ascending-drop loop of key minimization, one counted call per drop
- * tried.  Each call allocates its own scratch, so a seed iterable that calls
- * back into the engine is safe.
+ * tried; the suffix rule of the kernel contract in ``_kernel.py`` settles
+ * some drops with no test.  Each call allocates its own scratch, so a seed
+ * iterable that calls back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -236,27 +237,32 @@ one_step(const Engine *self, const unsigned char *in_f, Py_ssize_t target)
     return -1;
 }
 
-/* Chains forward from the ``top`` flagged variables in ``queue`` (room for
- * n), stopping once ``target`` is derived; flag n is never set, so target =
- * n chains to the end.  Returns 1 when ``target`` was derived, else 0 with
- * the closure's size in *size. */
+/* Chains forward from the flagged variables in queue[0..top) (room for n),
+ * stopping once ``target`` is derived; flag n is never set, so target = n
+ * chains to the end.  With done = 0 the chain starts afresh: it flags the
+ * unit heads and resets ``count``.  Otherwise it resumes earlier chains on
+ * the same flags and counters, whose queue[0..done) is already propagated.
+ * Returns 1 when ``target`` was derived, else 0 with the closure's size in
+ * *size. */
 static int
 chain(const Engine *self, Py_ssize_t target, unsigned char *in_f, Py_ssize_t *queue,
-      Py_ssize_t top, Py_ssize_t *count, Py_ssize_t *size)
+      Py_ssize_t done, Py_ssize_t top, Py_ssize_t *count, Py_ssize_t *size)
 {
     Py_ssize_t i, j, k, v, h;
 
-    for (j = 0; j < self->n_empty; j++) {
-        h = self->empty_heads[j];
-        if (!in_f[h]) {
-            if (h == target)
-                return 1;
-            in_f[h] = 1;
-            queue[top++] = h;
+    if (!done) {
+        for (j = 0; j < self->n_empty; j++) {
+            h = self->empty_heads[j];
+            if (!in_f[h]) {
+                if (h == target)
+                    return 1;
+                in_f[h] = 1;
+                queue[top++] = h;
+            }
         }
+        memcpy(count, self->base_count, self->m * sizeof(Py_ssize_t));
     }
-    memcpy(count, self->base_count, self->m * sizeof(Py_ssize_t));
-    for (k = 0; k < top; k++) {
+    for (k = done; k < top; k++) {
         v = queue[k];
         for (j = self->occ_start[v]; j < self->occ_start[v + 1]; j++) {
             i = self->occ_item[j];
@@ -273,6 +279,32 @@ chain(const Engine *self, Py_ssize_t target, unsigned char *in_f, Py_ssize_t *qu
     }
     *size = top;
     return 0;
+}
+
+/* Sets free_[i], for low <= i < nk, when key[i] lies in the closure of
+ * key[i+1..nk), the suffix rule of the kernel contract.  One closure grows
+ * from the top of ``key`` down in in_f, queue and count, each variable
+ * added once and chained on the same counters; once it holds all n
+ * variables, the lower flags stay set. */
+static void
+suffix_free(const Engine *self, const Py_ssize_t *key, Py_ssize_t low, Py_ssize_t nk,
+            unsigned char *free_, unsigned char *in_f, Py_ssize_t *queue, Py_ssize_t *count)
+{
+    Py_ssize_t i = nk, done = 0, top = 0;
+
+    memset(free_ + low, 1, nk - low);
+    memset(in_f, 0, self->n + 1);
+    for (;;) {
+        chain(self, self->n, in_f, queue, done, top, count, &top);
+        if (top == self->n || i == low)
+            return;
+        done = top;
+        if (!in_f[key[--i]]) {
+            free_[i] = 0;
+            in_f[key[i]] = 1;
+            queue[top++] = key[i];
+        }
+    }
 }
 
 /* The variables flagged in ``in_f[0..n)`` as a sorted list of ``size``. */
@@ -317,11 +349,11 @@ run(Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
     if ((top = flag_seed(self, seed, in_f, queue)) < 0)
         r = -1;
     else if (as_list)
-        r = chain(self, n, in_f, queue, top, scratch, &size);
+        r = chain(self, n, in_f, queue, 0, top, scratch, &size);
     else if (in_f[target])
         r = 1;
     else if ((r = one_step(self, in_f, target)) < 0)
-        r = chain(self, target, in_f, queue, top, scratch, &size);
+        r = chain(self, target, in_f, queue, 0, top, scratch, &size);
     if (r == 1)
         out = Py_NewRef(Py_True);
     else if (r == 0 && !as_list)
@@ -362,26 +394,30 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"seed", NULL};
     Py_ssize_t n = self->n, nk = 0, size = 0, i, j, top, closed, v;
-    /* One block: count[m], queue[n], key[n], then in_k[n + 1] and in_f[n + 1]. */
+    /* One block: count[m], queue[n], key[n], then in_k[n + 1], in_f[n + 1]
+     * and free_[n]. */
     Py_ssize_t words = self->m + 2 * n;
     Py_ssize_t *scratch, *queue, *key;
-    unsigned char *in_k, *in_f;
+    unsigned char *in_k, *in_f, *free_;
     PyObject *seed, *out = NULL;
-    int r;
+    int r, pass = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
         return NULL;
-    if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 2 * (n + 1))))
+    if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 3 * n + 2)))
         return PyErr_NoMemory();
     queue = scratch + self->m;
     key = queue + n;
     in_k = (unsigned char *)(scratch + words);
     in_f = in_k + n + 1;
+    free_ = in_f + n + 1;
     memset(in_k, 0, n + 1);
     if (flag_seed(self, seed, in_k, key) < 0)
         goto done;
 
-    /* in_k flags cur, the key so far; key[0..nk) lists the seed ascending. */
+    /* in_k flags cur, the key so far; key[0..nk) lists the seed ascending.
+     * The suffix rule's flags are filled at the first drop that one step
+     * cannot decide, and only for a seed of more than half the variables. */
     for (v = 0; v < n; v++) {
         if (in_k[v])
             key[nk++] = v;
@@ -391,13 +427,21 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
         v = key[i];
         self->calls++;
         in_k[v] = 0;
-        if ((r = one_step(self, in_k, v)) < 0) {
+        if (pass && free_[i])
+            r = 1;
+        else if ((r = one_step(self, in_k, v)) < 0 && !pass && 2 * nk > n) {
+            pass = 1;
+            suffix_free(self, key, i, nk, free_, in_f, queue, scratch);
+            if (free_[i])
+                r = 1;
+        }
+        if (r < 0) {
             memcpy(in_f, in_k, n + 1);
             for (j = 0, top = 0; j < nk; j++) {
                 if (in_k[key[j]])
                     queue[top++] = key[j];
             }
-            r = chain(self, v, in_f, queue, top, scratch, &closed);
+            r = chain(self, v, in_f, queue, 0, top, scratch, &closed);
         }
         if (r)
             size--;

@@ -12,7 +12,13 @@ the one kernel contract, ``Engine(n, bodies, heads)`` with:
   chains only until the target is derived;
 - ``minimize(seed)``: the sorted minimal key that greedy drops in ascending
   order leave of the key ``seed``, dropping v whenever the rest derives it;
-  the seed is checked before the first drop;
+  the seed is checked before the first drop.  The suffix rule: a v that lies
+  in the closure of the later seed variables, S ∩ (v, n), is dropped with
+  no test.  That is exact, because the rest at v's turn still holds all of
+  S ∩ (v, n) and derivation is monotone.  Both backends apply it only to a
+  seed of more than half the variables, and fill it in at the first drop
+  that one step cannot decide, with one closure grown from the top of the
+  seed down that stops once it holds every variable;
 - ``calls``: how many ``closure`` and ``derives`` calls the engine ran, plus
   one per drop ``minimize`` tried (a rejected target or ``minimize`` seed
   counts none);

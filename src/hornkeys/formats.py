@@ -37,6 +37,25 @@ def _vertex(tok: str, n: int, lineno: int) -> int:
     return v - 1
 
 
+def _require_all(present, first: int, count: int, what: str) -> None:
+    """Refuse unless ``present`` holds all ``count`` ids from ``first`` on.
+
+    ``present`` holds distinct ids of that range, one per record line, so
+    the shortfall is a subtraction and finding the first few missing ids
+    costs O(len(present)), not O(count): a header count alone causes no work.
+    """
+    short = count - len(present)
+    if short > 0:
+        ids = []
+        v = first
+        while len(ids) < min(short, 5):
+            if v not in present:
+                ids.append(v + 1)
+            v += 1
+        more = f" and {short - len(ids)} more" if short > len(ids) else ""
+        raise InputError(f"missing {what} for vertices {ids}{more}")
+
+
 def _records(text: str, magic: str, what: Optional[str] = None, names: bool = True):
     """The prologue every format shares, read off ``text``.
 
@@ -193,9 +212,7 @@ def parse_tss(text: str) -> ThresholdGraph:
             raise InputError(f"line {lineno}: expected `e <u> <v>` or `t <v> <k>`")
     if len(edges) != m:
         raise InputError(f"expected {m} edges, found {len(edges)}")
-    missing = [v + 1 for v in range(n) if v not in thresholds]
-    if missing:
-        raise InputError(f"missing threshold for vertices {missing}")
+    _require_all(thresholds, 0, n, "threshold")
     return ThresholdGraph(
         Graph(VariableUniverse(n, labels), edges),
         [thresholds[v] for v in range(n)],
@@ -235,7 +252,7 @@ def parse_roles(text: str) -> RoleMap:
     n_orig, n_total, _, rest = _records(text, "roles", names=False)
     if n_total < n_orig:
         raise InputError(f"roles header: n_total {n_total} is below n_original {n_orig}")
-    slots: list = [None] * (n_total - n_orig)
+    entries: dict[int, tuple] = {}
     for lineno, line in rest:
         toks = line.split()
         if len(toks) != 4:
@@ -252,13 +269,11 @@ def parse_roles(text: str) -> RoleMap:
             raise InputError(f"line {lineno}: unknown role {role!r}")
         if not (n_orig <= vid < n_total):
             raise InputError(f"line {lineno}: vertex {vid + 1} outside the gadget range")
-        if slots[vid - n_orig] is not None:
+        if vid in entries:
             raise InputError(f"line {lineno}: duplicate entry for vertex {vid + 1}")
-        slots[vid - n_orig] = (clause, role, var)
-    missing = [vid for vid, entry in enumerate(slots, n_orig + 1) if entry is None]
-    if missing:
-        raise InputError(f"missing role entries for vertices {missing}")
-    return RoleMap(n_orig, tuple(slots))
+        entries[vid] = (clause, role, var)
+    _require_all(entries, n_orig, n_total - n_orig, "role entries")
+    return RoleMap(n_orig, tuple(entries[v] for v in range(n_orig, n_total)))
 
 
 def serialize_roles(rm: RoleMap) -> str:

@@ -254,30 +254,47 @@ def enumerate_minimal_target_sets(
     return enumerate_minimal_keys(tss_to_horn(tg, max_threshold), sink, limit=limit)
 
 
-def _cardinality_search(n: int, predicate, budget: Optional[int]) -> frozenset[int]:
+def _cardinality_search(n: int, predicate, budget: Optional[int], forced) -> frozenset[int]:
     # Ascending size, lexicographic within a size; the first hit is the
-    # lexicographically smallest optimum.
+    # lexicographically smallest optimum.  Only supersets of ``forced``, which
+    # every feasible set holds, are examined and counted against the budget.
+    # The first hit is the same as in a scan of all subsets, because the
+    # order of two equal-size sets depends only on their symmetric difference.
+    forced = tuple(sorted(forced))
+    rest = sorted(set(range(n)).difference(forced))
     cap = subset_budget(budget)
     examined = 0
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
+    for size in range(len(rest) + 1):
+        for combo in combinations(rest, size):
             examined += 1
             if examined > cap:
                 raise ResourceGuardError(
                     f"minimum search examined more than {cap} subsets"
                 )
-            if predicate(combo):
-                return frozenset(combo)
+            if predicate(forced + combo):
+                return frozenset(forced + combo)
     raise ContractError("search space exhausted without a feasible set")
 
 
 def minimum_key(cnf: HornCNF, budget: Optional[int] = None) -> frozenset[int]:
-    """Exhaustive minimum-cardinality key, smallest lexicographic tie chosen."""
+    """Exhaustive minimum-cardinality key, smallest lexicographic tie chosen.
+
+    Every key holds the variables that head no clause, so only their
+    supersets are examined, and ``budget`` counts those supersets.
+    """
     engine = cnf.engine()
     n = cnf.n
-    return _cardinality_search(n, lambda c: len(engine.closure(c)) == n, budget)
+    forced = set(range(n)).difference(c.head for c in cnf.clauses)
+    return _cardinality_search(n, lambda c: len(engine.closure(c)) == n, budget, forced)
 
 
 def minimum_target_set(tg: ThresholdGraph, budget: Optional[int] = None) -> frozenset[int]:
-    """Exhaustive minimum-cardinality target set, lexicographically smallest."""
-    return _cardinality_search(tg.n, lambda c: len(activate(tg, c)) == tg.n, budget)
+    """Exhaustive minimum-cardinality target set, lexicographically smallest.
+
+    A vertex whose threshold exceeds its degree never activates, so every
+    target set holds it; only supersets of those vertices are examined, and
+    ``budget`` counts those supersets.
+    """
+    adj = tg.graph.adj_masks()
+    forced = [v for v, t in enumerate(tg.thresholds) if t > adj[v].bit_count()]
+    return _cardinality_search(tg.n, lambda c: len(activate(tg, c)) == tg.n, budget, forced)

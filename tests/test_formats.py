@@ -244,6 +244,24 @@ def test_roles_header_refuses_fewer_vertices_than_originals():
     assert parse_roles("roles 3 3\n") == hk.RoleMap(3, ())
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_tss, "tss 2000000 0\n", "missing threshold for vertices [1, 2, 3, 4, 5] and 1999995 more"),
+        (parse_roles, "roles 0 2000000\n", "missing role entries for vertices [1, 2, 3, 4, 5] and 1999995 more"),
+        (parse_tss, "tss 7 0\nt 3 1\nt 5 1\n", "missing threshold for vertices [1, 2, 4, 6, 7]"),
+        (parse_roles, "roles 1 9\n3 1 p 1\n", "missing role entries for vertices [2, 4, 5, 6, 7] and 2 more"),
+    ],
+    ids=["tss-2000000", "roles-2000000", "tss-five-missing", "roles-seven-missing"],
+)
+def test_header_counts_cause_no_work_of_their_own(parse, text, message):
+    # A header declaring 2,000,000 vertices and no records used to build a
+    # per-vertex list and a 16.9 MB message listing every missing id.
+    with pytest.raises(InputError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_random_round_trips():
     rng = random.Random(61)
     for _ in range(60):

@@ -192,6 +192,67 @@ def test_minimize_basics(engine_cls):
     assert engine_cls(0, [], []).minimize([]) == []
 
 
+def _minimize_spends_one_call_per_drop(eng, seed):
+    calls = eng.calls
+    out = eng.minimize(seed)
+    assert eng.calls == calls + len(set(seed))
+    return out
+
+
+def test_suffix_rule_drops_what_one_step_cannot_decide(engine_cls):
+    # {4} -> 2, {2} -> 1, {1, 3} -> 0.  Dropping 1 from {1, 3, 4} takes two
+    # steps, 4 -> 2 -> 1; 1 lies in the closure of {3, 4}, so the suffix
+    # rule drops it.  3 and 4 head no clause and stay.
+    eng = engine_cls(5, [[4], [2], [1, 3]], [2, 1, 0])
+    assert _minimize_spends_one_call_per_drop(eng, [1, 3, 4]) == [3, 4]
+    # {2} -> 0, {0} -> 1: one step drops 0; 1 then needs 2 -> 0 -> 1, and
+    # the closure of {2} is all of V, which settles 1 with no test.
+    eng = engine_cls(3, [[2], [0]], [0, 1])
+    assert _minimize_spends_one_call_per_drop(eng, range(3)) == [2]
+
+
+def test_suffix_rule_that_decides_nothing(engine_cls):
+    # {1} -> 0, {0} -> 1: one step drops 0; dropping 1 from {1, 2} is then
+    # undecided by one step, and 1 lies outside the closure of {2}, so the
+    # chain decides it and keeps it.
+    eng = engine_cls(3, [[1], [0]], [0, 1])
+    assert _minimize_spends_one_call_per_drop(eng, range(3)) == [1, 2]
+
+
+def test_suffix_rule_with_empty_bodies(engine_cls):
+    # {} -> 3, {2, 3} -> 0, {0} -> 1: the suffix closure starts from {3}.
+    eng = engine_cls(4, [[], [2, 3], [0]], [3, 0, 1])
+    assert _minimize_spends_one_call_per_drop(eng, range(4)) == [2]
+    assert _minimize_spends_one_call_per_drop(eng, [1, 2, 3]) == [2]
+    # {} -> 2, {3} -> 0, {0} -> 1: the pass settles 1 and the unit head 2
+    eng = engine_cls(4, [[], [3], [0]], [2, 0, 1])
+    assert _minimize_spends_one_call_per_drop(eng, range(4)) == [3]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["half", "over-half"])
+def test_minimize_on_each_side_of_the_size_rule(engine_cls, extra):
+    # Seeds of exactly n // 2 and n // 2 + 1 variables, so the suffix rule
+    # is off for the first and on for the second.
+    rng = random.Random(0x5EED + extra)
+    tried = 0
+    while tried < 40:
+        n = rng.randint(2, 14)
+        eng = engine_cls(n, *_random_clauses(rng, n, rng.randint(n, 3 * n)))
+        seed = rng.sample(range(n), n // 2 + extra)
+        if len(eng.closure(seed)) != n:
+            continue
+        tried += 1
+        expected = _reference_minimize(eng, seed)
+        assert _minimize_spends_one_call_per_drop(eng, seed) == expected
+
+
+def test_full_seed_minimize_on_an_enum_sized_cnf(engine_cls):
+    for seed in range(4):
+        eng = _make(engine_cls, random_horn_cnf(seed, 36, 108))
+        expected = _reference_minimize(eng, range(36))
+        assert _minimize_spends_one_call_per_drop(eng, range(36)) == expected
+
+
 @pytest.mark.parametrize("seed", [[0, 1, 5], [0, -1], [2**80], None])
 def test_minimize_rejects_a_bad_seed_before_any_call(engine_cls, seed):
     eng = engine_cls(3, [[0], [1]], [1, 2])

@@ -11,6 +11,7 @@ import hornkeys as hk
 from hornkeys.errors import ContractError, InputError, ResourceGuardError
 from hornkeys.oracles import (
     bf_min_target_set,
+    bf_minimal_keys,
     bf_minimal_target_sets,
     bf_target_sets,
     random_horn_cnf,
@@ -121,8 +122,38 @@ def test_minimum_problems(wheel_tss, intro_cnf):
 
 
 def test_minimum_key_budget_guard(intro_cnf):
+    # c heads no clause, so the search examines only supersets of {c}:
+    # {c}, then the optimum {a, c}.
     with pytest.raises(ResourceGuardError):
-        hk.minimum_key(intro_cnf, budget=4)
+        hk.minimum_key(intro_cnf, budget=1)
+    assert hk.minimum_key(intro_cnf, budget=2) == {A, C}
+
+
+def test_minimum_target_set_budget_guard():
+    # A star with center 0 of threshold 2; leaf 1 has threshold 2 and degree
+    # 1, so it lies in every target set.  The search examines {1}, then the
+    # optimum {0, 1}.
+    tg = hk.ThresholdGraph(hk.graph(4, [(0, 1), (0, 2), (0, 3)]), [2, 2, 1, 1])
+    with pytest.raises(ResourceGuardError):
+        hk.minimum_target_set(tg, budget=1)
+    assert hk.minimum_target_set(tg, budget=2) == {0, 1}
+
+
+def test_minimum_searches_match_the_oracles():
+    # The pruned searches must return the lexicographically first optimum
+    # that a scan of all subsets finds.
+    rng = random.Random(0x51DE)
+    forced_keys = forced_sets = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        cnf = random_horn_cnf(rng.randrange(2**32), n, rng.randint(0, 2 * n))
+        best = min(bf_minimal_keys(cnf), key=lambda k: (len(k), sorted(k)))
+        assert hk.minimum_key(cnf) == best
+        forced_keys += len({c.head for c in cnf.clauses}) < n
+        tg = random_threshold_graph(rng.randrange(2**32), n, rng.random(), tmax=3)
+        assert hk.minimum_target_set(tg) == bf_min_target_set(tg)
+        forced_sets += any(t > tg.graph.degree(v) for v, t in enumerate(tg.thresholds))
+    assert forced_keys > 100 and forced_sets > 100  # the pruning is exercised
 
 
 def test_horn_to_tss_shape(intro_cnf):
