@@ -3,9 +3,10 @@
 Twin of the compiled extension in ``_fastclosure``; both implement the same
 counter-based propagation and must return identical results.  One engine
 instance is bound to one clause list; ``calls`` counts closure computations
-(``closure`` and ``derives`` calls, and each drop ``minimize`` tries) and is
-the basis for the enumeration delay instrumentation, so share an engine
-between threads only if you do not care about its counter.
+(``closure`` and ``derives`` calls, and each drop ``minimize`` and
+``expand`` try) and is the basis for the enumeration delay instrumentation,
+so share an engine between threads only if you do not care about its
+counter: give each user a ``fork``, which shares the built index.
 """
 
 from operator import index
@@ -37,7 +38,7 @@ class Engine:
             if h < 0 or h >= n:
                 raise _out_of_range(h, n)
             checked.append(h)
-        self._base_count = [len(b) for b in bodies]
+        self._base_count = list(map(len, bodies))
         self._empty_heads = empty = []
         occ = [[] for _ in range(n)]
         # The bodies of the clauses with head h, for the goal-directed tests.
@@ -50,8 +51,9 @@ class Engine:
             if not body:
                 empty.append(h)
             by_head[h].append(body)
-        self._occ = occ
-        self._by_head = by_head
+        # Tuples hold no spare room: a ``HornCNF`` keeps its engine for life.
+        self._occ = tuple(map(tuple, occ))
+        self._by_head = tuple(map(tuple, by_head))
 
     def closure(self, seed):
         """Return the sorted list of variables derivable from ``seed``."""
@@ -91,14 +93,62 @@ class Engine:
         Drops the suffix rule settles skip the test (see ``_kernel``).
         """
         in_k, _ = self._flag(seed)
+        return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
+
+    def expand(self, key):
+        """The out-neighbors of the minimal key ``key``, and the pairs tried.
+
+        Each pair (v ∈ key, clause A→v) gives the key (key ∖ {v}) ∪ A, which
+        :meth:`minimize` shrinks; pairs go by v ascending, then clause input
+        order, and a repeated result keeps its first place.  Returns the
+        list of frozensets and the number of pairs.  Calls grow as the
+        ``minimize`` calls would, by the size of each seed; a bad key raises
+        before any call.
+        """
+        in_k, _ = self._flag(key)
         key = [v for v in range(self.n) if in_k[v]]
+        by_head = self._by_head
+        shrink = self._shrink
+        out = []
+        seen = set()
+        tried = 0
+        for v in key:
+            bodies = by_head[v]
+            if not bodies:
+                continue
+            tried += len(bodies)
+            in_k[v] = 0
+            rest = set(key)
+            rest.discard(v)
+            for body in bodies:
+                cur = in_k[:]
+                for u in body:
+                    cur[u] = 1
+                k2 = frozenset(shrink(cur, sorted(rest.union(body))))
+                if k2 not in seen:
+                    seen.add(k2)
+                    out.append(k2)
+            in_k[v] = 1
+        return out, tried
+
+    def fork(self):
+        """An engine on the same built index, with its own ``calls`` at 0."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, calls=0)
+        return twin
+
+    def _shrink(self, in_k, key):
+        # The greedy drops of ``minimize`` over the ascending ``key``, whose
+        # variables ``in_k`` flags; clears the flags of the dropped ones and
+        # returns the rest.
+        self.calls += len(key)
+        one_step = self._one_step
         free = None  # by variable, the suffix rule's verdicts once a chain is due
         for v in key:
-            self.calls += 1
             in_k[v] = 0
             if free and free[v]:
                 continue
-            found = self._one_step(in_k, v)
+            found = one_step(in_k, v)
             if found is None:
                 if free is None and 2 * len(key) > self.n:
                     free = self._suffix_free(key[key.index(v):])

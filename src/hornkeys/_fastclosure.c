@@ -13,8 +13,11 @@
  * inside it, False for a target that heads no clause.  ``minimize`` runs the
  * greedy ascending-drop loop of key minimization, one counted call per drop
  * tried; the suffix rule of the kernel contract in ``_kernel.py`` settles
- * some drops with no test.  Each call allocates its own scratch, so a seed
- * iterable that calls back into the engine is safe.
+ * some drops with no test.  ``expand`` runs that loop on each candidate of
+ * a minimal key.  ``fork`` makes an engine that reads the same arrays and
+ * keeps its own ``calls``: it holds a reference to the engine that owns
+ * them, which alone frees them.  Each call allocates its own scratch, so a
+ * seed iterable that calls back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -33,6 +36,7 @@ typedef struct {
     Py_ssize_t *head_start;  /* n + 1: clauses with head h are head_item[head_start[h]..head_start[h+1]) */
     Py_ssize_t *head_item;
     Py_ssize_t *empty_heads; /* n_empty: heads of the clauses with empty bodies */
+    PyObject *owner;         /* for a fork, the engine that owns the arrays above; else NULL */
     long calls;
 } Engine;
 
@@ -58,15 +62,19 @@ static void
 Engine_dealloc(Engine *self)
 {
     PyTypeObject *tp = Py_TYPE(self);
-    PyMem_Free(self->heads);
-    PyMem_Free(self->base_count);
-    PyMem_Free(self->body_start);
-    PyMem_Free(self->body_item);
-    PyMem_Free(self->occ_start);
-    PyMem_Free(self->occ_item);
-    PyMem_Free(self->head_start);
-    PyMem_Free(self->head_item);
-    PyMem_Free(self->empty_heads);
+    if (self->owner)
+        Py_DECREF(self->owner);
+    else {
+        PyMem_Free(self->heads);
+        PyMem_Free(self->base_count);
+        PyMem_Free(self->body_start);
+        PyMem_Free(self->body_item);
+        PyMem_Free(self->occ_start);
+        PyMem_Free(self->occ_item);
+        PyMem_Free(self->head_start);
+        PyMem_Free(self->head_item);
+        PyMem_Free(self->empty_heads);
+    }
     tp->tp_free((PyObject *)self);
     Py_DECREF(tp);
 }
@@ -389,18 +397,77 @@ Engine_derives(Engine *self, PyObject *args, PyObject *kwds)
     return run(self, seed, target, 0);
 }
 
+/* The greedy drops of ``minimize`` over key[0..nk), ascending, whose
+ * variables ``in_k`` flags: clears the flags of the dropped ones, counts one
+ * call per drop tried and returns how many stay.  in_f, free_, queue and
+ * count are scratch of n + 1, n, n and m entries. */
+static Py_ssize_t
+shrink(Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *in_k,
+       unsigned char *in_f, unsigned char *free_, Py_ssize_t *queue, Py_ssize_t *count)
+{
+    Py_ssize_t n = self->n, size = nk, i, j, top, closed, v;
+    int r, pass = 0;
+
+    /* The suffix rule's flags are filled at the first drop that one step
+     * cannot decide, and only for a seed of more than half the variables. */
+    self->calls += nk;
+    for (i = 0; i < nk; i++) {
+        v = key[i];
+        in_k[v] = 0;
+        if (pass && free_[i])
+            r = 1;
+        else if ((r = one_step(self, in_k, v)) < 0 && !pass && 2 * nk > n) {
+            pass = 1;
+            suffix_free(self, key, i, nk, free_, in_f, queue, count);
+            if (free_[i])
+                r = 1;
+        }
+        if (r < 0) {
+            memcpy(in_f, in_k, n + 1);
+            for (j = 0, top = 0; j < nk; j++) {
+                if (in_k[key[j]])
+                    queue[top++] = key[j];
+            }
+            r = chain(self, v, in_f, queue, 0, top, count, &closed);
+        }
+        if (r)
+            size--;
+        else
+            in_k[v] = 1;
+    }
+    return size;
+}
+
+/* Flags ``seed`` in in_k (n + 1 zeroed flags) and lists it ascending in
+ * key; returns its size, or -1 with an exception set.  ``queue`` is scratch
+ * of n entries. */
+static Py_ssize_t
+sorted_seed(const Engine *self, PyObject *seed, unsigned char *in_k, Py_ssize_t *key,
+            Py_ssize_t *queue)
+{
+    Py_ssize_t v, nk = 0;
+
+    memset(in_k, 0, self->n + 1);
+    if (flag_seed(self, seed, in_k, queue) < 0)
+        return -1;
+    for (v = 0; v < self->n; v++) {
+        if (in_k[v])
+            key[nk++] = v;
+    }
+    return nk;
+}
+
 static PyObject *
 Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"seed", NULL};
-    Py_ssize_t n = self->n, nk = 0, size = 0, i, j, top, closed, v;
+    Py_ssize_t n = self->n, nk;
     /* One block: count[m], queue[n], key[n], then in_k[n + 1], in_f[n + 1]
      * and free_[n]. */
     Py_ssize_t words = self->m + 2 * n;
     Py_ssize_t *scratch, *queue, *key;
     unsigned char *in_k, *in_f, *free_;
     PyObject *seed, *out = NULL;
-    int r, pass = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
         return NULL;
@@ -411,48 +478,106 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
     in_k = (unsigned char *)(scratch + words);
     in_f = in_k + n + 1;
     free_ = in_f + n + 1;
-    memset(in_k, 0, n + 1);
-    if (flag_seed(self, seed, in_k, key) < 0)
-        goto done;
-
-    /* in_k flags cur, the key so far; key[0..nk) lists the seed ascending.
-     * The suffix rule's flags are filled at the first drop that one step
-     * cannot decide, and only for a seed of more than half the variables. */
-    for (v = 0; v < n; v++) {
-        if (in_k[v])
-            key[nk++] = v;
-    }
-    size = nk;
-    for (i = 0; i < nk; i++) {
-        v = key[i];
-        self->calls++;
-        in_k[v] = 0;
-        if (pass && free_[i])
-            r = 1;
-        else if ((r = one_step(self, in_k, v)) < 0 && !pass && 2 * nk > n) {
-            pass = 1;
-            suffix_free(self, key, i, nk, free_, in_f, queue, scratch);
-            if (free_[i])
-                r = 1;
-        }
-        if (r < 0) {
-            memcpy(in_f, in_k, n + 1);
-            for (j = 0, top = 0; j < nk; j++) {
-                if (in_k[key[j]])
-                    queue[top++] = key[j];
-            }
-            r = chain(self, v, in_f, queue, 0, top, scratch, &closed);
-        }
-        if (r)
-            size--;
-        else
-            in_k[v] = 1;
-    }
-    out = flagged_list(in_k, n, size);
-
-done:
+    if ((nk = sorted_seed(self, seed, in_k, key, queue)) >= 0)
+        out = flagged_list(in_k, n, shrink(self, key, nk, in_k, in_f, free_, queue, scratch));
     PyMem_Free(scratch);
     return out;
+}
+
+/* The variables of key[0..nk) that ``in_k`` flags, as a frozenset. */
+static PyObject *
+flagged_set(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk)
+{
+    Py_ssize_t i;
+    PyObject *out = PyFrozenSet_New(NULL), *x;
+
+    for (i = 0; out && i < nk; i++) {
+        if (!in_k[key[i]])
+            continue;
+        if (!(x = PyLong_FromSsize_t(key[i])) || PySet_Add(out, x) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(x);
+    }
+    return out;
+}
+
+static PyObject *
+Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"key", NULL};
+    Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0;
+    /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
+     * cur[n + 1], in_f[n + 1] and free_[n]. */
+    Py_ssize_t words = self->m + 3 * n;
+    Py_ssize_t *scratch, *queue, *key, *seed;
+    unsigned char *in_k, *cur, *in_f, *free_;
+    PyObject *key_obj, *out = NULL, *seen = NULL, *k2;
+    int r;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &key_obj))
+        return NULL;
+    if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 4 * n + 3)))
+        return PyErr_NoMemory();
+    queue = scratch + self->m;
+    key = queue + n;
+    seed = key + n;
+    in_k = (unsigned char *)(scratch + words);
+    cur = in_k + n + 1;
+    in_f = cur + n + 1;
+    free_ = in_f + n + 1;
+    if ((nk = sorted_seed(self, key_obj, in_k, key, queue)) < 0
+        || !(out = PyList_New(0)) || !(seen = PySet_New(NULL)))
+        goto fail;
+
+    /* Each pair (v, clause A -> v) minimizes (key - {v}) | A, flagged in cur
+     * and listed ascending in seed. */
+    for (i = 0; i < nk; i++) {
+        v = key[i];
+        in_k[v] = 0;
+        for (j = self->head_start[v]; j < self->head_start[v + 1]; j++, tried++) {
+            k = self->head_item[j];
+            memcpy(cur, in_k, n + 1);
+            for (u = self->body_start[k]; u < self->body_start[k + 1]; u++)
+                cur[self->body_item[u]] = 1;
+            for (u = 0, ns = 0; u < n; u++) {
+                if (cur[u])
+                    seed[ns++] = u;
+            }
+            shrink(self, seed, ns, cur, in_f, free_, queue, scratch);
+            if (!(k2 = flagged_set(cur, seed, ns)))
+                goto fail;
+            r = PySet_Contains(seen, k2);
+            if (r == 0 && (PySet_Add(seen, k2) < 0 || PyList_Append(out, k2) < 0))
+                r = -1;
+            Py_DECREF(k2);
+            if (r < 0)
+                goto fail;
+        }
+        in_k[v] = 1;
+    }
+    Py_DECREF(seen);
+    PyMem_Free(scratch);
+    return Py_BuildValue("(Nn)", out, tried);
+
+fail:
+    Py_XDECREF(out);
+    Py_XDECREF(seen);
+    PyMem_Free(scratch);
+    return NULL;
+}
+
+static PyObject *
+Engine_fork(Engine *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *owner = self->owner ? self->owner : (PyObject *)self;
+    Engine *twin = (Engine *)Py_TYPE(self)->tp_alloc(Py_TYPE(self), 0);
+
+    if (!twin)
+        return NULL;
+    /* The fields from n up to owner are the built index. */
+    memcpy(&twin->n, &self->n, offsetof(Engine, owner) - offsetof(Engine, n));
+    twin->owner = Py_NewRef(owner);
+    return (PyObject *)twin;
 }
 
 static PyMethodDef Engine_methods[] = {
@@ -466,6 +591,13 @@ static PyMethodDef Engine_methods[] = {
     {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_VARARGS | METH_KEYWORDS,
      "Shrink the key ``seed`` by greedy drops in ascending order.\n\n"
      "Returns the sorted minimal key; each drop tried counts one call."},
+    {"expand", (PyCFunction)(void (*)(void))Engine_expand, METH_VARARGS | METH_KEYWORDS,
+     "The out-neighbors of the minimal key ``key``, and the pairs tried.\n\n"
+     "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
+     "minimize shrinks; returns the distinct results as frozensets in\n"
+     "first-seen order and the number of pairs."},
+    {"fork", (PyCFunction)Engine_fork, METH_NOARGS,
+     "An engine on the same built index, with its own ``calls`` at 0."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -19,9 +19,17 @@ the one kernel contract, ``Engine(n, bodies, heads)`` with:
   seed of more than half the variables, and fill it in at the first drop
   that one step cannot decide, with one closure grown from the top of the
   seed down that stops once it holds every variable;
+- ``expand(key)``: for a minimal key K, the pair ``(out, tried)``.  Each
+  pair (v ∈ K, clause A→v) gives the key (K ∖ {v}) ∪ A, which ``minimize``
+  shrinks; ``out`` lists the results as frozensets, by v ascending and then
+  clause input order, each kept at its first place only, and ``tried``
+  counts the pairs.  This is the key-graph step of the enumeration
+  (Lucchesi and Osborn), run on the engine's own head index;
+- ``fork()``: an engine on the same built index, with its own ``calls``
+  starting at 0; it stays valid after the engine it came from is gone;
 - ``calls``: how many ``closure`` and ``derives`` calls the engine ran, plus
-  one per drop ``minimize`` tried (a rejected target or ``minimize`` seed
-  counts none);
+  one per drop ``minimize`` tried, so ``expand`` adds the size of each seed
+  it shrinks (a rejected target, seed or key counts none);
 - ``n`` and ``m``.
 
 Out-of-range indices raise ``ValueError`` at construction and at each call.

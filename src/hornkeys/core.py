@@ -161,13 +161,17 @@ class HornCNF:
         return len(self.clauses)
 
     def engine(self) -> Engine:
-        """Shared closure engine for this CNF (built lazily, then cached)."""
+        """Shared closure engine for this CNF (built lazily, then cached).
+
+        It holds the CNF's one clause index; a caller that needs a call
+        counter of its own, such as an enumeration run, takes a ``fork()``.
+        """
         if self._engine is None:
             self._engine = self.fresh_engine()
         return self._engine
 
     def fresh_engine(self) -> Engine:
-        """A new engine with its own call counter (used by enumeration runs)."""
+        """A new engine with an index built afresh from the clauses."""
         # Body order changes no result, so the frozensets go in unsorted.
         bodies = [c.body for c in self.clauses]
         heads = [c.head for c in self.clauses]

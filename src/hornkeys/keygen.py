@@ -2,10 +2,13 @@
 
 The enumerator walks a directed graph on the minimal keys: from a key K,
 each pair (v ∈ K, clause A→v) yields the candidate S = (K ∖ {v}) ∪ A, which
-is always a key and minimizes to an out-neighbor.  The walk keeps a LIFO
-queue of pending keys and a visited set; before a key is output all its
-out-neighbors are generated and the unseen ones queued, which bounds the
-number of closure computations between consecutive outputs by m·(n+1)+1.
+is always a key and minimizes to an out-neighbor.  The closure kernel runs
+that step, ``Engine.expand``; each walk runs on a ``fork`` of the CNF's one
+engine, so the clause index is built once per CNF while every walk counts
+its own closures.  The walk keeps a LIFO queue of pending keys and a visited
+set; before a key is output all its out-neighbors are generated and the
+unseen ones queued, which bounds the number of closure computations between
+consecutive outputs by m·(n+1)+1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .core import HornCNF, _as_varset, is_key
+from .core import HornCNF, _as_varset, _is_int, _not_an_int, is_key
 from .errors import ContractError, ResourceGuardError
 
 
@@ -40,30 +43,6 @@ def first_minimal_key(cnf: HornCNF) -> frozenset[int]:
     return frozenset(cnf.engine().minimize(range(cnf.n)))
 
 
-def _bodies_by_head(cnf: HornCNF) -> list[list[frozenset[int]]]:
-    """Clause bodies indexed by head, each list in clause input order."""
-    by_head = [[] for _ in range(cnf.n)]
-    for c in cnf.clauses:
-        by_head[c.head].append(c.body)
-    return by_head
-
-
-def _expand(engine, by_head, key: frozenset[int], stats: KeyEnumerationStats):
-    # Candidate order is part of the contract: v ∈ K ascending, clauses in
-    # input order; duplicates dropped keeping the first occurrence.
-    out = []
-    seen = set()
-    for v in sorted(key):
-        base = key - {v}
-        for body in by_head[v]:
-            stats.candidates += 1
-            k2 = frozenset(engine.minimize(base | body))
-            if k2 not in seen:
-                seen.add(k2)
-                out.append(k2)
-    return out
-
-
 def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
     """Out-neighbors of a minimal key in D_Φ, deterministic order.
 
@@ -79,7 +58,7 @@ def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
         raise ContractError(
             f"{sorted(key)} is not minimal: dropping {v} keeps it a key", witness=key - {v}
         )
-    return _expand(engine, _bodies_by_head(cnf), key, KeyEnumerationStats())
+    return engine.expand(key)[0]
 
 
 def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
@@ -87,18 +66,18 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
 
     Pop a key, expand all its out-neighbors, queue the unseen ones, then
     yield ``(key, out_neighbors, newly_discovered)``; ``stats`` is brought
-    up to date before each yield, which is the key's emission.  The walk
-    uses a private closure engine so the counters describe this run alone.
+    up to date before each yield, which is the key's emission.  The walk's
+    fork of the CNF's engine makes the counters describe this run alone.
     """
-    engine = cnf.fresh_engine()
-    by_head = _bodies_by_head(cnf)
+    engine = cnf.engine().fork()
     first = frozenset(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
     prev_mark = None  # closure count at the previous emission
     while pending:
         key = pending.pop()
-        out = _expand(engine, by_head, key, stats)
+        out, tried = engine.expand(key)
+        stats.candidates += tried
         new = [k2 for k2 in out if k2 not in visited]
         visited.update(new)
         pending += new
@@ -112,6 +91,12 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
         yield key, out, new
 
 
+def _check_limit(limit) -> None:
+    """Refuse a key limit that is neither None nor an int (a bool is no int)."""
+    if limit is not None and not _is_int(limit):
+        raise _not_an_int(limit, "limit")
+
+
 def iter_minimal_keys(
     cnf: HornCNF,
     limit: Optional[int] = None,
@@ -120,12 +105,18 @@ def iter_minimal_keys(
     """Yield every minimal key exactly once, polynomial delay.
 
     Keys come in the pop order of the walk over D_Φ; ``stats``, when given,
-    receives the run's counters.
+    receives the run's counters.  A bad ``limit`` raises here, before the
+    first key is asked for.
     """
+    _check_limit(limit)
+    return _limited(cnf, limit, KeyEnumerationStats() if stats is None else stats)
+
+
+def _limited(cnf: HornCNF, limit: Optional[int], stats: KeyEnumerationStats):
     if limit is not None and limit <= 0:
         return
     emitted = 0
-    for key, _, _ in _walk(cnf, KeyEnumerationStats() if stats is None else stats):
+    for key, _, _ in _walk(cnf, stats):
         emitted += 1
         yield key
         if limit is not None and emitted >= limit:
@@ -155,6 +146,8 @@ class KeyGraph:
 def build_key_graph(cnf: HornCNF, max_keys: int = 100_000) -> KeyGraph:
     """Materialize all minimal keys, in discovery order, and their out-arcs;
     desk scale only."""
+    if not _is_int(max_keys):
+        raise _not_an_int(max_keys, "max_keys")
     nodes = []
     arcs = []
     for key, out, new in _walk(cnf, KeyEnumerationStats()):

@@ -29,6 +29,7 @@ from .errors import ContractError, InputError, ResourceGuardError, subset_budget
 from .hypergraph import Graph
 from .keygen import (
     KeyEnumerationStats,
+    _check_limit,
     enumerate_minimal_keys,
     iter_minimal_keys,
 )
@@ -242,6 +243,7 @@ def iter_minimal_target_sets(
     max_threshold: int = 3,
 ) -> Iterator[frozenset[int]]:
     """Minimal target sets = minimal keys of Ψ_G; same order, same delay."""
+    _check_limit(limit)
     return iter_minimal_keys(tss_to_horn(tg, max_threshold), limit=limit, stats=stats)
 
 
@@ -251,6 +253,7 @@ def enumerate_minimal_target_sets(
     limit: Optional[int] = None,
     max_threshold: int = 3,
 ) -> KeyEnumerationStats:
+    _check_limit(limit)
     return enumerate_minimal_keys(tss_to_horn(tg, max_threshold), sink, limit=limit)
 
 

@@ -5,6 +5,7 @@ temporary directory for these tests, so they run against the current source
 whether or not the package was built in place.
 """
 
+import gc
 import importlib.util
 import random
 from pathlib import Path
@@ -261,6 +262,143 @@ def test_minimize_rejects_a_bad_seed_before_any_call(engine_cls, seed):
     assert eng.calls == 0
 
 
+def _reference_expand(eng, bodies, heads, key):
+    # The expansion built from ``minimize``: pairs (v, clause A -> v) by v
+    # ascending, then clause order; a repeated result keeps its first place.
+    out, tried = [], 0
+    for v in sorted(set(key)):
+        for body, head in zip(bodies, heads):
+            if head == v:
+                tried += 1
+                k2 = frozenset(eng.minimize((set(key) - {v}) | set(body)))
+                if k2 not in out:
+                    out.append(k2)
+    return out, tried
+
+
+def _few_units(rng, n, m):
+    # Bodies of 1 to 3 variables, and an empty one in about one clause of
+    # ten: with more, most minimal keys hold only head-free variables and
+    # give no pair to expand.
+    bodies, heads = [], []
+    for _ in range(m):
+        head = rng.randrange(n)
+        others = [v for v in range(n) if v != head]
+        size = 0 if rng.random() < 0.1 or not others else rng.randint(1, min(3, len(others)))
+        bodies.append(rng.sample(others, size))
+        heads.append(head)
+    return bodies, heads
+
+
+def test_expand_matches_a_loop_of_minimize(engine_cls):
+    rng = random.Random(0xE8A4)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        bodies, heads = _few_units(rng, n, rng.randint(0, 3 * n))
+        eng, ref = engine_cls(n, bodies, heads), engine_cls(n, bodies, heads)
+        for _ in range(4):
+            seed = _seeds(n, rng.randrange(1 << n))
+            key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
+            calls = eng.calls
+            expected = _reference_expand(ref, bodies, heads, key)
+            spent = ref.calls
+            ref.calls = 0
+            assert eng.expand(key) == expected
+            assert eng.calls - calls == spent  # one call per drop, Σ|seed|
+            checked += bool(expected[1])
+    assert checked > 200
+
+
+def test_expand_basics(engine_cls):
+    # 0 <-> 1, {0, 2} -> 3, {} -> 4: minimal keys {0, 2} and {1, 2}
+    eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
+    assert eng.expand([1, 2]) == ([frozenset({0, 2})], 1)
+    assert eng.calls == 2
+    assert eng.expand(iter([2, 0])) == ([frozenset({1, 2})], 1)
+    # 1 -> 0 twice, 0 -> 1: both pairs give {1}, kept once
+    eng = engine_cls(2, [[1], [1], [0]], [0, 0, 1])
+    assert eng.expand({0}) == ([frozenset({1})], 2)
+    assert eng.calls == 2
+    assert engine_cls(0, [], []).expand([]) == ([], 0)
+    assert engine_cls(2, [], []).expand([0, 1]) == ([], 0)
+
+
+@pytest.mark.parametrize("key", [[0, 1, 5], [0, -1], [2**80], None, [1, 0.0], ["0"], 3])
+def test_expand_rejects_a_bad_key_before_any_call(compiled, key):
+    errors = []
+    for cls in (_closure_py.Engine, compiled.Engine):
+        eng = cls(3, [[0], [1]], [1, 2])
+        with pytest.raises((ValueError, TypeError)) as info:
+            eng.expand(key)
+        errors.append(info.type)
+        assert eng.calls == 0
+    assert errors[0] is errors[1]
+
+
+def _clauses_of_a_cnf(seed, n, m):
+    cnf = random_horn_cnf(seed, n, m)
+    return [sorted(c.body) for c in cnf.clauses], [c.head for c in cnf.clauses]
+
+
+def test_fork_outlives_its_parent(engine_cls):
+    bodies, heads = _clauses_of_a_cnf(7, 9, 20)
+    eng = engine_cls(9, bodies, heads)
+    eng.closure([0])
+    fork = eng.fork()
+    twin = fork.fork()  # a fork of a fork reads the same index
+    expected = [eng.closure(_seeds(9, mask)) for mask in range(0, 512, 7)]
+    del eng
+    gc.collect()
+    assert [fork.closure(_seeds(9, mask)) for mask in range(0, 512, 7)] == expected
+    del fork
+    gc.collect()
+    assert [twin.closure(_seeds(9, mask)) for mask in range(0, 512, 7)] == expected
+    assert (twin.n, twin.m, twin.calls) == (9, 20, len(expected))
+    assert twin.minimize(range(9)) == engine_cls(9, bodies, heads).minimize(range(9))
+
+
+def test_forks_keep_separate_counters(engine_cls):
+    eng = engine_cls(4, [[0], [1], [1, 2]], [1, 0, 3])  # 0 <-> 1, {1, 2} -> 3
+    eng.closure([0])
+    first, second = eng.fork(), eng.fork()
+    assert (eng.calls, first.calls, second.calls) == (1, 0, 0)
+    first.derives([0, 2], 3)
+    first.minimize(range(4))
+    assert second.expand([1, 2]) == ([frozenset({0, 2})], 1)
+    assert (eng.calls, first.calls, second.calls) == (1, 5, 2)
+    first.calls = 0
+    assert (eng.calls, second.calls) == (1, 2)
+
+
+def _walk(eng, expand):
+    # The walk of ``keygen._walk``, on a fork: the keys in pop order, the
+    # pairs tried and the calls spent.
+    eng = eng.fork()
+    first = frozenset(eng.minimize(range(eng.n)))
+    pending, visited, order, tried = [first], {first}, [], 0
+    while pending:
+        key = pending.pop()
+        out, pairs = expand(eng, key)
+        tried += pairs
+        new = [k for k in out if k not in visited]
+        visited.update(new)
+        pending += new
+        order.append(sorted(key))
+    return order, tried, eng.calls
+
+
+def test_walk_on_expand_matches_a_walk_on_minimize(engine_cls):
+    for seed in range(12):
+        n, m = (12, 30) if seed % 2 else (16, 40)
+        bodies, heads = _clauses_of_a_cnf(seed, n, m)
+        eng = engine_cls(n, bodies, heads)
+        got = _walk(eng, lambda e, key: e.expand(key))
+        expected = _walk(eng, lambda e, key: _reference_expand(e, bodies, heads, key))
+        assert got == expected
+        assert eng.calls == 0
+
+
 @pytest.mark.parametrize(
     "n, bodies, heads",
     [
@@ -390,9 +528,13 @@ def test_backends_agree_on_random_input(compiled, data, cnf):
     for _ in range(6):
         seed = data.draw(_seed_lists(n))
         target = data.draw(st.integers(-1, n))
-        for method, args in (("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,))):
+        calls = [
+            ("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,)), ("expand", (seed,))
+        ]
+        for method, args in calls:
             assert _outcome(getattr(py, method), *args) == _outcome(getattr(cc, method), *args)
         assert py.calls == cc.calls
+        py, cc = py.fork(), cc.fork()
 
 
 @_PROPERTY_SETTINGS

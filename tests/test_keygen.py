@@ -6,7 +6,8 @@ import random
 import pytest
 
 import hornkeys as hk
-from hornkeys.errors import ContractError, ResourceGuardError
+from hornkeys import core, tss
+from hornkeys.errors import ContractError, InputError, ResourceGuardError
 from hornkeys.oracles import bf_minimal_keys, random_horn_cnf
 
 A, B, C, D = range(4)
@@ -76,6 +77,80 @@ def test_enumeration_limit(phi_chain):
         frozenset({B, C}),
     ]
     assert list(hk.iter_minimal_keys(phi_chain, limit=0)) == []
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", [3]])
+def test_limit_is_an_int_or_none(bad, wheel_tss, monkeypatch):
+    # Refused when the call is made, before any work: no engine is built and
+    # no Ψ_G is made.  A float once rounded up and a bool read as 0 or 1.
+    cnf = hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))
+    with pytest.raises(InputError, match="limit must be an int"):
+        hk.iter_minimal_keys(cnf, limit=bad)
+    with pytest.raises(InputError, match="limit must be an int"):
+        hk.enumerate_minimal_keys(cnf, lambda k: None, limit=bad)
+    assert cnf._engine is None
+
+    def no_work(*args):
+        raise AssertionError("Ψ_G was built before the limit was checked")
+
+    monkeypatch.setattr(tss, "tss_to_horn", no_work)
+    with pytest.raises(InputError, match="limit must be an int"):
+        hk.iter_minimal_target_sets(wheel_tss, limit=bad)
+    with pytest.raises(InputError, match="limit must be an int"):
+        hk.enumerate_minimal_target_sets(wheel_tss, lambda s: None, limit=bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 3.0, True, "3", None])
+def test_max_keys_is_an_int(bad):
+    cnf = hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))
+    with pytest.raises(InputError, match="max_keys must be an int"):
+        hk.build_key_graph(cnf, max_keys=bad)
+    assert cnf._engine is None
+
+
+def test_interleaved_walks_on_one_cnf_keep_their_own_counters():
+    checked = 0
+    for seed in range(40):
+        cnf = random_horn_cnf(seed, 12, 30, 3)
+        alone = []
+        for limit in (None, 3):
+            stats = hk.KeyEnumerationStats()
+            copy = hk.HornCNF(cnf.universe, cnf.clauses)
+            alone.append((list(hk.iter_minimal_keys(copy, limit, stats)), stats))
+        if len(alone[0][0]) < 4:
+            continue
+        checked += 1
+        got = [([], hk.KeyEnumerationStats()) for _ in alone]
+        walks = [hk.iter_minimal_keys(cnf, limit, got[i][1]) for i, limit in enumerate((None, 3))]
+        while walks:  # one key from each live walk in turn
+            for walk, (keys, _) in list(zip(walks, got)):
+                key = next(walk, None)
+                if key is None:
+                    walks.remove(walk)
+                else:
+                    keys.append(key)
+        assert got == alone
+    assert checked > 20
+
+
+def test_a_cnf_builds_one_clause_index(monkeypatch):
+    builds = []
+
+    def counting_engine(*args):
+        builds.append(args)
+        return engine_cls(*args)
+
+    engine_cls = core.Engine
+    monkeypatch.setattr(core, "Engine", counting_engine)
+    cnf = random_horn_cnf(3, 12, 30, 3)
+    keys = list(hk.iter_minimal_keys(cnf))
+    assert hk.is_key(cnf, keys[0])
+    assert list(hk.iter_minimal_keys(cnf, limit=2)) == keys[:2]
+    assert hk.neighbors(cnf, keys[0])
+    assert len(hk.build_key_graph(cnf).nodes) == len(keys)
+    assert len(builds) == 1
+    cnf.fresh_engine()  # still a build of its own
+    assert len(builds) == 2
 
 
 def test_enumeration_matches_brute_force():
