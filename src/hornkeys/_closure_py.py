@@ -2,11 +2,10 @@
 
 Twin of the compiled extension in ``_fastclosure``; both implement the same
 counter-based propagation and must return identical results.  One engine
-instance is bound to one clause list; ``calls`` counts closure computations
-(``closure`` and ``derives`` calls, and each drop ``minimize`` and
-``expand`` try) and is the basis for the enumeration delay instrumentation,
-so share an engine between threads only if you do not care about its
-counter: give each user a ``fork``, which shares the built index.
+instance is bound to one clause list and holds nothing else: every call
+works on scratch of its own, so an engine can be shared freely, across
+threads included.  ``expand`` reports the closure computations it ran,
+which the enumeration's delay counters add up.
 """
 
 from operator import index
@@ -32,7 +31,6 @@ class Engine:
             raise ValueError("bodies and heads must have equal length")
         self.n = n
         self.m = len(heads)
-        self.calls = 0
         self._heads = checked = []
         for h in map(index, heads):
             if h < 0 or h >= n:
@@ -57,7 +55,6 @@ class Engine:
 
     def closure(self, seed):
         """Return the sorted list of variables derivable from ``seed``."""
-        self.calls += 1
         in_f, queue = self._flag(seed)
         self._chain(in_f, queue, self.n)
         return [v for v in range(self.n) if in_f[v]]
@@ -65,15 +62,14 @@ class Engine:
     def derives(self, seed, target):
         """True iff ``target`` is in the closure of ``seed``.
 
-        Counts as one call, like :meth:`closure`.  After the seed is checked,
-        a target in the seed is True, a target that heads no clause is False,
-        a target with a clause body inside the seed is True, and otherwise
-        chaining stops as soon as ``target`` is derived.
+        After the seed is checked, a target in the seed is True, a target
+        that heads no clause is False, a target with a clause body inside the
+        seed is True, and otherwise chaining stops as soon as ``target`` is
+        derived.
         """
         target = index(target)
         if target < 0 or target >= self.n:
             raise _out_of_range(target, self.n)
-        self.calls += 1
         in_f, queue = self._flag(seed)
         if in_f[target]:
             return True
@@ -86,24 +82,24 @@ class Engine:
         """Shrink the key ``seed`` by greedy drops in ascending order.
 
         Returns the sorted minimal key.  Ascending order is the one
-        tie-breaking rule that makes enumeration output reproducible.  Each
-        drop tried counts one call, as ``derives(cur - {v}, v)`` would; a bad
-        seed raises before any call.  ``seed`` must be a key: then every
-        ``cur`` is one, and ``cur - {v}`` is a key exactly when it derives v.
+        tie-breaking rule that makes enumeration output reproducible.  A bad
+        seed raises before the first drop.  ``seed`` must be a key: then
+        every ``cur`` is one, and ``cur - {v}`` is a key exactly when it
+        derives v.
         Drops the suffix rule settles skip the test (see ``_kernel``).
         """
         in_k, _ = self._flag(seed)
         return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
 
     def expand(self, key):
-        """The out-neighbors of the minimal key ``key``, and the pairs tried.
+        """The out-neighbors of the minimal key ``key``, with their cost.
 
         Each pair (v ∈ key, clause A→v) gives the key (key ∖ {v}) ∪ A, which
         :meth:`minimize` shrinks; pairs go by v ascending, then clause input
         order, and a repeated result keeps its first place.  Returns the
-        list of frozensets and the number of pairs.  Calls grow as the
-        ``minimize`` calls would, by the size of each seed; a bad key raises
-        before any call.
+        list of frozensets, the number of pairs and the closures run, one
+        per drop tried: the sum of |(key ∖ {v}) ∪ A| over the pairs.  A bad
+        key raises before the first pair.
         """
         in_k, _ = self._flag(key)
         key = [v for v in range(self.n) if in_k[v]]
@@ -111,7 +107,7 @@ class Engine:
         shrink = self._shrink
         out = []
         seen = set()
-        tried = 0
+        tried = closures = 0
         for v in key:
             bodies = by_head[v]
             if not bodies:
@@ -124,24 +120,19 @@ class Engine:
                 cur = in_k[:]
                 for u in body:
                     cur[u] = 1
-                k2 = frozenset(shrink(cur, sorted(rest.union(body))))
+                seed = sorted(rest.union(body))
+                closures += len(seed)
+                k2 = frozenset(shrink(cur, seed))
                 if k2 not in seen:
                     seen.add(k2)
                     out.append(k2)
             in_k[v] = 1
-        return out, tried
-
-    def fork(self):
-        """An engine on the same built index, with its own ``calls`` at 0."""
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, calls=0)
-        return twin
+        return out, tried, closures
 
     def _shrink(self, in_k, key):
         # The greedy drops of ``minimize`` over the ascending ``key``, whose
         # variables ``in_k`` flags; clears the flags of the dropped ones and
         # returns the rest.
-        self.calls += len(key)
         one_step = self._one_step
         free = None  # by variable, the suffix rule's verdicts once a chain is due
         for v in key:

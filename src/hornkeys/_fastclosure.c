@@ -1,23 +1,22 @@
 /* Compiled forward-chaining kernel.
  *
  * Twin of ``_closure_py.Engine``: the same counter-based propagation, the
- * same argument checks in the same order, and the same results and
- * ``calls`` counts for identical inputs (see tests/test_kernel.py).  Built
- * by setup.py as a plain extension; it needs only the CPython C API.
+ * same argument checks in the same order, and the same results for
+ * identical inputs (see tests/test_kernel.py).  Built by setup.py as a plain
+ * extension; it needs only the CPython C API.
  *
  * The engine owns no Python objects, only flat arrays fixed at
  * construction: the head of each clause, the size of each body, the body
  * variables in clause order, a variable -> clause occurrence index and a
- * head -> clause index, all in CSR form.  ``derives`` answers from the seed
- * alone when it can: True for a target in the seed or with a clause body
- * inside it, False for a target that heads no clause.  ``minimize`` runs the
- * greedy ascending-drop loop of key minimization, one counted call per drop
- * tried; the suffix rule of the kernel contract in ``_kernel.py`` settles
- * some drops with no test.  ``expand`` runs that loop on each candidate of
- * a minimal key.  ``fork`` makes an engine that reads the same arrays and
- * keeps its own ``calls``: it holds a reference to the engine that owns
- * them, which alone frees them.  Each call allocates its own scratch, so a
- * seed iterable that calls back into the engine is safe.
+ * head -> clause index, all in CSR form.  No call writes to them.
+ * ``derives`` answers from the seed alone when it can: True for a target in
+ * the seed or with a clause body inside it, False for a target that heads no
+ * clause.  ``minimize`` runs the greedy ascending-drop loop of key
+ * minimization; the suffix rule of the kernel contract in ``_kernel.py``
+ * settles some drops with no test.  ``expand`` runs that loop on each
+ * candidate of a minimal key and counts the drops it tried.  Each call
+ * allocates its own scratch, so a seed iterable that calls back into the
+ * engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,8 +35,6 @@ typedef struct {
     Py_ssize_t *head_start;  /* n + 1: clauses with head h are head_item[head_start[h]..head_start[h+1]) */
     Py_ssize_t *head_item;
     Py_ssize_t *empty_heads; /* n_empty: heads of the clauses with empty bodies */
-    PyObject *owner;         /* for a fork, the engine that owns the arrays above; else NULL */
-    long calls;
 } Engine;
 
 /* The index held by ``obj``, checked against 0..n-1; -1 with an exception
@@ -62,19 +59,15 @@ static void
 Engine_dealloc(Engine *self)
 {
     PyTypeObject *tp = Py_TYPE(self);
-    if (self->owner)
-        Py_DECREF(self->owner);
-    else {
-        PyMem_Free(self->heads);
-        PyMem_Free(self->base_count);
-        PyMem_Free(self->body_start);
-        PyMem_Free(self->body_item);
-        PyMem_Free(self->occ_start);
-        PyMem_Free(self->occ_item);
-        PyMem_Free(self->head_start);
-        PyMem_Free(self->head_item);
-        PyMem_Free(self->empty_heads);
-    }
+    PyMem_Free(self->heads);
+    PyMem_Free(self->base_count);
+    PyMem_Free(self->body_start);
+    PyMem_Free(self->body_item);
+    PyMem_Free(self->occ_start);
+    PyMem_Free(self->occ_item);
+    PyMem_Free(self->head_start);
+    PyMem_Free(self->head_item);
+    PyMem_Free(self->empty_heads);
     tp->tp_free((PyObject *)self);
     Py_DECREF(tp);
 }
@@ -335,10 +328,10 @@ flagged_list(const unsigned char *in_f, Py_ssize_t n, Py_ssize_t size)
     return out;
 }
 
-/* Runs one counted call with fresh scratch: the closure of ``seed`` as a
- * sorted list when ``as_list``, else whether it derives ``target``. */
+/* Runs one call with fresh scratch: the closure of ``seed`` as a sorted
+ * list when ``as_list``, else whether it derives ``target``. */
 static PyObject *
-run(Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
+run(const Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
 {
     Py_ssize_t n = self->n, size = 0, top;
     /* One block: count[m], queue[n], then in_f[n + 1]. */
@@ -353,7 +346,6 @@ run(Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
     queue = scratch + self->m;
     in_f = (unsigned char *)(scratch + words);
     memset(in_f, 0, n + 1);
-    self->calls++;
     if ((top = flag_seed(self, seed, in_f, queue)) < 0)
         r = -1;
     else if (as_list)
@@ -398,11 +390,11 @@ Engine_derives(Engine *self, PyObject *args, PyObject *kwds)
 }
 
 /* The greedy drops of ``minimize`` over key[0..nk), ascending, whose
- * variables ``in_k`` flags: clears the flags of the dropped ones, counts one
- * call per drop tried and returns how many stay.  in_f, free_, queue and
- * count are scratch of n + 1, n, n and m entries. */
+ * variables ``in_k`` flags: clears the flags of the dropped ones and returns
+ * how many stay.  in_f, free_, queue and count are scratch of n + 1, n, n
+ * and m entries. */
 static Py_ssize_t
-shrink(Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *in_k,
+shrink(const Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *in_k,
        unsigned char *in_f, unsigned char *free_, Py_ssize_t *queue, Py_ssize_t *count)
 {
     Py_ssize_t n = self->n, size = nk, i, j, top, closed, v;
@@ -410,7 +402,6 @@ shrink(Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *in_k,
 
     /* The suffix rule's flags are filled at the first drop that one step
      * cannot decide, and only for a seed of more than half the variables. */
-    self->calls += nk;
     for (i = 0; i < nk; i++) {
         v = key[i];
         in_k[v] = 0;
@@ -505,7 +496,7 @@ static PyObject *
 Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"key", NULL};
-    Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0;
+    Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0, closures = 0;
     /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
     Py_ssize_t words = self->m + 3 * n;
@@ -543,6 +534,7 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
                 if (cur[u])
                     seed[ns++] = u;
             }
+            closures += ns;
             shrink(self, seed, ns, cur, in_f, free_, queue, scratch);
             if (!(k2 = flagged_set(cur, seed, ns)))
                 goto fail;
@@ -557,7 +549,7 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
     }
     Py_DECREF(seen);
     PyMem_Free(scratch);
-    return Py_BuildValue("(Nn)", out, tried);
+    return Py_BuildValue("(Nnn)", out, tried, closures);
 
 fail:
     Py_XDECREF(out);
@@ -566,45 +558,29 @@ fail:
     return NULL;
 }
 
-static PyObject *
-Engine_fork(Engine *self, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *owner = self->owner ? self->owner : (PyObject *)self;
-    Engine *twin = (Engine *)Py_TYPE(self)->tp_alloc(Py_TYPE(self), 0);
-
-    if (!twin)
-        return NULL;
-    /* The fields from n up to owner are the built index. */
-    memcpy(&twin->n, &self->n, offsetof(Engine, owner) - offsetof(Engine, n));
-    twin->owner = Py_NewRef(owner);
-    return (PyObject *)twin;
-}
-
 static PyMethodDef Engine_methods[] = {
     {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_VARARGS | METH_KEYWORDS,
      "Return the sorted list of variables derivable from ``seed``."},
     {"derives", (PyCFunction)(void (*)(void))Engine_derives, METH_VARARGS | METH_KEYWORDS,
      "True iff ``target`` is in the closure of ``seed``.\n\n"
-     "Counts as one call, like closure.  A target in the seed or with a\n"
-     "clause body inside it is True, one that heads no clause is False;\n"
-     "otherwise chaining stops as soon as ``target`` is derived."},
+     "A target in the seed or with a clause body inside it is True, one\n"
+     "that heads no clause is False; otherwise chaining stops as soon as\n"
+     "``target`` is derived."},
     {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_VARARGS | METH_KEYWORDS,
      "Shrink the key ``seed`` by greedy drops in ascending order.\n\n"
-     "Returns the sorted minimal key; each drop tried counts one call."},
+     "Returns the sorted minimal key."},
     {"expand", (PyCFunction)(void (*)(void))Engine_expand, METH_VARARGS | METH_KEYWORDS,
-     "The out-neighbors of the minimal key ``key``, and the pairs tried.\n\n"
+     "The out-neighbors of the minimal key ``key``, with their cost.\n\n"
      "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
      "minimize shrinks; returns the distinct results as frozensets in\n"
-     "first-seen order and the number of pairs."},
-    {"fork", (PyCFunction)Engine_fork, METH_NOARGS,
-     "An engine on the same built index, with its own ``calls`` at 0."},
+     "first-seen order, the number of pairs and the closures run, one per\n"
+     "drop tried."},
     {NULL, NULL, 0, NULL},
 };
 
 static PyMemberDef Engine_members[] = {
     {"n", T_PYSSIZET, offsetof(Engine, n), READONLY, "number of variables"},
     {"m", T_PYSSIZET, offsetof(Engine, m), READONLY, "number of clauses"},
-    {"calls", T_LONG, offsetof(Engine, calls), 0, "closure computations so far"},
     {NULL, 0, 0, 0, NULL},
 };
 

@@ -19,19 +19,19 @@ the one kernel contract, ``Engine(n, bodies, heads)`` with:
   seed of more than half the variables, and fill it in at the first drop
   that one step cannot decide, with one closure grown from the top of the
   seed down that stops once it holds every variable;
-- ``expand(key)``: for a minimal key K, the pair ``(out, tried)``.  Each
-  pair (v ∈ K, clause A→v) gives the key (K ∖ {v}) ∪ A, which ``minimize``
-  shrinks; ``out`` lists the results as frozensets, by v ascending and then
-  clause input order, each kept at its first place only, and ``tried``
-  counts the pairs.  This is the key-graph step of the enumeration
-  (Lucchesi and Osborn), run on the engine's own head index;
-- ``fork()``: an engine on the same built index, with its own ``calls``
-  starting at 0; it stays valid after the engine it came from is gone;
-- ``calls``: how many ``closure`` and ``derives`` calls the engine ran, plus
-  one per drop ``minimize`` tried, so ``expand`` adds the size of each seed
-  it shrinks (a rejected target, seed or key counts none);
+- ``expand(key)``: for a minimal key K, the triple ``(out, tried,
+  closures)``.  Each pair (v ∈ K, clause A→v) gives the key (K ∖ {v}) ∪ A,
+  which ``minimize`` shrinks; ``out`` lists the results as frozensets, by v
+  ascending and then clause input order, each kept at its first place only,
+  ``tried`` counts the pairs, and ``closures`` is the sum of
+  |(K ∖ {v}) ∪ A| over them: one closure computation per drop tried, as in
+  the delay bound, whatever the shortcuts above settle.  This is the
+  key-graph step of Lucchesi and Osborn, "Candidate keys for relations"
+  (1978), run on the engine's own head index;
 - ``n`` and ``m``.
 
+These are the only public names.  An engine is an immutable index: no call
+changes it, so one engine serves any number of callers and threads.
 Out-of-range indices raise ``ValueError`` at construction and at each call.
 """
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._kernel import Engine
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, _is_int, _not_an_int
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,9 @@ class VariableUniverse:
         return frozenset(range(self.n))
 
 
-def _is_int(v) -> bool:
-    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_index(v, n: int) -> bool:
     """The vertex-id rule: an int, not a bool, in 0..n-1."""
     return _is_int(v) and 0 <= v < n
-
-
-def _not_an_int(v, what: str) -> InputError:
-    return InputError(f"{what} must be an int, got {v!r}")
 
 
 def _index(v, n: int, what: str) -> int:
@@ -105,7 +97,7 @@ def _as_varset(s: Iterable[int], n: int, what: str = "variable index") -> frozen
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HornClause:
     """One implication ``body -> head``; a head inside the body is rejected."""
 
@@ -163,8 +155,8 @@ class HornCNF:
     def engine(self) -> Engine:
         """Shared closure engine for this CNF (built lazily, then cached).
 
-        It holds the CNF's one clause index; a caller that needs a call
-        counter of its own, such as an enumeration run, takes a ``fork()``.
+        It holds the CNF's one clause index and no other state, so every
+        caller, enumeration runs included, uses this one engine.
         """
         if self._engine is None:
             self._engine = self.fresh_engine()
@@ -200,7 +192,7 @@ def horn_cnf(n, implications, labels=None) -> HornCNF:
 def forward_closure(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
     """Least superset of ``s`` closed under firing every clause it contains."""
     seed = _as_varset(s, cnf.n)
-    return frozenset(cnf.engine().closure(sorted(seed)))
+    return frozenset(cnf.engine().closure(seed))
 
 
 def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
@@ -212,13 +204,13 @@ def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
 def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:
     """True iff the closure of ``k`` is the whole universe."""
     seed = _as_varset(k, cnf.n)
-    return len(cnf.engine().closure(sorted(seed))) == cnf.n
+    return len(cnf.engine().closure(seed)) == cnf.n
 
 
 def minimize_key(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
     """Shrink the key ``s`` to a minimal key by greedy ascending-order drops."""
     seed = _as_varset(s, cnf.n)
-    closed = frozenset(cnf.engine().closure(sorted(seed)))
+    closed = frozenset(cnf.engine().closure(seed))
     if len(closed) != cnf.n:
         raise ContractError(
             f"set {sorted(seed)} is not a key; its closure misses "

@@ -32,9 +32,20 @@ DEFAULT_DUAL_CAP = 10**6
 DEFAULT_BF_MAX_VARS = 16
 
 
+def _is_int(v) -> bool:
+    """The int rule of every count, size and id argument: an int, not a bool."""
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+
+
+def _not_an_int(v, what: str) -> InputError:
+    return InputError(f"{what} must be an int, got {v!r}")
+
+
 def _guard(override, name, default):
     """``override`` when given, else the environment variable ``name``, else ``default``."""
     if override is not None:
+        if not _is_int(override):
+            raise _not_an_int(override, f"guard override for {name}")
         return override
     raw = os.environ.get(name)
     if raw is None:

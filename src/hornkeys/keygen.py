@@ -3,11 +3,11 @@
 The enumerator walks a directed graph on the minimal keys: from a key K,
 each pair (v ∈ K, clause A→v) yields the candidate S = (K ∖ {v}) ∪ A, which
 is always a key and minimizes to an out-neighbor.  The closure kernel runs
-that step, ``Engine.expand``; each walk runs on a ``fork`` of the CNF's one
-engine, so the clause index is built once per CNF while every walk counts
-its own closures.  The walk keeps a LIFO queue of pending keys and a visited
-set; before a key is output all its out-neighbors are generated and the
-unseen ones queued, which bounds the number of closure computations between
+that step, ``Engine.expand``, on the CNF's one engine, and reports the
+closure computations it ran; each walk adds those counts up in locals of its
+own.  The walk keeps a LIFO queue of pending keys and a visited set; before
+a key is output all its out-neighbors are generated and the unseen ones
+queued, which bounds the number of closure computations between
 consecutive outputs by m·(n+1)+1.
 """
 
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .core import HornCNF, _as_varset, _is_int, _not_an_int, is_key
-from .errors import ContractError, ResourceGuardError
+from .core import HornCNF, _as_varset, is_key
+from .errors import ContractError, ResourceGuardError, _is_int, _not_an_int
 
 
 @dataclass
@@ -66,28 +66,31 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
 
     Pop a key, expand all its out-neighbors, queue the unseen ones, then
     yield ``(key, out_neighbors, newly_discovered)``; ``stats`` is brought
-    up to date before each yield, which is the key's emission.  The walk's
-    fork of the CNF's engine makes the counters describe this run alone.
+    up to date before each yield, which is the key's emission.  Between
+    two emissions the walk runs one ``expand``, so its closure count is the
+    delay.
     """
-    engine = cnf.engine().fork()
+    engine = cnf.engine()
     first = frozenset(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
-    prev_mark = None  # closure count at the previous emission
+    closures = cnf.n  # the first minimize tries one drop per variable
+    startup = True
     while pending:
         key = pending.pop()
-        out, tried = engine.expand(key)
+        out, tried, spent = engine.expand(key)
+        closures += spent
         stats.candidates += tried
         new = [k2 for k2 in out if k2 not in visited]
         visited.update(new)
         pending += new
-        if prev_mark is None:
-            stats.startup_closures = engine.calls
+        if startup:
+            stats.startup_closures = closures
+            startup = False
         else:
-            stats.max_delay_closures = max(stats.max_delay_closures, engine.calls - prev_mark)
-        prev_mark = engine.calls
+            stats.max_delay_closures = max(stats.max_delay_closures, spent)
         stats.keys += 1
-        stats.closures = engine.calls
+        stats.closures = closures
         yield key, out, new
 
 

@@ -240,11 +240,11 @@ def graphic_matroid_cuts(h: Graph, max_edges: Optional[int] = None) -> SpernerHy
 
 def bf_spanning_trees(h: Graph, budget: Optional[int] = None) -> set[frozenset[int]]:
     """All spanning trees as sets of edge indices, by scanning (n-1)-subsets."""
+    cap = subset_budget(budget)
     m = len(h.edges)
     n = h.n
     if n == 0:
         return set()
-    cap = subset_budget(budget)
     examined = 0
     out = set()
     for combo in combinations(range(m), n - 1):

@@ -21,11 +21,16 @@ from .core import (
     VariableUniverse,
     _as_varset,
     _index,
-    _is_int,
-    _not_an_int,
     is_key,
 )
-from .errors import ContractError, InputError, ResourceGuardError, subset_budget
+from .errors import (
+    ContractError,
+    InputError,
+    ResourceGuardError,
+    _is_int,
+    _not_an_int,
+    subset_budget,
+)
 from .hypergraph import Graph
 from .keygen import (
     KeyEnumerationStats,
@@ -103,6 +108,8 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
     Σ_v C(deg v, t v), polynomial only for bounded thresholds, so thresholds
     above ``max_threshold`` raise a resource error naming the vertex.
     """
+    if not _is_int(max_threshold):
+        raise _not_an_int(max_threshold, "max_threshold")
     adj = tg.graph.adj_masks()
     clauses = []
     for v in range(tg.n):
@@ -257,15 +264,14 @@ def enumerate_minimal_target_sets(
     return enumerate_minimal_keys(tss_to_horn(tg, max_threshold), sink, limit=limit)
 
 
-def _cardinality_search(n: int, predicate, budget: Optional[int], forced) -> frozenset[int]:
+def _cardinality_search(n: int, predicate, cap: int, forced) -> frozenset[int]:
     # Ascending size, lexicographic within a size; the first hit is the
     # lexicographically smallest optimum.  Only supersets of ``forced``, which
-    # every feasible set holds, are examined and counted against the budget.
+    # every feasible set holds, are examined and counted against ``cap``.
     # The first hit is the same as in a scan of all subsets, because the
     # order of two equal-size sets depends only on their symmetric difference.
     forced = tuple(sorted(forced))
     rest = sorted(set(range(n)).difference(forced))
-    cap = subset_budget(budget)
     examined = 0
     for size in range(len(rest) + 1):
         for combo in combinations(rest, size):
@@ -285,10 +291,11 @@ def minimum_key(cnf: HornCNF, budget: Optional[int] = None) -> frozenset[int]:
     Every key holds the variables that head no clause, so only their
     supersets are examined, and ``budget`` counts those supersets.
     """
+    cap = subset_budget(budget)
     engine = cnf.engine()
     n = cnf.n
     forced = set(range(n)).difference(c.head for c in cnf.clauses)
-    return _cardinality_search(n, lambda c: len(engine.closure(c)) == n, budget, forced)
+    return _cardinality_search(n, lambda c: len(engine.closure(c)) == n, cap, forced)
 
 
 def minimum_target_set(tg: ThresholdGraph, budget: Optional[int] = None) -> frozenset[int]:
@@ -298,6 +305,7 @@ def minimum_target_set(tg: ThresholdGraph, budget: Optional[int] = None) -> froz
     target set holds it; only supersets of those vertices are examined, and
     ``budget`` counts those supersets.
     """
+    cap = subset_budget(budget)
     adj = tg.graph.adj_masks()
     forced = [v for v, t in enumerate(tg.thresholds) if t > adj[v].bit_count()]
-    return _cardinality_search(tg.n, lambda c: len(activate(tg, c)) == tg.n, budget, forced)
+    return _cardinality_search(tg.n, lambda c: len(activate(tg, c)) == tg.n, cap, forced)

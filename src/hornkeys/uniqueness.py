@@ -19,8 +19,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._bitset import bits_of, set_of
-from .core import _is_index, _is_int, _not_an_int
-from .errors import ContractError, InputError, ResourceGuardError, subset_budget
+from .core import _is_index
+from .errors import (
+    ContractError,
+    InputError,
+    ResourceGuardError,
+    _is_int,
+    _not_an_int,
+    subset_budget,
+)
 from .hypergraph import (
     Graph,
     SpernerHypergraph,
@@ -60,7 +67,8 @@ class Witness:
 def verify_witness(w: Witness, obj) -> bool:
     """Re-check a witness against the definition it claims to violate.
 
-    Data other than a (set or frozenset, vertex) pair of ids 0..n-1 is rejected.
+    Data other than a (set or frozenset, vertex) pair of ids 0..n-1 is
+    rejected, and so is a graph for a hypergraph kind, or the reverse.
     """
     if type(w.data) is not tuple or len(w.data) != 2:
         return False
@@ -68,7 +76,7 @@ def verify_witness(w: Witness, obj) -> bool:
     if not isinstance(s, (set, frozenset)) or not all(_is_index(u, obj.n) for u in (v, *s)):
         return False
     if w.kind == "transversal-pair-missing":
-        if v in s or not is_transversal(obj, s):
+        if not isinstance(obj, SpernerHypergraph) or v in s or not is_transversal(obj, s):
             return False
         # Another minimal transversal inside T ∪ {v} misses some u ∈ T, so it
         # exists iff some (T ∪ {v}) - {u} is a transversal.  That test also
@@ -76,6 +84,8 @@ def verify_witness(w: Witness, obj) -> bool:
         tv = s | {v}
         return not any(is_transversal(obj, tv - {u}) for u in s)
     if w.kind == "no-individual-neighbor":
+        if not isinstance(obj, Graph):
+            return False
         adj = obj.adj
         if v not in s or any(adj[u] & s for u in s):
             return False  # not independent
@@ -86,7 +96,7 @@ def verify_witness(w: Witness, obj) -> bool:
     if w.kind == "addable-clause":
         full = obj.universe.full_set()
         # No clause of Φ_B fires on an independent A, so v ∉ A makes A→v a non-implicate.
-        if any(e <= s for e in obj.edges) or v in s:
+        if not isinstance(obj, SpernerHypergraph) or any(e <= s for e in obj.edges) or v in s:
             return False
         return v not in support_union(project(obj, full - s))
     raise InputError(f"unknown witness kind {w.kind!r}")
@@ -141,12 +151,12 @@ def addable_clauses(
     support union of the projection of B to V ∖ A.  B is unique key iff the
     list is empty.  Exponential scan over all A ⊆ V; desk scale only.
     """
+    budget = subset_budget(budget)
     _require_edges(b)
     n = b.n
-    if (1 << n) > subset_budget(budget):
+    if (1 << n) > budget:
         raise ResourceGuardError(
-            f"addable-clause scan over 2^{n} subsets exceeds budget "
-            f"{subset_budget(budget)}"
+            f"addable-clause scan over 2^{n} subsets exceeds budget {budget}"
         )
     edge_masks = b.edge_masks()
     full = (1 << n) - 1

@@ -1,5 +1,8 @@
 """Closure, keys, minimization, equivalence."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -179,6 +182,22 @@ def test_unhashable_ids_are_input_errors(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_horn_clause_is_a_slotted_frozen_value():
+    clause = hk.HornClause([2, 0], 1)
+    assert not hasattr(clause, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(clause)), copy.deepcopy(clause), copy.copy(clause)):
+        assert twin == clause and hash(twin) == hash(clause)
+        assert (twin.body, twin.head) == (frozenset({0, 2}), 1)
+    assert hash(clause) == hash(hk.HornClause({0, 2}, 1))
+    assert dataclasses.replace(clause, head=3) == hk.HornClause({0, 2}, 3)
+    with pytest.raises(InputError, match="tautology"):
+        dataclasses.replace(clause, head=0)  # replace runs the same checks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clause.head = 3
+    with pytest.raises((AttributeError, TypeError)):
+        clause.weight = 1  # slots leave no room for a new attribute
 
 
 def test_empty_bodies_and_empty_cnf():

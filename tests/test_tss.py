@@ -13,7 +13,9 @@ from hornkeys.oracles import (
     bf_min_target_set,
     bf_minimal_keys,
     bf_minimal_target_sets,
+    bf_spanning_trees,
     bf_target_sets,
+    graphic_matroid_cuts,
     random_horn_cnf,
     random_threshold_graph,
 )
@@ -137,6 +139,38 @@ def test_minimum_target_set_budget_guard():
     with pytest.raises(ResourceGuardError):
         hk.minimum_target_set(tg, budget=1)
     assert hk.minimum_target_set(tg, budget=2) == {0, 1}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "10"])
+def test_guard_overrides_follow_the_int_rule(bad, wheel_tss):
+    # Each used to run with the value (True reading as 1, 2.5 as itself) or
+    # fail with a raw TypeError; now each raises before any work.  The CNF
+    # builds no engine, and the star's threshold 4 does not trip the guard.
+    b = hk.sperner(4, [{0, 1}, {2, 3}])
+    square = hk.graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cnf = hk.horn_cnf(3, [({0}, 1), ({1}, 2)])
+    guarded = [
+        ("HORNKEYS_DUAL_CAP", lambda: hk.minimal_transversals(b, bad)),
+        ("HORNKEYS_DUAL_CAP", lambda: hk.is_unique_key_hypergraph(b, bad)),
+        ("HORNKEYS_SUBSET_BUDGET", lambda: hk.addable_clauses(b, bad)),
+        ("HORNKEYS_SUBSET_BUDGET", lambda: hk.minimum_key(cnf, bad)),
+        ("HORNKEYS_SUBSET_BUDGET", lambda: hk.minimum_target_set(wheel_tss, bad)),
+        ("HORNKEYS_SUBSET_BUDGET", lambda: bf_spanning_trees(square, bad)),
+        ("HORNKEYS_BF_MAX_VARS", lambda: bf_minimal_keys(cnf, bad)),
+        ("HORNKEYS_BF_MAX_VARS", lambda: graphic_matroid_cuts(square, bad)),
+    ]
+    for name, call in guarded:
+        with pytest.raises(InputError, match=f"^guard override for {name} must be an int, got "):
+            call()
+    assert cnf._engine is None
+    star = hk.ThresholdGraph(hk.graph(6, [(0, v) for v in range(1, 6)]), [4, 1, 1, 1, 1, 1])
+    for call in (
+        lambda: hk.tss_to_horn(star, bad),
+        lambda: hk.iter_minimal_target_sets(star, max_threshold=bad),
+        lambda: hk.enumerate_minimal_target_sets(star, print, max_threshold=bad),
+    ):
+        with pytest.raises(InputError, match="^max_threshold must be an int, got "):
+            call()
 
 
 def test_minimum_searches_match_the_oracles():

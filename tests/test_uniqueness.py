@@ -111,6 +111,17 @@ def test_witness_vertex_set_must_be_a_set(container, chain_family):
         assert not hk.verify_witness(hk.Witness(kind, (container(s), v)), obj)
 
 
+@pytest.mark.parametrize(
+    "kind, on_graph",
+    [("addable-clause", True), ("transversal-pair-missing", True), ("no-individual-neighbor", False)],
+)
+def test_witness_on_an_object_of_another_type_fails_verification(kind, on_graph):
+    # These used to raise TypeError or AttributeError from the kind's check.
+    b = hk.sperner(4, [{0, 1}, {2, 3}])
+    g = hk.graph(4, [(0, 1), (2, 3)])
+    assert not hk.verify_witness(hk.Witness(kind, ({0}, 2)), g if on_graph else b)
+
+
 def test_graph_witness_that_is_not_independent_fails_verification():
     # Maximal and without an individual neighbor for v, but holding an edge.
     triangle = hk.graph(3, [(0, 1), (0, 2), (1, 2)])
