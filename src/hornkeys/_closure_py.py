@@ -1,14 +1,24 @@
 """Pure-Python forward-chaining kernel.
 
 Twin of the compiled extension in ``_fastclosure``; both implement the same
-counter-based propagation and must return identical results.  One engine
+counter-based propagation and must return identical results, but for the
+entries of the verdicts, which only this twin keeps.  One engine
 instance is bound to one clause list and holds nothing else: every call
 works on scratch of its own, so an engine can be shared freely, across
 threads included.  ``expand`` reports the closure computations it ran,
-which the enumeration's delay counters add up.
+which the enumeration's delay counters add up, and hands back the verdicts
+of the drop tests it chained, which the next call may take as ``prior``
+(see ``_kernel``).
 """
 
 from operator import index
+
+# The entries one ``expand`` call stores are capped so that their closure
+# flags, n + 1 per entry, come to at most this many times the engine's size
+# n + m + Σ|body|.  With no cap, an expansion whose drop tests all chain and
+# fail would keep one entry per drop tried: O(m·n²) references.  Walks of
+# random sparse CNFs (n = 36, m = 108) stored at most 7.04 times the size.
+_MEMO_SIZES = 16
 
 
 class Engine:
@@ -52,6 +62,7 @@ class Engine:
         # Tuples hold no spare room: a ``HornCNF`` keeps its engine for life.
         self._occ = tuple(map(tuple, occ))
         self._by_head = tuple(map(tuple, by_head))
+        self._memo_cap = _MEMO_SIZES * (n + self.m + sum(self._base_count)) // (n + 1)
 
     def closure(self, seed):
         """Return the sorted list of variables derivable from ``seed``."""
@@ -91,16 +102,26 @@ class Engine:
         in_k, _ = self._flag(seed)
         return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
 
-    def expand(self, key):
+    def expand(self, key, prior=None):
         """The out-neighbors of the minimal key ``key``, with their cost.
 
         Each pair (v ∈ key, clause A→v) gives the key (key ∖ {v}) ∪ A, which
         :meth:`minimize` shrinks; pairs go by v ascending, then clause input
         order, and a repeated result keeps its first place.  Returns the
-        list of frozensets, the number of pairs and the closures run, one
-        per drop tried: the sum of |(key ∖ {v}) ∪ A| over the pairs.  A bad
-        key raises before the first pair.
+        list of frozensets, the number of pairs, the closures run, one per
+        drop tried: the sum of |(key ∖ {v}) ∪ A| over the pairs, and this
+        call's drop-test verdicts.  ``prior``, the verdicts of an earlier
+        call on this engine, settles drop tests with no chain.  The verdicts
+        and the results with a prior are defined only for a key ``key``.  A
+        bad prior or key raises before the first pair.
         """
+        if prior is None:
+            older = None
+        elif type(prior) is Verdicts and getattr(prior, "_engine", None) is self:
+            older = prior._tested
+        else:
+            raise TypeError("prior must be None or the verdicts of an expand call on this engine")
+        memo = {}
         in_k, _ = self._flag(key)
         key = [v for v in range(self.n) if in_k[v]]
         by_head = self._by_head
@@ -122,18 +143,23 @@ class Engine:
                     cur[u] = 1
                 seed = sorted(rest.union(body))
                 closures += len(seed)
-                k2 = frozenset(shrink(cur, seed))
+                k2 = frozenset(shrink(cur, seed, memo, older))
                 if k2 not in seen:
                     seen.add(k2)
                     out.append(k2)
             in_k[v] = 1
-        return out, tried, closures
+        return out, tried, closures, _verdicts(self, memo)
 
-    def _shrink(self, in_k, key):
+    def _shrink(self, in_k, key, memo=None, older=None):
         # The greedy drops of ``minimize`` over the ascending ``key``, whose
         # variables ``in_k`` flags; clears the flags of the dropped ones and
-        # returns the rest.
+        # returns the rest.  ``memo`` and ``older``, when given, map each set
+        # an earlier drop test chained from, as a sorted tuple, to the
+        # closure flags the chain left, or to True when it derived its
+        # target: a test of such a set reads its verdict there.  Each chained
+        # test adds its entry to ``memo`` while it holds fewer than the cap.
         one_step = self._one_step
+        cap = self._memo_cap
         free = None  # by variable, the suffix rule's verdicts once a chain is due
         for v in key:
             in_k[v] = 0
@@ -145,7 +171,19 @@ class Engine:
                     free = self._suffix_free(key[key.index(v):])
                     if free[v]:
                         continue
-                found = self._chain(in_k[:], [u for u in key if in_k[u]], v)
+                rest = [u for u in key if in_k[u]]
+                if memo is not None:
+                    y = tuple(rest)
+                    found = memo.get(y)
+                    if found is None and older:
+                        found = older.get(y)
+                    if found is not None and found is not True:
+                        found = found[v]
+                if found is None:
+                    in_f = in_k[:]
+                    found = self._chain(in_f, rest, v)
+                    if memo is not None and len(memo) < cap:
+                        memo[y] = True if found else in_f
             if not found:
                 in_k[v] = 1
         return [v for v in key if in_k[v]]
@@ -238,6 +276,37 @@ class Engine:
                         in_f[h] = 1
                         push(h)
         return False
+
+
+class Verdicts:
+    """The drop-test verdicts of one ``Engine.expand`` call, for the next.
+
+    For each chained test, up to the cap, its set as a sorted tuple maps to
+    the closure flags the chain left, or to True when it derived its target.
+    Only ``expand`` makes one, and only the engine that made it takes it
+    back.
+    """
+
+    __slots__ = ("_engine", "_tested")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("verdicts are made only by Engine.expand")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("verdicts are immutable")
+
+    def __reduce__(self):
+        raise TypeError(f"cannot pickle '{__name__}.Verdicts' object")
+
+    def __len__(self):
+        return len(self._tested)
+
+
+def _verdicts(engine, tested):
+    made = object.__new__(Verdicts)
+    object.__setattr__(made, "_engine", engine)
+    object.__setattr__(made, "_tested", tested)
+    return made
 
 
 def _out_of_range(v, n):

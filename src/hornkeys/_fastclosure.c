@@ -14,9 +14,12 @@
  * clause.  ``minimize`` runs the greedy ascending-drop loop of key
  * minimization; the suffix rule of the kernel contract in ``_kernel.py``
  * settles some drops with no test.  ``expand`` runs that loop on each
- * candidate of a minimal key and counts the drops it tried.  Each call
- * allocates its own scratch, so a seed iterable that calls back into the
- * engine is safe.
+ * candidate of a minimal key and counts the drops it tried.  Its chains
+ * are cheap enough that a table of earlier drop tests, as the pure twin
+ * keeps, saves about what it costs: the ``Verdicts`` it returns hold no
+ * entries, and a ``prior`` is checked, then unused.  Each call allocates
+ * its own scratch, so a seed iterable that calls back into the engine is
+ * safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -492,21 +495,60 @@ flagged_set(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk)
     return out;
 }
 
+/* The drop-test verdicts of one ``expand`` call: the engine that made
+ * them, and no entries (see the header).  Only ``expand`` makes one, and
+ * only the engine that made it takes it back. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *engine;
+} Verdicts;
+
+static PyTypeObject *Verdicts_type;
+
+static PyObject *
+Verdicts_new(PyTypeObject *Py_UNUSED(type), PyObject *Py_UNUSED(args), PyObject *Py_UNUSED(kwds))
+{
+    PyErr_SetString(PyExc_TypeError, "verdicts are made only by Engine.expand");
+    return NULL;
+}
+
+static void
+Verdicts_dealloc(Verdicts *self)
+{
+    PyTypeObject *tp = Py_TYPE(self);
+    Py_DECREF(self->engine);
+    tp->tp_free((PyObject *)self);
+    Py_DECREF(tp);
+}
+
+static Py_ssize_t
+Verdicts_len(Verdicts *Py_UNUSED(self))
+{
+    return 0;
+}
+
 static PyObject *
 Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"key", NULL};
+    static char *kwlist[] = {"key", "prior", NULL};
     Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0, closures = 0;
     /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
     Py_ssize_t words = self->m + 3 * n;
     Py_ssize_t *scratch, *queue, *key, *seed;
     unsigned char *in_k, *cur, *in_f, *free_;
-    PyObject *key_obj, *out = NULL, *seen = NULL, *k2;
+    PyObject *key_obj, *prior = Py_None, *out = NULL, *seen = NULL, *k2;
+    Verdicts *verdicts;
     int r;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &key_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", kwlist, &key_obj, &prior))
         return NULL;
+    if (prior != Py_None
+        && (Py_TYPE(prior) != Verdicts_type || ((Verdicts *)prior)->engine != (PyObject *)self)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "prior must be None or the verdicts of an expand call on this engine");
+        return NULL;
+    }
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 4 * n + 3)))
         return PyErr_NoMemory();
     queue = scratch + self->m;
@@ -547,9 +589,12 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
         }
         in_k[v] = 1;
     }
+    if (!(verdicts = PyObject_New(Verdicts, Verdicts_type)))
+        goto fail;
+    verdicts->engine = Py_NewRef(self);
     Py_DECREF(seen);
     PyMem_Free(scratch);
-    return Py_BuildValue("(Nnn)", out, tried, closures);
+    return Py_BuildValue("(NnnN)", out, tried, closures, verdicts);
 
 fail:
     Py_XDECREF(out);
@@ -573,8 +618,10 @@ static PyMethodDef Engine_methods[] = {
      "The out-neighbors of the minimal key ``key``, with their cost.\n\n"
      "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
      "minimize shrinks; returns the distinct results as frozensets in\n"
-     "first-seen order, the number of pairs and the closures run, one per\n"
-     "drop tried."},
+     "first-seen order, the number of pairs, the closures run, one per\n"
+     "drop tried, and this call's drop-test verdicts, which hold no entries\n"
+     "here.  ``prior`` must be None or the verdicts of an earlier call on\n"
+     "this engine."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -597,6 +644,18 @@ static PyType_Spec Engine_spec = {
     "hornkeys._fastclosure.Engine", sizeof(Engine), 0, Py_TPFLAGS_DEFAULT, Engine_slots,
 };
 
+static PyType_Slot Verdicts_slots[] = {
+    {Py_tp_doc, "The drop-test verdicts of one Engine.expand call, for the next."},
+    {Py_tp_new, Verdicts_new},
+    {Py_tp_dealloc, Verdicts_dealloc},
+    {Py_sq_length, Verdicts_len},
+    {0, NULL},
+};
+
+static PyType_Spec Verdicts_spec = {
+    "hornkeys._fastclosure.Verdicts", sizeof(Verdicts), 0, Py_TPFLAGS_DEFAULT, Verdicts_slots,
+};
+
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_fastclosure", "Compiled forward-chaining kernel.", -1,
     NULL, NULL, NULL, NULL, NULL,
@@ -607,6 +666,8 @@ PyInit__fastclosure(void)
 {
     PyObject *mod, *type;
 
+    if (!Verdicts_type && !(Verdicts_type = (PyTypeObject *)PyType_FromSpec(&Verdicts_spec)))
+        return NULL;
     mod = PyModule_Create(&module);
     if (!mod)
         return NULL;

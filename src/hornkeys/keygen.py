@@ -8,7 +8,11 @@ closure computations it ran; each walk adds those counts up in locals of its
 own.  The walk keeps a LIFO queue of pending keys and a visited set; before
 a key is output all its out-neighbors are generated and the unseen ones
 queued, which bounds the number of closure computations between
-consecutive outputs by m·(n+1)+1.
+consecutive outputs by m·(n+1)+1.  Each expansion also gets the drop-test
+verdicts of the one before it, which on the pure kernel settle the tests
+it repeats without a chain; the verdicts of older expansions are dropped,
+so what one expansion consults stays below twice that bound, and outputs
+and counts are those of expansions run alone.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
     yield ``(key, out_neighbors, newly_discovered)``; ``stats`` is brought
     up to date before each yield, which is the key's emission.  Between
     two emissions the walk runs one ``expand``, so its closure count is the
-    delay.
+    delay; each ``expand`` gets the verdicts of the one before.
     """
     engine = cnf.engine()
     first = frozenset(engine.minimize(range(cnf.n)))
@@ -76,9 +80,10 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
     visited = {first}
     closures = cnf.n  # the first minimize tries one drop per variable
     startup = True
+    verdicts = None
     while pending:
         key = pending.pop()
-        out, tried, spent = engine.expand(key)
+        out, tried, spent, verdicts = engine.expand(key, verdicts)
         closures += spent
         stats.candidates += tried
         new = [k2 for k2 in out if k2 not in visited]

@@ -5,8 +5,12 @@ temporary directory for these tests, so they run against the current source
 whether or not the package was built in place.
 """
 
+import copy
 import importlib.util
+import pickle
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -290,25 +294,28 @@ def test_expand_matches_a_loop_of_minimize(engine_cls):
             seed = _seeds(n, rng.randrange(1 << n))
             key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
             expected = _reference_expand(eng, bodies, heads, key)
-            assert eng.expand(key) == expected
+            assert eng.expand(key)[:3] == expected
             checked += bool(expected[1])
     assert checked > 200
 
 
 def test_expand_basics(engine_cls):
+    def expand(eng, key):
+        return eng.expand(key)[:3]
+
     # 0 <-> 1, {0, 2} -> 3, {} -> 4: minimal keys {0, 2} and {1, 2}
     eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
-    assert eng.expand([1, 2]) == ([frozenset({0, 2})], 1, 2)
-    assert eng.expand(iter([2, 0])) == ([frozenset({1, 2})], 1, 2)
+    assert expand(eng, [1, 2]) == ([frozenset({0, 2})], 1, 2)
+    assert expand(eng, iter([2, 0])) == ([frozenset({1, 2})], 1, 2)
     # 1 -> 0 twice, 0 -> 1: both pairs give {1}, kept once, each seed {1}
     eng = engine_cls(2, [[1], [1], [0]], [0, 0, 1])
-    assert eng.expand({0}) == ([frozenset({1})], 2, 2)
+    assert expand(eng, {0}) == ([frozenset({1})], 2, 2)
     # {1, 2} -> 0, 0 -> 1, 0 -> 2: from {1, 2} the seeds {0, 2} and {0, 1}
     eng = engine_cls(3, [[1, 2], [0], [0]], [0, 1, 2])
-    assert eng.expand([0]) == ([frozenset({1, 2})], 1, 2)
-    assert eng.expand([1, 2]) == ([frozenset({0})], 2, 4)
-    assert engine_cls(0, [], []).expand([]) == ([], 0, 0)
-    assert engine_cls(2, [], []).expand([0, 1]) == ([], 0, 0)
+    assert expand(eng, [0]) == ([frozenset({1, 2})], 1, 2)
+    assert expand(eng, [1, 2]) == ([frozenset({0})], 2, 4)
+    assert expand(engine_cls(0, [], []), []) == ([], 0, 0)
+    assert expand(engine_cls(2, [], []), [0, 1]) == ([], 0, 0)
 
 
 @pytest.mark.parametrize("key", [[0, 1, 5], [0, -1], [2**80], None, [1, 0.0], ["0"], 3])
@@ -322,20 +329,86 @@ def test_expand_rejects_a_bad_key(compiled, key):
     assert errors[0] is errors[1]
 
 
+def _twin_pairs(k):
+    # 0 <-> 1, 2 <-> 3, ... for k pairs: the 2**k minimal keys take one of
+    # each pair.
+    return 2 * k, [[v ^ 1] for v in range(2 * k)], list(range(2 * k))
+
+
+_TWINS = _twin_pairs(3)
+
+
+_BAD_PRIOR = "prior must be None or the verdicts of an expand call on this engine"
+
+
+@pytest.mark.parametrize(
+    "kind", ["int", "tuple", "expand's result", "another engine", "the other backend", "a type"]
+)
+def test_expand_rejects_a_bad_prior(compiled, kind):
+    errors = []
+    for cls, other in ((_closure_py.Engine, compiled.Engine), (compiled.Engine, _closure_py.Engine)):
+        eng = cls(*_TWINS)
+        result = eng.expand([0, 2, 4])
+        prior = {
+            "int": 0,
+            "tuple": (),
+            "expand's result": result,
+            "another engine": cls(*_TWINS).expand([0, 2, 4])[3],  # the same clauses
+            "the other backend": other(*_TWINS).expand([0, 2, 4])[3],
+            "a type": type(result[3]),
+        }[kind]
+        key = iter([1, 2, 4])
+        with pytest.raises(TypeError) as info:
+            eng.expand(key, prior)
+        assert next(key) == 1  # raised before it read the key
+        errors.append(str(info.value))
+        assert eng.expand([1, 2, 4], result[3])[:3] == eng.expand([1, 2, 4])[:3]
+    assert errors == [_BAD_PRIOR] * 2
+
+
+def test_verdicts_cannot_be_made_or_changed_outside_expand(compiled):
+    errors = []
+    for cls in (_closure_py.Engine, compiled.Engine):
+        eng = cls(*_TWINS)
+        verdicts = eng.expand([0, 2, 4])[3]
+        kind = type(verdicts)
+        for forge in (lambda: kind(), lambda: kind(eng, {})):
+            with pytest.raises(TypeError) as info:
+                forge()
+            errors.append(str(info.value))
+        for copy_of in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError):
+                copy_of(verdicts)
+        for name in ("extra", "_tested", "_engine"):
+            with pytest.raises(AttributeError):
+                setattr(verdicts, name, {})
+        # An instance made without its constructor is refused by expand, if
+        # it can be made at all.
+        try:
+            blank = object.__new__(kind)
+        except TypeError:
+            continue
+        with pytest.raises(TypeError, match=_BAD_PRIOR):
+            eng.expand([1, 2, 4], blank)
+    assert errors == ["verdicts are made only by Engine.expand"] * 4
+
+
 def _clauses_of_a_cnf(seed, n, m):
     cnf = random_horn_cnf(seed, n, m)
     return [sorted(c.body) for c in cnf.clauses], [c.head for c in cnf.clauses]
 
 
-def _walk(eng, expand):
+def _walk(eng, expand, limit=None):
     # The walk of ``keygen._walk``: the keys in pop order, the pairs tried
-    # and the closures spent, the first minimize's n included.
+    # and the closures spent, the first minimize's n included.  ``expand``
+    # takes the engine, a key and the verdicts it returned last.
     first = frozenset(eng.minimize(range(eng.n)))
     pending, visited, order = [first], {first}, []
     tried = closures = 0
-    while pending:
+    verdicts = None
+    while pending and len(order) != limit:
         key = pending.pop()
-        out, pairs, spent = expand(eng, key)
+        out, pairs, spent, verdicts = expand(eng, key, verdicts)
         tried += pairs
         closures += spent
         new = [k for k in out if k not in visited]
@@ -350,9 +423,124 @@ def test_walk_on_expand_matches_a_walk_on_minimize(engine_cls):
         n, m = (12, 30) if seed % 2 else (16, 40)
         bodies, heads = _clauses_of_a_cnf(seed, n, m)
         eng = engine_cls(n, bodies, heads)
-        got = _walk(eng, lambda e, key: e.expand(key))
-        expected = _walk(eng, lambda e, key: _reference_expand(e, bodies, heads, key))
+        got = _walk(eng, lambda e, key, prior: e.expand(key, prior))
+        expected = _walk(eng, lambda e, key, _: (*_reference_expand(e, bodies, heads, key), None))
         assert got == expected
+
+
+def _expansions(eng, hand_on, limit=None):
+    # Every expansion of a walk, as (key, out, tried, closures), the walk
+    # handing each expansion the verdicts of the one before or none; and
+    # the entries of all the verdicts, one per chained drop test.
+    calls = []
+    entries = 0
+
+    def expand(e, key, prior):
+        nonlocal entries
+        out, tried, closures, verdicts = e.expand(key, prior if hand_on else None)
+        calls.append((sorted(key), out, tried, closures))
+        entries += len(verdicts)
+        return out, tried, closures, verdicts
+
+    _walk(eng, expand, limit)
+    return calls, entries
+
+
+def test_handing_on_verdicts_changes_no_expansion(engine_cls):
+    # Sparse random CNFs, and CNFs with empty bodies, some with duplicate
+    # clauses; n = 0 first.
+    rng = random.Random(0x7E4D)
+    walks = chained = settled = 0
+    for i in range(160):
+        n = rng.randint(1, 14) if i else 0
+        if i % 2:
+            bodies, heads = _clauses_of_a_cnf(i, n, rng.randint(n, 3 * n))
+        else:
+            bodies, heads = _few_units(rng, n, rng.randint(n, 5 * n))
+        if bodies and rng.random() < 0.5:
+            for j in rng.sample(range(len(bodies)), min(3, len(bodies))):
+                bodies.append(bodies[j])
+                heads.append(heads[j])
+        eng = engine_cls(n, bodies, heads)
+        handed, entries = _expansions(eng, True, limit=60)
+        alone, alone_entries = _expansions(eng, False, limit=60)
+        assert handed == alone
+        walks += len(handed) > 1
+        chained += entries
+        settled += alone_entries - entries
+    assert walks > 70
+    if engine_cls is _closure_py.Engine:
+        assert settled > chained // 10
+    else:
+        assert chained == settled == 0  # the compiled kernel keeps no entries
+
+
+def test_verdicts_settle_repeated_drop_tests():
+    # Every drop test here chains: one step never decides it, and seeds of
+    # half the variables are too small for the suffix rule.  Expanding
+    # {0, 2, 4} tests nine pairs; expanding {1, 2, 4} tests nine too, seven
+    # of them already tested, so with the first call's verdicts it chains two.
+    eng = _closure_py.Engine(*_TWINS)
+    out, tried, closures, first = eng.expand([0, 2, 4])
+    assert (tried, closures, len(first)) == (3, 9, 9)
+    assert out == [frozenset({1, 2, 4}), frozenset({0, 3, 4}), frozenset({0, 2, 5})]
+    fresh = eng.expand([1, 2, 4])
+    handed = eng.expand([1, 2, 4], first)
+    assert handed[:3] == fresh[:3] == (
+        [frozenset({0, 2, 4}), frozenset({1, 3, 4}), frozenset({1, 2, 5})], 3, 9
+    )
+    assert (len(fresh[3]), len(handed[3])) == (9, 2)
+    # The verdicts are this call's alone: the second call's two entries do
+    # not hold the seven sets it read from the first call's.
+    assert len(eng.expand([0, 2, 4], handed[3])[3]) == 9
+
+
+def test_verdicts_stay_within_the_closure_count():
+    """Each entry of a call's verdicts is one drop test that it chained, and
+    a call chains at most one test per drop tried: len(verdicts) <= closures.
+    A call runs at most m pairs on seeds of at most n variables, so
+    closures <= m·n, and what an expansion consults, its own entries and its
+    prior's, is at most 2·m·n <= 2·(m(n+1)+1) entries: twice the delay bound.
+    The memory cap bounds it further (see the next test).
+    """
+    n, bodies, heads = _twin_pairs(8)
+    eng = _closure_py.Engine(n, bodies, heads)
+    counts = []
+
+    def expand(e, key, prior):
+        out, tried, closures, verdicts = e.expand(key, prior)
+        counts.append((len(verdicts), closures))
+        return out, tried, closures, verdicts
+
+    order, _, _ = _walk(eng, expand)
+    assert len(order) == 256
+    assert all(entries <= closures <= len(heads) * n for entries, closures in counts)
+    assert any(entries for entries, _ in counts)
+
+
+def test_verdicts_keep_within_a_memory_budget():
+    """A call stores at most ``_MEMO_SIZES * (n + m + Σ|body|) // (n + 1)``
+    entries, each at most n variables and n + 1 flags: its memory is linear
+    in the engine's size.  On 80 twin pairs every one of the 6,400 drop
+    tests of an expansion chains and fails, so with no cap each would keep
+    its set and its n + 1 flags, about 13 MB, where the cap keeps 47.
+    """
+    n, bodies, heads = _twin_pairs(80)
+    eng = _closure_py.Engine(n, bodies, heads)
+    cap = _closure_py._MEMO_SIZES * (n + len(heads) + n) // (n + 1)
+    budget = cap * (8 * (2 * n + 1) + 256)  # the entries' references, plus headers
+    key = list(range(0, n, 2))
+    first = eng.expand(key)[3]
+    tracemalloc.start()
+    try:
+        out, _, closures, verdicts = eng.expand([1, *key[1:]], first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert closures == 80 * 80 and len(first) == len(verdicts) == cap == 47
+    # All variables are small ints, which take no memory of their own.
+    out_bytes = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
+    assert peak - out_bytes <= 2 * budget  # the entries, and the scratch
 
 
 @pytest.mark.parametrize(
@@ -475,14 +663,25 @@ _PROPERTY_SETTINGS = settings(
 def test_backends_agree_on_random_input(compiled, data, cnf):
     py, cc = _closure_py.Engine(*cnf), compiled.Engine(*cnf)
     n = cnf[0]
+    priors = {py: None, cc: None}  # each engine gets its own last verdicts
+
+    def expand(eng, seed):
+        return eng.expand(seed)[:3]
+
+    def expand_a_key(eng, seed):
+        # Verdicts are defined for a key argument only: the seed, checked,
+        # is made one, and the walk's verdicts are handed on.
+        key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
+        out, tried, closures, priors[eng] = eng.expand(key, priors[eng])
+        return out, tried, closures
+
     for _ in range(6):
         seed = data.draw(_seed_lists(n))
         target = data.draw(st.integers(-1, n))
-        calls = [
-            ("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,)), ("expand", (seed,))
-        ]
-        for method, args in calls:
+        for method, args in [("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,))]:
             assert _outcome(getattr(py, method), *args) == _outcome(getattr(cc, method), *args)
+        for call in (expand, expand_a_key):
+            assert _outcome(call, py, seed) == _outcome(call, cc, seed)
 
 
 @_PROPERTY_SETTINGS
