@@ -84,7 +84,9 @@ def _write(path, text: str):
 
 
 def _id(v: int, universe, names: bool):
-    return universe.name(v) if names else v + 1
+    """The label of ``v`` when ``names`` asks for it and the input has labels;
+    otherwise its 1-based id."""
+    return universe.name(v) if names and universe.labels is not None else v + 1
 
 
 def _ids(s, universe, names: bool) -> list:
@@ -142,22 +144,21 @@ _WITNESS_LABELS = {"transversal-pair-missing": "T", "no-individual-neighbor": "I
 
 def _emit_verdict(args, command: str, ok: bool, witness, universe) -> int:
     """``unique``/``not unique`` plus the witness, if any; exit 0 or 1."""
-    names = universe.labels is not None  # labels whenever the input has them
     shown = None
     if witness is not None:
         s, v = witness.data
         label = _WITNESS_LABELS[witness.kind]
         shown = {
             "kind": witness.kind,
-            label: _ids(s, universe, names),
-            "v": _id(v, universe, names),
+            label: _ids(s, universe, True),  # labels whenever the input has them
+            "v": _id(v, universe, True),
         }
     if args.json:
         print(_payload(command, ok, shown))
     else:
         print("unique" if ok else "not unique")
         if shown is not None:
-            print(f"{label}: {_line(s, universe, names)}")
+            print(f"{label}: {_line(s, universe, True)}")
             print(f"v: {shown['v']}")
     return 0 if ok else 1
 
@@ -384,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("keys", cmd_keys, "enumerate all minimal keys of a horn file")
     sp.add_argument("--limit", type=int, default=None, help="stop after this many keys")
     sp.add_argument("--stats", action="store_true", help="append a stats comment line")
-    sp.add_argument("--names", action="store_true", help="print labels instead of ids")
+    sp.add_argument(
+        "--names", action="store_true", help="print labels instead of ids when the input has them"
+    )
 
     sp = add("key-min", cmd_key_min, "greedily minimize a key given with --set")
     sp.add_argument("--set", required=True, help="candidate key, e.g. '1,3' or 'a c'")

@@ -4,20 +4,24 @@ The enumerator walks a directed graph on the minimal keys: from a key K,
 each pair (v ∈ K, clause A→v) yields the candidate S = (K ∖ {v}) ∪ A, which
 is always a key and minimizes to an out-neighbor.  The closure kernel runs
 that step, ``Engine.expand``, on the CNF's one engine, and reports the
-closure computations it ran; each walk adds those counts up in locals of its
-own.  The walk keeps a LIFO queue of pending keys and a visited set; before
-a key is output all its out-neighbors are generated and the unseen ones
-queued, which bounds the number of closure computations between
-consecutive outputs by m·(n+1)+1.  Each expansion also gets the drop-test
-verdicts of the one before it, which on the pure kernel settle the tests
-it repeats without a chain; the verdicts of older expansions are dropped,
-so what one expansion consults stays below twice that bound, and outputs
-and counts are those of expansions run alone.
+closure computations it ran; each walk adds those counts up in counters of
+its own.  The walk keeps a LIFO queue of pending keys and a visited set.  It
+emits a key as soon as it pops it, then generates all its out-neighbors and
+queues the unseen ones before it pops the next: the first key costs one
+greedy minimization of V, one expansion runs between two emissions and one
+after the last, which bounds the closure computations between consecutive
+outputs by m·(n+1)+1, and a caller that stops after the k-th key never pays
+for that key's expansion.  Each expansion also gets the drop-test verdicts
+of the one before it, which on the pure kernel settle the tests it repeats
+without a chain; the verdicts of older expansions are dropped, so what one
+expansion consults stays below twice that bound, and outputs and counts are
+those of expansions run alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .core import HornCNF, _as_varset, is_key
@@ -28,11 +32,16 @@ from .errors import ContractError, ResourceGuardError, _is_int, _not_an_int
 class KeyEnumerationStats:
     """Counters for one enumeration run.
 
-    ``closures`` counts every forward-closure computation of the run;
-    ``startup_closures`` covers the work before the first emission (initial
-    greedy minimization plus the first expansion); ``max_delay_closures`` is
-    the largest number of closures between consecutive emissions, which the
-    delay bound m·(n+1)+1 applies to.
+    ``keys`` counts the keys emitted so far and ``candidates`` the pairs
+    (v, clause) the expansions tried; ``closures`` counts every
+    forward-closure computation run: n for the initial greedy minimization,
+    plus each expansion that has run.  A key is emitted before it is
+    expanded, so at the i-th emission the counters hold i keys and the
+    expansions of the i − 1 keys before it, and a run stopped by its limit
+    after k keys holds k − 1 expansions.  ``startup_closures`` is n plus the
+    first key's expansion once it has run; ``max_delay_closures`` is the
+    largest later expansion, the work between two emissions or after the
+    last, which the delay bound m·(n+1)+1 applies to.
     """
 
     keys: int = 0
@@ -65,38 +74,41 @@ def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
     return engine.expand(key)[0]
 
 
-def _walk(cnf: HornCNF, stats: KeyEnumerationStats):
+def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable] = None):
     """The traversal of D_Φ shared by enumeration and the key graph.
 
-    Pop a key, expand all its out-neighbors, queue the unseen ones, then
-    yield ``(key, out_neighbors, newly_discovered)``; ``stats`` is brought
-    up to date before each yield, which is the key's emission.  Between
-    two emissions the walk runs one ``expand``, so its closure count is the
-    delay; each ``expand`` gets the verdicts of the one before.
+    Pop a key and yield it, which is its emission; once resumed, expand it,
+    queue its unseen out-neighbors and pop the next.  ``stats`` counts each
+    key as it is yielded and each expansion once it has run, and
+    ``expanded(key, out_neighbors, newly_discovered)``, when given, hears of
+    each expansion.  Between two emissions, and after the last, the walk
+    runs one ``expand``, so its closure count is the delay; each ``expand``
+    gets the verdicts of the one before.  A caller that stops after a key
+    skips that key's expansion.
     """
     engine = cnf.engine()
     first = frozenset(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
-    closures = cnf.n  # the first minimize tries one drop per variable
-    startup = True
+    # the first minimize tries one drop per variable
+    stats.closures = stats.startup_closures = cnf.n
     verdicts = None
     while pending:
         key = pending.pop()
+        stats.keys += 1
+        yield key
         out, tried, spent, verdicts = engine.expand(key, verdicts)
-        closures += spent
+        stats.closures += spent
         stats.candidates += tried
+        if key is first:
+            stats.startup_closures = stats.closures
+        else:
+            stats.max_delay_closures = max(stats.max_delay_closures, spent)
         new = [k2 for k2 in out if k2 not in visited]
         visited.update(new)
         pending += new
-        if startup:
-            stats.startup_closures = closures
-            startup = False
-        else:
-            stats.max_delay_closures = max(stats.max_delay_closures, spent)
-        stats.keys += 1
-        stats.closures = closures
-        yield key, out, new
+        if expanded is not None:
+            expanded(key, out, new)
 
 
 def _check_limit(limit) -> None:
@@ -121,14 +133,9 @@ def iter_minimal_keys(
 
 
 def _limited(cnf: HornCNF, limit: Optional[int], stats: KeyEnumerationStats):
-    if limit is not None and limit <= 0:
-        return
-    emitted = 0
-    for key, _, _ in _walk(cnf, stats):
-        emitted += 1
-        yield key
-        if limit is not None and emitted >= limit:
-            return
+    # islice asks for no key past the limit, so the last key is never expanded
+    if limit is None or limit > 0:
+        yield from islice(_walk(cnf, stats), limit)
 
 
 def enumerate_minimal_keys(
@@ -158,12 +165,18 @@ def build_key_graph(cnf: HornCNF, max_keys: int = 100_000) -> KeyGraph:
         raise _not_an_int(max_keys, "max_keys")
     nodes = []
     arcs = []
-    for key, out, new in _walk(cnf, KeyEnumerationStats()):
+
+    def expanded(key, out, new):
+        arcs.extend((key, k2) for k2 in out)
+        nodes.extend(new)
+
+    # Checked at each pop, before that key's expansion: the first key counts
+    # at once, and the keys an expansion discovers are queued, so a pop
+    # follows every expansion that adds any.
+    for key in _walk(cnf, KeyEnumerationStats(), expanded):
         if not nodes:
             nodes.append(key)
-        arcs += [(key, k2) for k2 in out]
-        nodes += new
-        if new and len(nodes) > max_keys:
+        if len(nodes) > max_keys:
             raise ResourceGuardError(f"key graph exceeds {max_keys} minimal keys")
     return KeyGraph(tuple(nodes), tuple(arcs))
 

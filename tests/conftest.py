@@ -1,8 +1,45 @@
-"""Shared fixtures: a handful of small instances reused across the suite."""
+"""Shared fixtures: a handful of small instances reused across the suite,
+and the closure kernel on each backend."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import hornkeys as hk
+from hornkeys import _closure_py
+
+C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "hornkeys" / "_fastclosure.c"
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The ``_fastclosure`` module compiled from source; skips without a C compiler."""
+    from setuptools import Distribution, Extension
+    from setuptools.errors import CCompilerError, ExecError, PlatformError
+
+    out = tmp_path_factory.mktemp("fastclosure")
+    dist = Distribution({"ext_modules": [Extension("_fastclosure", [str(C_SOURCE)])]})
+    cmd = dist.get_command_obj("build_ext")
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    try:
+        cmd.ensure_finalized()
+        cmd.run()
+    except (CCompilerError, ExecError, PlatformError) as e:
+        pytest.skip(f"no C compiler to build the compiled kernel: {e}")
+    spec = importlib.util.spec_from_file_location("_fastclosure", cmd.get_ext_fullpath("_fastclosure"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The pure twin keeps the test id its class name gave it.
+@pytest.fixture(params=["python", "c"], ids=["Engine", "compiled"])
+def engine_cls(request):
+    if request.param == "python":
+        return _closure_py.Engine
+    return request.getfixturevalue("compiled").Engine
 
 
 @pytest.fixture(scope="session")

@@ -77,6 +77,32 @@ def test_keys_limit_and_names(run, tmp_path):
     assert out.splitlines() == ["c d"]
 
 
+UNNAMED_WHEEL_TSS = WHEEL_TSS.replace("names a b c d e\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["keys"], PHI_HORN),
+        (["key-min", "--set", "1,2,3"], PHI_HORN),
+        (["tss-enum"], UNNAMED_WHEEL_TSS),
+        (["tss-activate", "--seed-set", "5"], UNNAMED_WHEEL_TSS),
+        (["tss-min"], UNNAMED_WHEEL_TSS),
+    ],
+    ids=["keys", "key-min", "tss-enum", "tss-activate", "tss-min"],
+)
+def test_names_on_a_file_without_labels_prints_ids(run, tmp_path, argv, text):
+    # The schema's vertex is an integer id unless the file carries names;
+    # --names once turned those ids into strings in JSON.
+    argv = [argv[0], _file(tmp_path, "in", text), *argv[1:]]
+    code, out, _ = run([*argv, "--json", "--names"])
+    assert code == 0
+    assert '"1"' not in out and '"2"' not in out
+    assert (code, out) == run([*argv, "--json"])[:2]
+    _json_ok(out)
+    assert run([*argv, "--names"]) == run(argv)
+
+
 def test_keys_json(run, tmp_path):
     f = _file(tmp_path, "phi.horn", PHI_HORN)
     code, out, _ = run(["keys", f, "--json"])

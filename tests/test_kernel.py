@@ -6,12 +6,10 @@ whether or not the package was built in place.
 """
 
 import copy
-import importlib.util
 import pickle
 import random
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,39 +18,6 @@ from hypothesis import strategies as st
 import hornkeys as hk
 from hornkeys import _closure_py
 from hornkeys.oracles import random_horn_cnf
-
-C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "hornkeys" / "_fastclosure.c"
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The ``_fastclosure`` module compiled from source; skips without a C compiler."""
-    from setuptools import Distribution, Extension
-    from setuptools.errors import CCompilerError, ExecError, PlatformError
-
-    out = tmp_path_factory.mktemp("fastclosure")
-    dist = Distribution({"ext_modules": [Extension("_fastclosure", [str(C_SOURCE)])]})
-    cmd = dist.get_command_obj("build_ext")
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    try:
-        cmd.ensure_finalized()
-        cmd.run()
-    except (CCompilerError, ExecError, PlatformError) as e:
-        pytest.skip(f"no C compiler to build the compiled kernel: {e}")
-    spec = importlib.util.spec_from_file_location("_fastclosure", cmd.get_ext_fullpath("_fastclosure"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# The pure twin keeps the test id its class name gave it.
-@pytest.fixture(params=["python", "c"], ids=["Engine", "compiled"])
-def engine_cls(request):
-    if request.param == "python":
-        return _closure_py.Engine
-    return request.getfixturevalue("compiled").Engine
-
 
 def test_backend_constant():
     assert hk.BACKEND in ("python", "c")
@@ -399,9 +364,10 @@ def _clauses_of_a_cnf(seed, n, m):
 
 
 def _walk(eng, expand, limit=None):
-    # The walk of ``keygen._walk``: the keys in pop order, the pairs tried
-    # and the closures spent, the first minimize's n included.  ``expand``
-    # takes the engine, a key and the verdicts it returned last.
+    # The walk of ``keygen._walk``, stopped after ``limit`` expansions: the
+    # keys expanded in pop order, the pairs tried and the closures spent,
+    # the first minimize's n included.  ``expand`` takes the engine, a key
+    # and the verdicts it returned last.
     first = frozenset(eng.minimize(range(eng.n)))
     pending, visited, order = [first], {first}, []
     tried = closures = 0

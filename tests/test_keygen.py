@@ -153,6 +153,117 @@ def test_a_cnf_builds_one_clause_index(monkeypatch):
     assert len(builds) == 2
 
 
+class _ExpandSpy:
+    """An engine that records the key of each ``expand`` call."""
+
+    def __init__(self, engine, calls):
+        self._engine = engine
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def expand(self, key, prior=None):
+        self._calls.append(frozenset(key))
+        return self._engine.expand(key, prior)
+
+
+@pytest.fixture
+def backend(engine_cls, monkeypatch):
+    """CNFs made in the test build their engine from ``engine_cls``."""
+    monkeypatch.setattr(core, "Engine", engine_cls)
+    return engine_cls
+
+
+@pytest.fixture
+def expand_calls(backend, monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "Engine", lambda *args: _ExpandSpy(backend(*args), calls))
+    return calls
+
+
+def test_a_key_is_emitted_before_it_is_expanded(expand_calls):
+    cnf = random_horn_cnf(3, 12, 30, 3)
+    walk = hk.iter_minimal_keys(cnf)
+    first = next(walk)
+    assert first == hk.first_minimal_key(cnf)
+    assert expand_calls == []
+    second = next(walk)
+    assert expand_calls == [first]
+    third = next(walk)
+    assert expand_calls == [first, second]
+    keys = [first, second, third, *walk]
+    assert expand_calls == keys  # the last key too, once the walk runs out
+    expand_calls.clear()
+    assert list(hk.iter_minimal_keys(cnf, limit=3)) == keys[:3]
+    assert expand_calls == keys[:2]
+
+
+def _reference_walk(cnf, expansions):
+    # The walk of ``keygen._walk`` run by hand on ``engine.expand`` and cut
+    # after ``expansions`` expansions: the keys it pops, with its counters.
+    eng = cnf.engine()
+    first = frozenset(eng.minimize(range(cnf.n)))
+    stats = hk.KeyEnumerationStats(closures=cnf.n, startup_closures=cnf.n)
+    pending, visited, keys = [first], {first}, []
+    verdicts = None
+    while pending:
+        keys.append(pending.pop())
+        if len(keys) > expansions:
+            break
+        out, tried, spent, verdicts = eng.expand(keys[-1], verdicts)
+        stats.closures += spent
+        stats.candidates += tried
+        if len(keys) == 1:
+            stats.startup_closures = stats.closures
+        else:
+            stats.max_delay_closures = max(stats.max_delay_closures, spent)
+        new = [k for k in out if k not in visited]
+        visited.update(new)
+        pending += new
+    stats.keys = len(keys)
+    return keys, stats
+
+
+def test_a_limit_of_k_runs_k_minus_1_expansions(backend):
+    rng = random.Random(37)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        cnf = random_horn_cnf(rng.randrange(2**32), n, rng.randint(n, 3 * n), 3)
+        stats = hk.KeyEnumerationStats()
+        everything = list(hk.iter_minimal_keys(cnf, stats=stats))
+        assert (everything, stats) == _reference_walk(cnf, len(everything))
+        for k in range(1, 7):
+            stats = hk.KeyEnumerationStats()
+            got = list(hk.iter_minimal_keys(cnf, k, stats))
+            assert got == everything[:k]
+            assert (got, stats) == _reference_walk(cnf, k - 1)
+
+
+def test_a_limit_of_one_costs_the_first_minimization_alone(backend):
+    for seed in range(20):
+        cnf = random_horn_cnf(seed, 12, 30, 3)
+        stats = hk.KeyEnumerationStats()
+        assert list(hk.iter_minimal_keys(cnf, 1, stats)) == [hk.first_minimal_key(cnf)]
+        assert stats == hk.KeyEnumerationStats(keys=1, closures=12, startup_closures=12)
+
+
+def test_a_walk_closed_halfway_leaves_the_engine_as_it_was(backend):
+    checked = 0
+    for seed in range(20):
+        cnf = random_horn_cnf(seed, 12, 30, 3)
+        keys = list(hk.iter_minimal_keys(cnf))
+        if len(keys) < 2:
+            continue
+        checked += 1
+        walk = hk.iter_minimal_keys(cnf)
+        assert [next(walk) for _ in keys[: len(keys) // 2]] == keys[: len(keys) // 2]
+        walk.close()
+        assert next(walk, None) is None
+        assert list(hk.iter_minimal_keys(cnf)) == keys
+    assert checked > 10
+
+
 def test_enumeration_matches_brute_force():
     rng = random.Random(32)
     for _ in range(200):
@@ -234,6 +345,17 @@ def test_key_graph_guard(phi_chain):
         hk.build_key_graph(phi_chain, max_keys=1)
 
 
+@pytest.mark.parametrize("max_keys", [0, -1])
+def test_key_graph_counts_the_first_key_before_any_expansion(max_keys, expand_calls):
+    # One key or three: the first key alone exceeds the guard, and it trips
+    # before the walk expands anything.
+    for cnf in (hk.horn_cnf(3, []), hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))):
+        with pytest.raises(ResourceGuardError, match=f"exceeds {max_keys} minimal keys"):
+            hk.build_key_graph(cnf, max_keys=max_keys)
+        assert expand_calls == []
+    assert len(hk.build_key_graph(hk.horn_cnf(3, []), max_keys=1).nodes) == 1
+
+
 def test_closure_layers(intro_cnf):
     layers = hk.closure_layers(intro_cnf, {0, 2})
     assert layers == [frozenset({0, 2}), frozenset({1, 3, 4})]
@@ -286,50 +408,55 @@ def test_rho_progress_toward_k2():
 
 
 # sha256 of (ordered keys, closures, candidates, startup_closures,
-# max_delay_closures) for each case, recorded before the kernel gained its
-# goal-directed shortcuts and ``minimize``.  Kernel speed-ups must leave every
-# one of these unchanged: the counters are part of the enumeration contract.
+# max_delay_closures) for each case.  The full and units records date from
+# before the kernel gained its goal-directed shortcuts and ``minimize``.  A
+# limited run that reaches its fifth key stops there, and the walk emits a
+# key before expanding it, so its record counts the expansions of the first
+# four keys only: the record of a walk that expanded all five, less the
+# fifth expansion.  A limited run with fewer keys runs to the end.  Kernel
+# speed-ups must leave every one of these unchanged: the counters are part
+# of the enumeration contract.
 COUNTER_DIGESTS = {
-    ("limited", 0): "df22669bd5cfcd9f06a33e74202290081664d27f161a1a2c5bde375f86b9d456",
-    ("limited", 1): "6a111c9311d62ac1d86fde4c181c45a7310e6e684e4117cee01450e958e1e500",
-    ("limited", 2): "059f229da47b23608f559074d09240488023bf3980f534e0134b4b838aa5572d",
+    ("limited", 0): "a7b0fb3b940fee0b1af8e81a9d19f497a9e64015b5ba2a3d67b30f4fed2f8db6",
+    ("limited", 1): "2780367504ec9caf8411e9ff5dd36a8ee495b3800421572106f37b8d0bf5ba92",
+    ("limited", 2): "8df7f7086ebcd19e297d84a39b8e4de1b53a7a79a7731eacc009424a550dcbf0",
     ("limited", 3): "fcac848635df22ec770f9c700cf2b63fb60c3ca2e719edd26a840a77e8681dca",
     ("limited", 4): "7d380d201edc0706588f12fedff9347dd3d24bc95087b9e3702329942ee7df85",
-    ("limited", 5): "08358d45d371a9c8e813318c4692e9c9910389838d2438d1ac56589073c084a6",
+    ("limited", 5): "f3bea394c55799b04a077653e3bf2006866b555f1dd16d4ce83226b889bf482e",
     ("limited", 6): "9e8df1abc490ae570e13b36b135734b4b4cecec7a7da8a63a5b1add0d636b4ab",
     ("limited", 7): "043163b8344d2d2524d44c4d20355f2aed929f8545eabf61f123bf6d62d184b0",
-    ("limited", 8): "bce5da8df88cdd5509f27f220519aec49827223fda8f8718a521006543543db9",
-    ("limited", 9): "fb78d40280dee2d4abc8ef6fb53eae374f7a0078a5548b006fd04e223452c5a5",
+    ("limited", 8): "6d1ed19f742292d4041c45dc82cd155701f1adb92c7c6e8615c88895c91fa709",
+    ("limited", 9): "adc626fda8d0ea19f4c154ec160c64f0f72b9c0d0debca88e6a0ab418580b169",
     ("limited", 10): "8960355cbdbf39d13800453f85d7d8ff2d214667af6ad78470ac62991e5edf8c",
-    ("limited", 11): "5d6356da6756b11882f405eeb205a5b75b2cee63e3ebef3335f7c39f3bdfaf46",
+    ("limited", 11): "f1f68bef254c38d5c2456bd0c4d5724313a3db9ad45e86b48b7ad95bafd3f2bf",
     ("limited", 12): "0b27b2c832a0f9391c972e409ee3c70492360e6713546f70faf740beed8ba1d4",
-    ("limited", 13): "fea4a968cd2f9aa364b1455845355a67e1e268aa3ed140838198eacfe79921bc",
+    ("limited", 13): "dfd0e55790f8c178f1f8c78f72591a1d484ea20e5f27dcc55d1aa139ddc9a894",
     ("limited", 14): "37a4b75ece34d44bfb3aa186bde89d0c91b0d0d06b1f0656b009d157e3678dd8",
     ("limited", 15): "bc7265057962d8ba88878208822ed81e8cc7fbc8d0b1e9a5600909aea8f33dc5",
     ("limited", 16): "124c80b5b48a0ce4baf8422e843854b885f639c9b881cfe4c3c804ed62f16442",
     ("limited", 17): "23a191dbe4d6fbf03355b54135a3c9f76d90f4dbf34934b0d6911b37f1c27c72",
-    ("limited", 18): "4babf180eca65653aff729f84ec4cfcc72a479f850167da0347686b03a7489f3",
-    ("limited", 19): "1ed16713f9e136d6363c4765061de10df5be4577ba263c2ca64735df41f60c11",
+    ("limited", 18): "886070cab15a05e2000ae849a42f3efbab3279568ec478b2427b00779cf2237e",
+    ("limited", 19): "2c8ec4c857144208bc6f62f8981d4902e1d5a0f7722e8214cf47912d00ed953d",
     ("limited", 20): "7c44420b77530f18ac51bcfed96e6ca4c1534785d59df98879290d1f6284baab",
-    ("limited", 21): "b69573243456b2716839e2b62c53208cdbad0ba7cdc480648b6c54900d0f3b92",
+    ("limited", 21): "0cb6ba0c8f37ee516099a0b8a80e3fd42d045a9758d940860648075f5839fb1c",
     ("limited", 22): "79016082cd7875837c5dd841796bac3d334d4603a4d61a44a9d6bd09e398bc03",
-    ("limited", 23): "eabce5b4eb241133717f762f0791d2facf10e8f50402faa2772c739ee2346d78",
-    ("limited", 24): "5f9c106d5d3ee79bc34af338e8dc60ea26d36d19e399b3124019169c7f3bfca2",
-    ("limited", 25): "ef058930b63686e7032160249cd1a2222982cb3ce8094635e390cd97d2c0b9ed",
+    ("limited", 23): "37bc52485ef8ab68995467dfb920078e586c868c4635f32c5056d2eb8ff8f0a1",
+    ("limited", 24): "a19b00de8c474ef6b8a836fb5229b3e2c85d7a90fb93608806f1cb4ae58c8959",
+    ("limited", 25): "bd41475822d283d3f4ba2f55f7004e622c3db9da06b5c31e73a4d205715d768f",
     ("limited", 26): "7b300ae5462c51122eb145b7ef583e60c917af226de7a92884f391ec0ceb1657",
-    ("limited", 27): "1384f2f02f7f4e1d0845edef2681356e6b0164596e528f75cc42493d6baf181f",
+    ("limited", 27): "c7704e7df3e2bd681f4811e0737dc37caaede02cc6933332567869b3b0989e09",
     ("limited", 28): "b6f5b5a138d76efa7c1dde266889c2bcf97c43d5296d26fae3e05a0ec6c0bdf9",
     ("limited", 29): "57d1c6806c16329518758b6953698a965bcb3f8e8d8d54133819fc255b3e464c",
     ("limited", 30): "a6ed04a61cb15a773c56a2d4e797e69fcecf2d8e955063b33a174ba73f46599b",
     ("limited", 31): "afc33a79604a0c5f39af4fe9866abbb882ee499d2bad81ca76abe2f23bdfa12a",
-    ("limited", 32): "d5a2ca0aae1588c341aff81aad322e79da29bee505bed126d5c500fa19052515",
+    ("limited", 32): "9f79f43ea2dc783e18089385356b20c84c6a96772192a7e93035717dda5bb42f",
     ("limited", 33): "6dd86790b346b1ba06aecb141ca2fb82f6df85e6e2ac031ef3b328c919c0d013",
-    ("limited", 34): "2b216f532294c1cec19b3ead4e96f86659194cb4002255a65ccd6355e73a466e",
-    ("limited", 35): "2bdf2daf0ff370da6db74cee462f23fb82ac68354674fb62cf3774b65f7551a0",
-    ("limited", 36): "98fb1eebfd33424f5c490d97ed2f7d53c55f4b409360dbacf53046f43ea8cd39",
-    ("limited", 37): "317948a0025a5f38f3f5cc2bc6c186a1db9b7c5644c33efc6dffe993558dcb62",
-    ("limited", 38): "075eb4b6f6bb26dd8c538080fa55159b47585cea8ba81d233a169a54c720d3b6",
-    ("limited", 39): "47fd429c909d1d6333d41f8c00ecc985917d70656a684a6a22ba322b4bb662df",
+    ("limited", 34): "569b14930203eb7f5300e73cb755de59bcac9ada6fa2016b36a049a5aef89637",
+    ("limited", 35): "2cde15bfaae23dfca53345cfa0da9fe69dfcdf0be61f278e36ba22470dc403aa",
+    ("limited", 36): "6fd691c82499835105df6d7139fdd4134a34eba0e2bdd6c1863f38562ae33430",
+    ("limited", 37): "96b1102acd6bc29ea7ca27e2ffb8e0f0bc4dfc2779ac837c54ae056fec678710",
+    ("limited", 38): "ee0b8fe54bd609295212cba106c02d901421dd908df139c644800d6714f64a7a",
+    ("limited", 39): "23eb5a5e316cf88522df6b7465756bfc0f2043e660938434ffc202d26c8f6534",
     ("full", 0): "cf9c1bc1381b2dca7970baa33870657cccdd184875d689cc90c08dbc56dd079d",
     ("full", 1): "d839f9873c5718fd959578d06fa9aaaa65853909ae07550854ef463777447d88",
     ("full", 2): "57806b01703cb24fb04aed3a8c7df0b2dbe4227058785973c031aa008cc3b556",
