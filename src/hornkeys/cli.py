@@ -18,7 +18,7 @@ import json
 import re
 import sys
 
-from .core import minimize_key
+from .core import _not_a_key, minimize_key
 from .errors import ContractError, InputError, ResourceGuardError
 from .formats import (
     parse_general_cnf,
@@ -204,7 +204,13 @@ def cmd_tss_enum(args) -> int:
 def cmd_key_min(args) -> int:
     cnf = parse_horn(_read(args.input))
     s = _parse_set(args.set, cnf.universe)
-    return _emit_set(args, "key-min", minimize_key(cnf, s), cnf.universe, args.names)
+    try:
+        key = minimize_key(cnf, s)
+    except ContractError as e:
+        # name the ids as the user gave them
+        why = _not_a_key(s, e.witness, cnf.n, lambda v: _id(v, cnf.universe, args.names))
+        raise ContractError(why, witness=e.witness) from None
+    return _emit_set(args, "key-min", key, cnf.universe, args.names)
 
 
 # --- recognizers -----------------------------------------------------------

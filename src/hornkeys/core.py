@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._kernel import Engine
-from .errors import ContractError, InputError, _is_int, _not_an_int
+from .errors import ContractError, InputError, _brief, _is_int, _not_an_int
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,18 @@ def minimize_key(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
     seed = _as_varset(s, cnf.n)
     closed = frozenset(cnf.engine().closure(seed))
     if len(closed) != cnf.n:
-        raise ContractError(
-            f"set {sorted(seed)} is not a key; its closure misses "
-            f"{sorted(cnf.universe.full_set() - closed)}",
-            witness=closed,
-        )
+        raise ContractError(_not_a_key(seed, closed, cnf.n), witness=closed)
     return frozenset(cnf.engine().minimize(seed))
+
+
+def _not_a_key(seed: frozenset[int], closed: frozenset[int], n: int, render=int) -> str:
+    """Why ``seed``, whose closure is ``closed``, is no key: each list names at
+    most five ids, each as ``render`` shows it."""
+    missing = (render(v) for v in range(n) if v not in closed)
+    return (
+        f"set {_brief(map(render, sorted(seed)), len(seed))} is not a key; "
+        f"its closure misses {_brief(missing, n - len(closed))}"
+    )
 
 
 def equivalent(cnf1: HornCNF, cnf2: HornCNF) -> bool:

@@ -9,6 +9,7 @@ Guard defaults can be overridden globally through environment variables
 """
 
 import os
+from itertools import islice
 
 
 class InputError(ValueError):
@@ -39,6 +40,14 @@ def _is_int(v) -> bool:
 
 def _not_an_int(v, what: str) -> InputError:
     return InputError(f"{what} must be an int, got {v!r}")
+
+
+def _brief(ids, count: int) -> str:
+    """The ``count`` ids that the iterable ``ids`` yields in order, as a list
+    of the first five plus how many more; only those five are drawn."""
+    shown = [str(v) for v in islice(ids, 5)]
+    more = f" and {count - len(shown)} more" if count > len(shown) else ""
+    return f"[{', '.join(shown)}]{more}"
 
 
 def _guard(override, name, default):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import HornClause, HornCNF, VariableUniverse
-from .errors import InputError
+from .errors import InputError, _brief
 from .hypergraph import Graph, SpernerHypergraph
 from .tss import ROLES, RoleMap, ThresholdGraph
 from .uniqueness import GeneralCNF
@@ -46,14 +46,8 @@ def _require_all(present, first: int, count: int, what: str) -> None:
     """
     short = count - len(present)
     if short > 0:
-        ids = []
-        v = first
-        while len(ids) < min(short, 5):
-            if v not in present:
-                ids.append(v + 1)
-            v += 1
-        more = f" and {short - len(ids)} more" if short > len(ids) else ""
-        raise InputError(f"missing {what} for vertices {ids}{more}")
+        missing = (v + 1 for v in range(first, first + count) if v not in present)
+        raise InputError(f"missing {what} for vertices {_brief(missing, short)}")
 
 
 def _records(text: str, magic: str, what: Optional[str] = None, names: bool = True):

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .core import HornCNF, _as_varset, is_key
-from .errors import ContractError, ResourceGuardError, _is_int, _not_an_int
+from .errors import ContractError, InputError, ResourceGuardError, _is_int, _not_an_int
 
 
 @dataclass
@@ -41,7 +41,9 @@ class KeyEnumerationStats:
     after k keys holds k − 1 expansions.  ``startup_closures`` is n plus the
     first key's expansion once it has run; ``max_delay_closures`` is the
     largest later expansion, the work between two emissions or after the
-    last, which the delay bound m·(n+1)+1 applies to.
+    last, which the delay bound m·(n+1)+1 applies to.  A walk sets all five
+    as it starts, so stats reused for a later run read as a fresh run's; a
+    limit of 0 starts no walk.
     """
 
     keys: int = 0
@@ -90,7 +92,9 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     first = frozenset(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
+    # every counter starts over, so a reused stats object reads as a fresh one;
     # the first minimize tries one drop per variable
+    stats.keys = stats.candidates = stats.max_delay_closures = 0
     stats.closures = stats.startup_closures = cnf.n
     verdicts = None
     while pending:
@@ -111,10 +115,18 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
             expanded(key, out, new)
 
 
+def _check_count(count, what: str) -> None:
+    """Refuse a count that is not a nonnegative int (a bool is no int)."""
+    if not _is_int(count):
+        raise _not_an_int(count, what)
+    if count < 0:
+        raise InputError(f"{what} must be nonnegative, got {count}")
+
+
 def _check_limit(limit) -> None:
-    """Refuse a key limit that is neither None nor an int (a bool is no int)."""
-    if limit is not None and not _is_int(limit):
-        raise _not_an_int(limit, "limit")
+    """Refuse a key limit that is neither None nor a count."""
+    if limit is not None:
+        _check_count(limit, "limit")
 
 
 def iter_minimal_keys(
@@ -134,8 +146,7 @@ def iter_minimal_keys(
 
 def _limited(cnf: HornCNF, limit: Optional[int], stats: KeyEnumerationStats):
     # islice asks for no key past the limit, so the last key is never expanded
-    if limit is None or limit > 0:
-        yield from islice(_walk(cnf, stats), limit)
+    yield from islice(_walk(cnf, stats), limit)
 
 
 def enumerate_minimal_keys(
@@ -161,8 +172,7 @@ class KeyGraph:
 def build_key_graph(cnf: HornCNF, max_keys: int = 100_000) -> KeyGraph:
     """Materialize all minimal keys, in discovery order, and their out-arcs;
     desk scale only."""
-    if not _is_int(max_keys):
-        raise _not_an_int(max_keys, "max_keys")
+    _check_count(max_keys, "max_keys")
     nodes = []
     arcs = []
 

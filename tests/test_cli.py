@@ -128,6 +128,34 @@ def test_key_min(run, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_key_min_names_a_non_key_in_the_users_ids(run, tmp_path):
+    f = _file(tmp_path, "eight.horn", "horn 8 1\nnames a b c d e f g h\n1 -> 2\n")
+    misses = "is not a key; its closure misses"
+    assert run(["key-min", f, "--set", "1"]) == (
+        2, "", f"error: set [1] {misses} [3, 4, 5, 6, 7] and 1 more\n"
+    )
+    assert run(["key-min", f, "--set", "a,d", "--names"]) == (
+        2, "", f"error: set [a, d] {misses} [c, e, f, g, h]\n"
+    )
+
+
+def test_key_min_on_a_huge_universe_writes_a_short_error(run, tmp_path):
+    f = _file(tmp_path, "huge.horn", "horn 200000 0\n")
+    assert run(["key-min", f, "--set", "1"]) == (
+        2, "", "error: set [1] is not a key; its closure misses [2, 3, 4, 5, 6] and 199994 more\n"
+    )
+
+
+def test_a_negative_limit_exits_2(run, tmp_path):
+    f = _file(tmp_path, "phi.horn", PHI_HORN)
+    assert run(["keys", f, "--limit", "-3"]) == (
+        2, "", "error: limit must be nonnegative, got -3\n"
+    )
+    t = _file(tmp_path, "wheel.tss", WHEEL_TSS)
+    assert run(["tss-enum", t, "--limit", "-1"])[:2] == (2, "")
+    assert run(["keys", f, "--limit", "0"]) == (0, "", "")
+
+
 def test_unique_hg(run, tmp_path):
     star = _file(tmp_path, "star.hg", STAR_HG)
     code, out, _ = run(["unique-hg", star])

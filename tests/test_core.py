@@ -104,6 +104,24 @@ def test_minimize_key_rejects_non_keys(intro_cnf):
     assert exc.value.witness == {A, B}  # the closure, as evidence
 
 
+def test_a_non_key_message_names_at_most_five_ids_per_list(intro_cnf):
+    with pytest.raises(ContractError) as exc:
+        hk.minimize_key(intro_cnf, {A, B})
+    assert str(exc.value) == "set [0, 1] is not a key; its closure misses [2, 3, 4]"
+    cnf = hk.horn_cnf(20, [({0}, 1)])
+    with pytest.raises(ContractError) as exc:
+        hk.minimize_key(cnf, range(0, 20, 2))
+    assert str(exc.value) == (
+        "set [0, 2, 4, 6, 8] and 5 more is not a key; "
+        "its closure misses [3, 5, 7, 9, 11] and 4 more"
+    )
+    with pytest.raises(ContractError) as exc:
+        hk.minimize_key(cnf, {0})
+    assert str(exc.value) == (
+        "set [0] is not a key; its closure misses [2, 3, 4, 5, 6] and 13 more"
+    )
+
+
 def test_minimize_key_randomized():
     rng = random.Random(505)
     for _ in range(50):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hornkeys as hk
-from hornkeys import core, tss
+from hornkeys import _closure_py, core, tss
 from hornkeys.errors import ContractError, InputError, ResourceGuardError
 from hornkeys.oracles import bf_minimal_keys, random_horn_cnf
 
@@ -100,6 +100,25 @@ def test_limit_is_an_int_or_none(bad, wheel_tss, monkeypatch):
         hk.enumerate_minimal_target_sets(wheel_tss, lambda s: None, limit=bad)
 
 
+def test_a_negative_limit_is_refused(wheel_tss):
+    # Refused when the call is made, as a bad type is; a limit of 0 still
+    # asks for no keys.
+    cnf = hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))
+    for limit in (-1, -2):
+        with pytest.raises(InputError, match=f"^limit must be nonnegative, got {limit}$"):
+            hk.iter_minimal_keys(cnf, limit=limit)
+        with pytest.raises(InputError, match="limit must be nonnegative"):
+            hk.enumerate_minimal_keys(cnf, lambda k: None, limit=limit)
+        with pytest.raises(InputError, match="limit must be nonnegative"):
+            hk.iter_minimal_target_sets(wheel_tss, limit=limit)
+        with pytest.raises(InputError, match="limit must be nonnegative"):
+            hk.enumerate_minimal_target_sets(wheel_tss, lambda s: None, limit=limit)
+        with pytest.raises(InputError, match=f"^max_keys must be nonnegative, got {limit}$"):
+            hk.build_key_graph(cnf, max_keys=limit)
+    assert cnf._engine is None
+    assert list(hk.iter_minimal_target_sets(wheel_tss, limit=0)) == []
+
+
 @pytest.mark.parametrize("bad", [0.5, 3.0, True, "3", None])
 def test_max_keys_is_an_int(bad):
     cnf = hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))
@@ -131,6 +150,18 @@ def test_interleaved_walks_on_one_cnf_keep_their_own_counters():
                     keys.append(key)
         assert got == alone
     assert checked > 20
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2])
+def test_a_reused_stats_object_reads_as_a_fresh_one(intro_cnf, limit):
+    fresh = hk.KeyEnumerationStats()
+    keys = list(hk.iter_minimal_keys(intro_cnf, limit, fresh))
+    reused = hk.KeyEnumerationStats()
+    for run_limit in (None, limit):
+        assert list(hk.iter_minimal_keys(intro_cnf, run_limit, reused))[: len(keys)] == keys
+    assert reused == fresh
+    if limit is None:
+        assert (fresh.keys, fresh.candidates, fresh.closures) == (2, 2, 9)
 
 
 def test_a_cnf_builds_one_clause_index(monkeypatch):
@@ -166,6 +197,28 @@ class _ExpandSpy:
     def expand(self, key, prior=None):
         self._calls.append(frozenset(key))
         return self._engine.expand(key, prior)
+
+
+class _PriorSpy(_ExpandSpy):
+    """An engine that records the prior of each ``expand`` call."""
+
+    def expand(self, key, prior=None):
+        self._calls.append(prior)
+        return self._engine.expand(key, prior)
+
+
+def test_a_compiled_walk_hands_on_none_and_matches_the_pure_walk(compiled, monkeypatch):
+    cnf = random_horn_cnf(3, 12, 30, 3)
+    runs = []
+    for cls in (_closure_py.Engine, compiled.Engine):
+        priors = []
+        monkeypatch.setattr(core, "Engine", lambda *args: _PriorSpy(cls(*args), priors))
+        stats = hk.KeyEnumerationStats()
+        keys = list(hk.iter_minimal_keys(hk.HornCNF(cnf.universe, cnf.clauses), stats=stats))
+        runs.append((keys, stats, priors))
+    (keys, stats, pure_priors), compiled_run = runs
+    assert len(keys) > 3 and any(p is not None for p in pure_priors)
+    assert compiled_run == (keys, stats, [None] * len(keys))
 
 
 @pytest.fixture
@@ -347,10 +400,16 @@ def test_key_graph_guard(phi_chain):
 
 @pytest.mark.parametrize("max_keys", [0, -1])
 def test_key_graph_counts_the_first_key_before_any_expansion(max_keys, expand_calls):
-    # One key or three: the first key alone exceeds the guard, and it trips
-    # before the walk expands anything.
+    # One key or three: the first key alone exceeds a guard of 0, and it
+    # trips before the walk expands anything; a negative guard is refused
+    # before the walk starts.
+    error, message = (
+        (ResourceGuardError, "exceeds 0 minimal keys")
+        if max_keys == 0
+        else (InputError, f"max_keys must be nonnegative, got {max_keys}")
+    )
     for cnf in (hk.horn_cnf(3, []), hk.key_horn_cnf(hk.sperner(4, [{0, 1}, {1, 2}, {2, 3}]))):
-        with pytest.raises(ResourceGuardError, match=f"exceeds {max_keys} minimal keys"):
+        with pytest.raises(error, match=message):
             hk.build_key_graph(cnf, max_keys=max_keys)
         assert expand_calls == []
     assert len(hk.build_key_graph(hk.horn_cnf(3, []), max_keys=1).nodes) == 1
