@@ -12,6 +12,7 @@ freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from ._kernel import Engine
@@ -48,9 +49,14 @@ class VariableUniverse:
         if self.labels is None:
             raise InputError("universe carries no labels")
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._ids_by_label[label]
+        except (KeyError, TypeError):
             raise InputError(f"unknown variable label {label!r}") from None
+
+    @cached_property
+    def _ids_by_label(self) -> dict[str, int]:
+        # Built on the first lookup; not a field, so equality and hashing ignore it.
+        return {label: v for v, label in enumerate(self.labels)}
 
     def full_set(self) -> frozenset[int]:
         return frozenset(range(self.n))
@@ -119,6 +125,21 @@ class HornClause:
                 f"clause head {self.head} occurs in its own body (tautology)"
             )
 
+    @classmethod
+    def _trusted(cls, body: frozenset[int], head: int) -> HornClause:
+        """The clause ``body -> head`` from a frozenset body and a head that
+        the caller has already checked, without checking them again."""
+        c = _new(cls)
+        _set_body(c, body)
+        _set_head(c, head)
+        return c
+
+
+_new = object.__new__
+# A frozen dataclass's __setattr__ refuses every write; the slots' own setters do not.
+_set_body = HornClause.body.__set__
+_set_head = HornClause.head.__set__
+
 
 class HornCNF:
     """An ordered list of pure Horn clauses over a fixed variable universe.
@@ -143,6 +164,16 @@ class HornCNF:
                     _index(v, n, f"clause {i}: body variable")
         self.clauses = clauses
         self._engine = None
+
+    @classmethod
+    def _trusted(cls, universe: VariableUniverse, clauses: tuple[HornClause, ...]) -> HornCNF:
+        """A CNF of clauses the library has built and checked against
+        ``universe`` itself, without checking them again."""
+        cnf = _new(cls)
+        cnf.universe = universe
+        cnf.clauses = clauses
+        cnf._engine = None
+        return cnf
 
     @property
     def n(self) -> int:

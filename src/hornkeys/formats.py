@@ -98,22 +98,45 @@ def _text(header: str, universe: Optional[VariableUniverse], lines: list[str]) -
     return "\n".join(out) + "\n"
 
 
+def _horn_clause(toks: list[str], n: int, lineno: int) -> HornClause:
+    """The clause of one line's tokens, every token checked."""
+    if toks.count("->") != 1:
+        raise InputError(f"line {lineno}: clause needs exactly one `->`")
+    arrow = toks.index("->")
+    if len(toks) != arrow + 2:
+        raise InputError(f"line {lineno}: exactly one head id must follow `->`")
+    body = frozenset(_vertex(t, n, lineno) for t in toks[:arrow])
+    head = _vertex(toks[arrow + 1], n, lineno)
+    if head in body:
+        raise InputError(f"line {lineno}: head occurs in the body (tautology)")
+    return HornClause(body, head)
+
+
 def parse_horn(text: str) -> HornCNF:
     n, _, labels, rest = _records(text, "horn", "clause")
+    # Ids written "1".."n" are read through a table.  It is built only when
+    # there are at least n clause lines, so it costs at most one entry per
+    # line, and neither a header count nor a long comment causes work.  A
+    # line the table does not fit, with any other numeral, a misplaced `->`
+    # or a tautology, goes through _horn_clause, which reads whatever int()
+    # takes and gives every message.
+    table = dict(zip(map(str, range(1, n + 1)), range(n))) if n <= len(rest) else {}
+    vertex = table.__getitem__
+    clause = HornClause._trusted
     clauses = []
     for lineno, line in rest:
         toks = line.split()
-        if toks.count("->") != 1:
-            raise InputError(f"line {lineno}: clause needs exactly one `->`")
-        arrow = toks.index("->")
-        if len(toks) != arrow + 2:
-            raise InputError(f"line {lineno}: exactly one head id must follow `->`")
-        body = frozenset(_vertex(t, n, lineno) for t in toks[:arrow])
-        head = _vertex(toks[arrow + 1], n, lineno)
-        if head in body:
-            raise InputError(f"line {lineno}: head occurs in the body (tautology)")
-        clauses.append(HornClause(body, head))
-    return HornCNF(VariableUniverse(n, labels), clauses)
+        try:
+            if toks[-2] == "->":
+                body = frozenset(map(vertex, toks[:-2]))
+                head = vertex(toks[-1])
+                if head not in body:
+                    clauses.append(clause(body, head))
+                    continue
+        except (KeyError, IndexError):
+            pass
+        clauses.append(_horn_clause(toks, n, lineno))
+    return HornCNF._trusted(VariableUniverse(n, labels), tuple(clauses))
 
 
 def serialize_horn(cnf: HornCNF) -> str:
@@ -214,8 +237,9 @@ def parse_tss(text: str) -> ThresholdGraph:
 
 
 def serialize_tss(tg: ThresholdGraph) -> str:
-    out = [f"e {u + 1} {v + 1}" for u, v in tg.graph.edges]
-    out += [f"t {v + 1} {tg.thresholds[v]}" for v in range(tg.n)]
+    ids = list(map(str, range(1, tg.n + 1)))  # ids[v] is v's 1-based id as text
+    out = [f"e {ids[u]} {ids[v]}" for u, v in tg.graph.edges]
+    out += [f"t {i} {t}" for i, t in zip(ids, tg.thresholds)]
     return _text(f"tss {tg.n} {len(tg.graph.edges)}", tg.universe, out)
 
 

@@ -202,10 +202,9 @@ def key_horn_cnf(b: SpernerHypergraph) -> HornCNF:
     keys of the result are exactly the edges of ``b``.
     """
     full = b.universe.full_set()
-    clauses = [
-        HornClause(e, v) for e in b.edges for v in sorted(full - e)
-    ]
-    return HornCNF(b.universe, clauses)
+    clause = HornClause._trusted
+    clauses = [clause(e, v) for e in b.edges for v in sorted(full - e)]
+    return HornCNF._trusted(b.universe, tuple(clauses))
 
 
 class Graph:
@@ -239,6 +238,16 @@ class Graph:
             pairs[u * n + v] = (u, v)
         self.edges = tuple([pairs[c] for c in sorted(pairs)])
         self._adj_masks: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def _trusted(cls, universe: VariableUniverse, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A graph on ``edges``, pairs ``(u, v)`` of ids of ``universe`` with
+        ``u < v``, already sorted and without duplicates; nothing is checked."""
+        g = object.__new__(cls)
+        g.universe = universe
+        g.edges = edges
+        g._adj_masks = None
+        return g
 
     @property
     def n(self) -> int:

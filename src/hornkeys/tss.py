@@ -55,6 +55,14 @@ class ThresholdGraph:
                 raise InputError(f"threshold of vertex {v} must be >= 1, got {k}")
         self.thresholds = t
 
+    @classmethod
+    def _trusted(cls, graph: Graph, thresholds: tuple[int, ...]) -> ThresholdGraph:
+        """``graph`` with one positive int threshold per vertex, unchecked."""
+        tg = object.__new__(cls)
+        tg.graph = graph
+        tg.thresholds = thresholds
+        return tg
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -111,6 +119,7 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
     if not _is_int(max_threshold):
         raise _not_an_int(max_threshold, "max_threshold")
     adj = tg.graph.adj_masks()
+    clause = HornClause._trusted
     clauses = []
     for v in range(tg.n):
         t = tg.thresholds[v]
@@ -119,9 +128,9 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
                 f"threshold {t} at vertex {tg.universe.name(v)} exceeds the "
                 f"guard {max_threshold}"
             )
-        for body in combinations(bits_of(adj[v]), t):
-            clauses.append(HornClause(frozenset(body), v))
-    return HornCNF(tg.universe, clauses)
+        # No vertex neighbours itself, so no body holds its head.
+        clauses += [clause(frozenset(body), v) for body in combinations(bits_of(adj[v]), t)]
+    return HornCNF._trusted(tg.universe, tuple(clauses))
 
 
 BODY_ROLES = ("x", "y", "z", "w")
@@ -154,6 +163,14 @@ class RoleMap:
             if entry[1] not in ROLES:
                 raise InputError(f"vertex {vid}: unknown gadget role {entry[1]!r}")
 
+    @classmethod
+    def _trusted(cls, n_original: int, roles: tuple) -> RoleMap:
+        """A role map of well-formed triples, unchecked."""
+        rm = object.__new__(cls)
+        object.__setattr__(rm, "n_original", n_original)
+        object.__setattr__(rm, "roles", roles)
+        return rm
+
     @property
     def n_total(self) -> int:
         return self.n_original + len(self.roles)
@@ -170,7 +187,12 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
     n = cnf.n
     name = cnf.universe.name
     labels = [name(v) for v in range(n)]
-    edges: list[tuple[int, int]] = []
+    # Ids are handed out in increasing order, so listing each vertex's higher
+    # neighbours as they arrive lists them in ascending order, and the edges
+    # come out sorted with no sort: first those of the original variables,
+    # then those within each clause's gadget, in id order.
+    higher: list[list[int]] = [[] for _ in range(n)]
+    gadget_edges: list[tuple[int, int]] = []
     # One entry per gadget vertex in allocation order; the next id is len(labels).
     roles: list[tuple[int, str, int]] = []
     thresholds = [1] * n
@@ -186,10 +208,17 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
         thresholds.append(len(c.body))
         roles.append((ci, HUB_ROLE, c.head))
         # One chain x, y, z, w per body variable, from the variable to the
-        # hub, then one for the head, from the hub to the head.
-        chains = [(a, a, hub, BODY_ROLES) for a in sorted(c.body)]
-        chains.append((c.head, hub, c.head, HEAD_ROLES))
-        for var, src, dst, (rx, ry, rz, rw) in chains:
+        # hub, then one for the head, from the hub to the head.  Chain i
+        # takes the ids hub+4i+1 to hub+4i+4.  Its variable meets it at x
+        # for a body chain and at w for the head chain; the hub meets the w
+        # of each body chain and the x of the head chain.
+        body = sorted(c.body)
+        k = len(body)
+        gadget_edges += [(hub, w) for w in range(hub + 4, hub + 4 * k + 1, 4)]
+        gadget_edges.append((hub, hub + 4 * k + 1))
+        chains = [(a, BODY_ROLES, 0) for a in body]
+        chains.append((c.head, HEAD_ROLES, 3))
+        for var, (rx, ry, rz, rw), meet in chains:
             vname = name(var)
             x, y, z, w = range(len(labels), len(labels) + 4)
             labels += (
@@ -197,11 +226,15 @@ def horn_to_tss(cnf: HornCNF) -> tuple[ThresholdGraph, RoleMap]:
             )
             thresholds += (1, 1, 1, 2)
             roles += ((ci, rx, var), (ci, ry, var), (ci, rz, var), (ci, rw, var))
-            edges += ((src, x), (x, y), (x, z), (y, w), (z, w), (w, dst))
+            gadget_edges += ((x, y), (x, z), (y, w), (z, w))
+            higher[var].append(x + meet)
 
+    # The labels are still checked: a user label such as p^C1 can collide
+    # with a gadget label.
     universe = VariableUniverse(len(labels), tuple(labels))
-    tg = ThresholdGraph(Graph(universe, edges), thresholds)
-    return tg, RoleMap(n, tuple(roles))
+    edges = [(u, v) for u, vs in enumerate(higher) for v in vs] + gadget_edges
+    tg = ThresholdGraph._trusted(Graph._trusted(universe, tuple(edges)), tuple(thresholds))
+    return tg, RoleMap._trusted(n, tuple(roles))
 
 
 def lift_target_set_to_key(

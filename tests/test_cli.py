@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -144,6 +145,18 @@ def test_key_min_on_a_huge_universe_writes_a_short_error(run, tmp_path):
     assert run(["key-min", f, "--set", "1"]) == (
         2, "", "error: set [1] is not a key; its closure misses [2, 3, 4, 5, 6] and 199994 more\n"
     )
+
+
+def test_key_min_reads_many_labels_in_linear_time(run, tmp_path):
+    # Each label used to be found by a scan of all labels: 1.96 s here.
+    n = 20_000
+    labels = [f"v{v}" for v in range(n)]
+    f = _file(tmp_path, "labels.horn", f"horn {n} 0\nnames {' '.join(labels)}\n")
+    start = time.perf_counter()
+    code, out, err = run(["key-min", f, "--set", ",".join(labels), "--names"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out.split(), err) == (0, labels, "")
+    assert run(["key-min", f, "--set", "v0,w0"]) == (2, "", "error: unknown variable label 'w0'\n")
 
 
 def test_a_negative_limit_exits_2(run, tmp_path):

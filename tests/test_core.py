@@ -4,12 +4,19 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 
 import pytest
 
 import hornkeys as hk
 from hornkeys.errors import ContractError, InputError
-from hornkeys.oracles import bf_forward_closure, random_horn_cnf
+from hornkeys.formats import parse_horn, serialize_horn
+from hornkeys.oracles import (
+    bf_forward_closure,
+    random_horn_cnf,
+    random_sperner,
+    random_threshold_graph,
+)
 
 A, B, C, D, E = range(5)
 
@@ -216,6 +223,94 @@ def test_horn_clause_is_a_slotted_frozen_value():
         clause.head = 3
     with pytest.raises((AttributeError, TypeError)):
         clause.weight = 1  # slots leave no room for a new attribute
+
+
+def _public_twin(value):
+    """``value`` rebuilt through the public constructors, every check run."""
+    if isinstance(value, hk.HornCNF):
+        u = value.universe
+        clauses = [hk.HornClause(set(c.body), c.head) for c in value.clauses]
+        return hk.HornCNF(hk.VariableUniverse(u.n, u.labels), clauses)
+    if isinstance(value, hk.ThresholdGraph):
+        u = value.universe
+        pairs = [(v, w) for w, v in reversed(value.graph.edges)]  # unsorted, reversed
+        graph = hk.Graph(hk.VariableUniverse(u.n, u.labels), pairs)
+        assert graph.edges == value.graph.edges
+        return hk.ThresholdGraph(graph, list(value.thresholds))
+    return hk.RoleMap(value.n_original, list(value.roles))
+
+
+def _labelled(cnf):
+    labels = [f"v{v}" for v in range(cnf.n)]
+    return hk.HornCNF(hk.VariableUniverse(cnf.n, labels), cnf.clauses)
+
+
+def _library_built_values(seed):
+    """Values that parse_horn, key_horn_cnf, tss_to_horn and horn_to_tss build
+    without running the public constructors' checks."""
+    rng = random.Random(seed)
+    cnf = random_horn_cnf(seed, rng.randint(1, 9), rng.randint(0, 12))
+    yield parse_horn(serialize_horn(cnf))
+    yield parse_horn(serialize_horn(_labelled(cnf)))
+    yield hk.key_horn_cnf(random_sperner(seed, rng.randint(1, 9), rng.randint(1, 5)))
+    tg = random_threshold_graph(seed, rng.randint(1, 8), rng.random(), tmax=3)
+    yield hk.tss_to_horn(tg)
+    if all(c.body for c in cnf.clauses):
+        for source in (cnf, _labelled(cnf)):
+            yield from hk.horn_to_tss(source)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_values_built_without_checks_equal_their_public_rebuilds(seed):
+    for value in _library_built_values(seed):
+        twin = _public_twin(value)
+        assert value == twin and hash(value) == hash(twin)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and hash(copied) == hash(value)
+        if isinstance(value, hk.HornCNF):
+            for c, t in zip(value.clauses, twin.clauses):
+                assert type(c.body) is frozenset and type(c.head) is int
+                assert c == t and hash(c) == hash(t)
+                assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy(c) == c
+                assert dataclasses.replace(c) == c
+            assert bf_forward_closure(value, set()) == bf_forward_closure(twin, set())
+            assert hk.forward_closure(value, set()) == hk.forward_closure(twin, set())
+        elif isinstance(value, hk.ThresholdGraph):
+            assert value.graph.adj_masks() == twin.graph.adj_masks()
+            assert value.graph == twin.graph and hash(value.graph) == hash(twin.graph)
+        else:
+            assert dataclasses.replace(value) == value
+
+
+def test_horn_to_tss_still_checks_that_gadget_labels_are_distinct():
+    # A user label can collide with the label of a gadget vertex.
+    cnf = hk.horn_cnf(2, [({0}, 1)], labels=("p^C1", "b"))
+    with pytest.raises(InputError, match="^labels must be pairwise distinct$"):
+        hk.horn_to_tss(cnf)
+
+
+def test_label_lookups_leave_the_universe_value_unchanged():
+    u = hk.VariableUniverse(3, ("a", "b", "c"))
+    assert [u.index(lab) for lab in "cab"] == [2, 0, 1]
+    fresh = hk.VariableUniverse(3, ("a", "b", "c"))
+    for twin in (fresh, pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+        assert twin == u and hash(twin) == hash(u) and repr(twin) == repr(u)
+    assert dataclasses.replace(u) == u
+    for label in ("d", ["a"], 0):
+        with pytest.raises(InputError, match="^unknown variable label "):
+            u.index(label)
+    with pytest.raises(InputError, match="^universe carries no labels$"):
+        hk.VariableUniverse(3).index("a")
+
+
+def test_label_lookups_take_constant_time_each():
+    # Each lookup used to scan the label tuple: 20,000 of them on 20,000
+    # labels took about 2 s.
+    n = 20_000
+    u = hk.VariableUniverse(n, [f"v{v}" for v in range(n)])
+    start = time.perf_counter()
+    assert [u.index(f"v{v}") for v in range(n)] == list(range(n))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_empty_bodies_and_empty_cnf():

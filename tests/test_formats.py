@@ -1,6 +1,7 @@
 """Text formats: round trips and line-numbered rejection of malformed input."""
 
 import random
+import time
 
 import pytest
 
@@ -259,6 +260,70 @@ def test_header_counts_cause_no_work_of_their_own(parse, text, message):
     # per-vertex list and a 16.9 MB message listing every missing id.
     with pytest.raises(InputError) as err:
         parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_horn, "horn 10000000 0\n"),
+        (parse_horn, "horn 10000000 1\n1 -> 2\n"),
+        (parse_hypergraph, "hg 10000000 0\n"),
+        (parse_horn, "horn 1000000 0\n#" + "x" * 1_000_000 + "\n"),
+    ],
+    ids=["horn-no-clauses", "horn-one-clause", "hg-no-edges", "horn-long-comment"],
+)
+def test_a_huge_header_count_alone_is_cheap(parse, text):
+    # parse_horn reads ids through a table of the n id strings; a table of
+    # millions of entries would take seconds, so it is built only when there
+    # are at least n clause lines, and these lines take the checked path.
+    start = time.perf_counter()
+    value = parse(text)
+    assert time.perf_counter() - start < 0.05
+    assert value.n == int(text.split()[1])
+
+
+@pytest.mark.parametrize(
+    "line, body, head",
+    [
+        ("01 -> 2", {0}, 1),
+        ("+2 -> 1", {1}, 0),
+        ("\u0661 -> 2", {0}, 1),  # ARABIC-INDIC DIGIT ONE
+        ("1 -> 03", {0}, 2),
+        ("1 3 -> 002", {0, 2}, 1),
+        ("3 1_0 -> 1", {2, 9}, 0),
+    ],
+)
+def test_numerals_off_the_id_table_read_as_int_reads_them(line, body, head):
+    text = f"horn 12 2\n1 -> 2\n{line}\n"
+    assert parse_horn(text) == hk.horn_cnf(12, [({0}, 1), (body, head)])
+
+
+# The messages of the parser before ids were read through a table.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("horn 3 1\n1 2 3", "line 2: clause needs exactly one `->`"),
+        ("horn 3 1\n1 -> 2 -> 3", "line 2: clause needs exactly one `->`"),
+        ("horn 3 1\n-> -> 1", "line 2: clause needs exactly one `->`"),
+        ("horn 3 1\n1 -> 2 3", "line 2: exactly one head id must follow `->`"),
+        ("horn 3 1\n1 ->", "line 2: exactly one head id must follow `->`"),
+        ("horn 3 1\n->", "line 2: exactly one head id must follow `->`"),
+        ("horn 3 1\n0 -> 1", "line 2: vertex id 0 outside 1..3"),
+        ("horn 3 1\n1 -> 4", "line 2: vertex id 4 outside 1..3"),
+        ("horn 3 1\n-1 -> 2", "line 2: vertex id -1 outside 1..3"),
+        ("horn 3 1\nx -> 2", "line 2: expected a vertex id, got 'x'"),
+        ("horn 3 1\n1 -> x", "line 2: expected a vertex id, got 'x'"),
+        ("horn 3 1\n1.5 -> 2", "line 2: expected a vertex id, got '1.5'"),
+        ("horn 3 1\n1 2 -> 2", "line 2: head occurs in the body (tautology)"),
+        ("horn 3 1\n02 -> 2", "line 2: head occurs in the body (tautology)"),
+        ("horn 3 2\n1 -> 2", "expected 2 clause lines, found 1"),
+        ("horn 3 2\n1 -> 2\n1 -> 2 ->", "line 3: clause needs exactly one `->`"),
+    ],
+)
+def test_horn_messages_are_unchanged_by_the_id_table(text, message):
+    with pytest.raises(InputError) as err:
+        parse_horn(text)
     assert str(err.value) == message
 
 
