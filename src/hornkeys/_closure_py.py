@@ -1,19 +1,19 @@
 """Pure-Python forward-chaining kernel.
 
 Twin of the compiled extension in ``_fastclosure``; both implement the same
-counter-based propagation and must return identical results, but for the
-entries of the verdicts, which only this twin keeps.  One engine
+counter-based propagation and must return identical results.  One engine
 instance is bound to one clause list and holds nothing else: every call
 works on scratch of its own, so an engine can be shared freely, across
 threads included.  ``expand`` reports the closure computations it ran,
-which the enumeration's delay counters add up, and hands back the verdicts
-of the drop tests it chained, which the next call may take as ``prior``
-(see ``_kernel``).
+which the enumeration's delay counters add up.  Only this twin keeps a memo
+of the drop tests an expansion chained; the callable that ``expander``
+returns for one walk hands each call's memo on to the next (see
+``_kernel``).
 """
 
 from operator import index
 
-# The entries one ``expand`` call stores are capped so that their closure
+# The entries one expansion stores are capped so that their closure
 # flags, n + 1 per entry, come to at most this many times the engine's size
 # n + m + Σ|body|.  With no cap, an expansion whose drop tests all chain and
 # fail would keep one entry per drop tried: O(m·n²) references.  Walks of
@@ -102,25 +102,28 @@ class Engine:
         in_k, _ = self._flag(seed)
         return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
 
-    def expand(self, key, prior=None):
-        """The out-neighbors of the minimal key ``key``, with their cost.
+    def expand(self, key):
+        """The out-neighbors of the minimal key ``key``, as frozensets, the
+        pairs tried and the closures run (see ``_kernel``).  A bad key raises
+        before the first pair."""
+        return self._expand(key, None)[:3]
 
-        Each pair (v ∈ key, clause A→v) gives the key (key ∖ {v}) ∪ A, which
-        :meth:`minimize` shrinks; pairs go by v ascending, then clause input
-        order, and a repeated result keeps its first place.  Returns the
-        list of frozensets, the number of pairs, the closures run, one per
-        drop tried: the sum of |(key ∖ {v}) ∪ A| over the pairs, and this
-        call's drop-test verdicts.  ``prior``, the verdicts of an earlier
-        call on this engine, settles drop tests with no chain.  The verdicts
-        and the results with a prior are defined only for a key ``key``.  A
-        bad prior or key raises before the first pair.
-        """
-        if prior is None:
-            older = None
-        elif type(prior) is Verdicts and getattr(prior, "_engine", None) is self:
-            older = prior._tested
-        else:
-            raise TypeError("prior must be None or the verdicts of an expand call on this engine")
+    def expander(self):
+        """A callable for one walk: each call gives what :meth:`expand`
+        gives, and consults the drop-test memo of the call before it (see
+        ``_kernel``).  Its results are defined only for a key argument."""
+        older = None
+
+        def expand(key):
+            nonlocal older
+            out, tried, closures, older = self._expand(key, older)
+            return out, tried, closures
+
+        return expand
+
+    def _expand(self, key, older):
+        # ``expand``, plus the memo of the drop tests this call chained, for
+        # the next call to take as ``older``.
         memo = {}
         in_k, _ = self._flag(key)
         key = [v for v in range(self.n) if in_k[v]]
@@ -148,7 +151,7 @@ class Engine:
                     seen.add(k2)
                     out.append(k2)
             in_k[v] = 1
-        return out, tried, closures, _verdicts(self, memo)
+        return out, tried, closures, memo
 
     def _shrink(self, in_k, key, memo=None, older=None):
         # The greedy drops of ``minimize`` over the ascending ``key``, whose
@@ -276,37 +279,6 @@ class Engine:
                         in_f[h] = 1
                         push(h)
         return False
-
-
-class Verdicts:
-    """The drop-test verdicts of one ``Engine.expand`` call, for the next.
-
-    For each chained test, up to the cap, its set as a sorted tuple maps to
-    the closure flags the chain left, or to True when it derived its target.
-    Only ``expand`` makes one, and only the engine that made it takes it
-    back.
-    """
-
-    __slots__ = ("_engine", "_tested")
-
-    def __new__(cls, *args, **kwargs):
-        raise TypeError("verdicts are made only by Engine.expand")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("verdicts are immutable")
-
-    def __reduce__(self):
-        raise TypeError(f"cannot pickle '{__name__}.Verdicts' object")
-
-    def __len__(self):
-        return len(self._tested)
-
-
-def _verdicts(engine, tested):
-    made = object.__new__(Verdicts)
-    object.__setattr__(made, "_engine", engine)
-    object.__setattr__(made, "_tested", tested)
-    return made
 
 
 def _out_of_range(v, n):

@@ -15,11 +15,10 @@
  * minimization; the suffix rule of the kernel contract in ``_kernel.py``
  * settles some drops with no test.  ``expand`` runs that loop on each
  * candidate of a minimal key and counts the drops it tried.  Its chains
- * are cheap enough that a table of earlier drop tests, as the pure twin
- * keeps, saves about what it costs, so it keeps none: its verdicts are
- * ``None``, and it takes back only ``None`` as a ``prior``.  Each call
- * allocates its own scratch, so a seed iterable that calls back into the
- * engine is safe.
+ * are cheap enough that a memo of earlier drop tests, as the pure twin
+ * keeps, saves about what it costs, so it keeps none, and ``expander``
+ * returns the bound ``expand`` itself.  Each call allocates its own
+ * scratch, so a seed iterable that calls back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -498,23 +497,18 @@ flagged_set(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk)
 static PyObject *
 Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"key", "prior", NULL};
+    static char *kwlist[] = {"key", NULL};
     Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0, closures = 0;
     /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
     Py_ssize_t words = self->m + 3 * n;
     Py_ssize_t *scratch, *queue, *key, *seed;
     unsigned char *in_k, *cur, *in_f, *free_;
-    PyObject *key_obj, *prior = Py_None, *out = NULL, *seen = NULL, *k2;
+    PyObject *key_obj, *out = NULL, *seen = NULL, *k2;
     int r;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", kwlist, &key_obj, &prior))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &key_obj))
         return NULL;
-    if (prior != Py_None) {
-        PyErr_SetString(PyExc_TypeError,
-                        "prior must be None or the verdicts of an expand call on this engine");
-        return NULL;
-    }
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 4 * n + 3)))
         return PyErr_NoMemory();
     queue = scratch + self->m;
@@ -557,13 +551,19 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
     }
     Py_DECREF(seen);
     PyMem_Free(scratch);
-    return Py_BuildValue("(NnnO)", out, tried, closures, Py_None);
+    return Py_BuildValue("(Nnn)", out, tried, closures);
 
 fail:
     Py_XDECREF(out);
     Py_XDECREF(seen);
     PyMem_Free(scratch);
     return NULL;
+}
+
+static PyObject *
+Engine_expander(Engine *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyObject_GetAttrString((PyObject *)self, "expand");
 }
 
 static PyMethodDef Engine_methods[] = {
@@ -581,9 +581,11 @@ static PyMethodDef Engine_methods[] = {
      "The out-neighbors of the minimal key ``key``, with their cost.\n\n"
      "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
      "minimize shrinks; returns the distinct results as frozensets in\n"
-     "first-seen order, the number of pairs, the closures run, one per\n"
-     "drop tried, and this call's drop-test verdicts: None, as this kernel\n"
-     "keeps none.  ``prior`` must be None."},
+     "first-seen order, the number of pairs and the closures run, one per\n"
+     "drop tried."},
+    {"expander", (PyCFunction)Engine_expander, METH_NOARGS,
+     "A callable for one walk that gives what expand gives: the bound\n"
+     "expand itself, as this kernel keeps no memo between calls."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -36,6 +36,11 @@ class VariableUniverse:
             object.__setattr__(self, "labels", labels)
             if len(labels) != self.n:
                 raise InputError(f"expected {self.n} labels, got {len(labels)}")
+            try:
+                "".join(labels)  # one pass in C over a gadget's thousands of labels
+            except TypeError:
+                bad = next(s for s in labels if not isinstance(s, str))
+                raise InputError(f"labels must be strings, got {bad!r}") from None
             if len(set(labels)) != len(labels):
                 raise InputError("labels must be pairwise distinct")
 

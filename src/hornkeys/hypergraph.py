@@ -12,8 +12,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from ._bitset import bits_of, mask_of, set_of
-from .core import HornClause, HornCNF, VariableUniverse, _as_varset
-from .errors import InputError, ResourceGuardError, dual_cap
+from .core import HornClause, HornCNF, VariableUniverse, _as_varset, _index
+from .errors import InputError, ResourceGuardError, _is_int, dual_cap
 
 
 class SpernerHypergraph:
@@ -67,8 +67,16 @@ def sperner(n, edges, labels=None) -> SpernerHypergraph:
 
 
 def check_sperner(edges: Iterable[Iterable[int]]) -> bool:
-    """True iff the given family of sets is an antichain."""
-    family = {mask_of(e) for e in edges}
+    """True iff the given family of sets of nonnegative int ids is an antichain."""
+    bits: dict[int, int] = {}  # by id, the next free bit as it first appears
+    family = set()
+    for e in edges:
+        mask = 0
+        for v in e:
+            if not _is_int(v) or v < 0:
+                raise InputError(f"variable index must be a nonnegative int, got {v!r}")
+            mask |= bits.setdefault(v, 1 << len(bits))
+        family.add(mask)
     return len(_minimal_masks(family)) == len(family)
 
 
@@ -258,10 +266,10 @@ class Graph:
         return tuple(map(set_of, self.adj_masks()))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return self.adj[_index(v, self.n, "vertex")]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.neighbors(v))
 
     def adj_masks(self) -> tuple[int, ...]:
         if self._adj_masks is None:

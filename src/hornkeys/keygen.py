@@ -11,11 +11,12 @@ queues the unseen ones before it pops the next: the first key costs one
 greedy minimization of V, one expansion runs between two emissions and one
 after the last, which bounds the closure computations between consecutive
 outputs by m·(n+1)+1, and a caller that stops after the k-th key never pays
-for that key's expansion.  Each expansion also gets the drop-test verdicts
-of the one before it, which on the pure kernel settle the tests it repeats
-without a chain; the verdicts of older expansions are dropped, so what one
-expansion consults stays below twice that bound, and outputs and counts are
-those of expansions run alone.
+for that key's expansion.  Each walk expands through its own
+``Engine.expander()``: on the pure kernel each expansion consults the memo
+of drop tests of the one before it, which settles the tests it repeats
+without a chain, and drops older memos, so what one expansion consults stays
+below twice that bound.  Outputs and counts are those of ``expand`` run
+alone.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     key as it is yielded and each expansion once it has run, and
     ``expanded(key, out_neighbors, newly_discovered)``, when given, hears of
     each expansion.  Between two emissions, and after the last, the walk
-    runs one ``expand``, so its closure count is the delay; each ``expand``
-    gets the verdicts of the one before.  A caller that stops after a key
-    skips that key's expansion.
+    runs one expansion, through the walk's own ``engine.expander()``, so its
+    closure count is the delay.  A caller that stops after a key skips that
+    key's expansion.
     """
     engine = cnf.engine()
     first = frozenset(engine.minimize(range(cnf.n)))
@@ -96,12 +97,12 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     # the first minimize tries one drop per variable
     stats.keys = stats.candidates = stats.max_delay_closures = 0
     stats.closures = stats.startup_closures = cnf.n
-    verdicts = None
+    expand = engine.expander()
     while pending:
         key = pending.pop()
         stats.keys += 1
         yield key
-        out, tried, spent, verdicts = engine.expand(key, verdicts)
+        out, tried, spent = expand(key)
         stats.closures += spent
         stats.candidates += tried
         if key is first:

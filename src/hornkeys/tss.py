@@ -156,12 +156,18 @@ class RoleMap:
         if n0 < 0:
             raise InputError(f"role map size must be nonnegative, got {n0}")
         object.__setattr__(self, "roles", tuple(self.roles))
-        # Inline tests only: gadgets have thousands of entries.
+        # Inline tests, with a call only off the fast path: gadgets have thousands of entries.
         for vid, entry in enumerate(self.roles, n0):
             if type(entry) is not tuple or len(entry) != 3:
                 raise InputError(f"role entry {vid} is not a (clause, role, var) triple")
-            if entry[1] not in ROLES:
-                raise InputError(f"vertex {vid}: unknown gadget role {entry[1]!r}")
+            ci, role, var = entry
+            if role not in ROLES:
+                raise InputError(f"vertex {vid}: unknown gadget role {role!r}")
+            if type(ci) is not int or ci < 0:
+                if not _is_int(ci) or ci < 0:
+                    raise InputError(f"vertex {vid}: clause index {ci!r} is not a nonnegative int")
+            if type(var) is not int or not 0 <= var < n0:
+                _index(var, n0, f"vertex {vid}: variable")
 
     @classmethod
     def _trusted(cls, n_original: int, roles: tuple) -> RoleMap:
@@ -269,7 +275,7 @@ def lift_target_set_to_key(
         if role == HUB_ROLE:
             key.add(cnf.clauses[ci].head)
         else:
-            key.add(_index(var, cnf.n, f"role entry {v}: variable"))
+            key.add(var)  # in range: the role map checked it against n_original
     out = frozenset(key)
     if len(out) > len(s) or (tg is not None and not is_key(cnf, out)):
         raise ContractError("lifted set violates the key contract", witness=out)

@@ -243,7 +243,7 @@ def is_unique_key_bipartite(g: Graph) -> bool:
     iff the edge set is a perfect matching.  Falls back to the general
     checker when the preconditions fail.  A graph with no edge is refused."""
     _require_edges(g)
-    if _two_coloring(g) is None or any(g.degree(v) == 0 for v in range(g.n)):
+    if _two_coloring(g) is None or 0 in g.adj_masks():  # an isolated vertex
         return is_unique_key_graph(g)[0]
     return _is_perfect_matching(g)
 

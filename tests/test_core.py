@@ -172,6 +172,26 @@ def test_clause_validation():
         hk.VariableUniverse(2, labels=("x", "x"))
 
 
+@pytest.mark.parametrize(
+    "labels, bad",
+    [((1, 2), "1"), (("a", None), "None"), (("a", ["b"]), "['b']"), (("a", b"b"), "b'b'")],
+)
+def test_universe_labels_must_be_strings(labels, bad):
+    # (1, 2) used to build, and serialize_horn then raised a raw TypeError;
+    # an unhashable label raised one at once.
+    with pytest.raises(InputError) as info:
+        hk.VariableUniverse(2, labels)
+    assert str(info.value) == f"labels must be strings, got {bad}"
+
+
+def test_universe_labels_may_be_a_str_subclass():
+    class Name(str):
+        pass
+
+    u = hk.VariableUniverse(2, (Name("a"), "b"))
+    assert serialize_horn(hk.HornCNF(u, ())) == "horn 2 0\nnames a b\n"
+
+
 @pytest.mark.parametrize("n", [3.0, True, "3", None])
 def test_universe_size_must_be_an_int(n):
     # a float or bool size used to build and then fail in full_set()

@@ -36,6 +36,29 @@ def test_sperner_validation():
 @pytest.mark.parametrize(
     "edges, message",
     [
+        ([[-1]], "variable index must be a nonnegative int, got -1"),
+        ([[0], [2, -3]], "variable index must be a nonnegative int, got -3"),
+        ([["a"]], "variable index must be a nonnegative int, got 'a'"),
+        ([[True]], "variable index must be a nonnegative int, got True"),
+        ([[1.0]], "variable index must be a nonnegative int, got 1.0"),
+    ],
+)
+def test_check_sperner_refuses_bad_ids(edges, message):
+    # A negative id used to raise a raw ValueError, a string a raw TypeError.
+    with pytest.raises(InputError) as info:
+        hk.check_sperner(edges)
+    assert str(info.value) == message
+
+
+def test_check_sperner_takes_large_ids():
+    # Ids get bits in order of appearance, so no mask is 10**30 bits long.
+    assert hk.check_sperner([[10**30], [0, 5]])
+    assert not hk.check_sperner([[10**30], [10**30, 1]])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
         ([{0, 1, 2}, {0}, {1, 2}, {1}, {3}], "edge [0] is contained in edge [0, 1, 2]"),
         ([{2, 3}, {1, 2, 3}, {0, 1, 2, 3}, {3}], "edge [1, 2, 3] is contained in edge [0, 1, 2, 3]"),
         ([{0, 4}, {1, 2}, {0, 1, 2, 4}, {4}], "edge [0, 4] is contained in edge [0, 1, 2, 4]"),
@@ -244,6 +267,17 @@ def test_graph_validation():
     g = hk.graph(3, [(0, 1), (1, 2)])
     assert g.neighbors(1) == {0, 2}
     assert g.degree(1) == 2 and g.degree(0) == 1
+    # -1 used to read vertex 2's neighbours, and 3 to raise a raw IndexError.
+    for v, message in [
+        (-1, "vertex -1 out of range 0..2"),
+        (3, "vertex 3 out of range 0..2"),
+        (True, "vertex must be an int, got True"),
+        ("0", "vertex must be an int, got '0'"),
+    ]:
+        for call in (g.neighbors, g.degree):
+            with pytest.raises(InputError) as info:
+                call(v)
+            assert str(info.value) == message
     assert hk.graph(3, [(0, 1), (1, 0)]).edges == ((0, 1),)  # same edge, one copy
     with pytest.raises(InputError):
         hk.graph(3, [(0, 0)])  # self-loop

@@ -5,8 +5,6 @@ temporary directory for these tests, so they run against the current source
 whether or not the package was built in place.
 """
 
-import copy
-import pickle
 import random
 import sys
 import tracemalloc
@@ -26,7 +24,7 @@ def test_backend_constant():
 def test_engine_exposes_only_the_contract(engine_cls):
     eng = engine_cls(3, [[0], []], [1, 2])
     public = {name for name in dir(eng) if not name.startswith("_")}
-    assert public == {"closure", "derives", "minimize", "expand", "n", "m"}
+    assert public == {"closure", "derives", "minimize", "expand", "expander", "n", "m"}
 
 
 def _make(engine_cls, cnf):
@@ -259,28 +257,25 @@ def test_expand_matches_a_loop_of_minimize(engine_cls):
             seed = _seeds(n, rng.randrange(1 << n))
             key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
             expected = _reference_expand(eng, bodies, heads, key)
-            assert eng.expand(key)[:3] == expected
+            assert eng.expand(key) == expected
             checked += bool(expected[1])
     assert checked > 200
 
 
 def test_expand_basics(engine_cls):
-    def expand(eng, key):
-        return eng.expand(key)[:3]
-
     # 0 <-> 1, {0, 2} -> 3, {} -> 4: minimal keys {0, 2} and {1, 2}
     eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
-    assert expand(eng, [1, 2]) == ([frozenset({0, 2})], 1, 2)
-    assert expand(eng, iter([2, 0])) == ([frozenset({1, 2})], 1, 2)
+    assert eng.expand([1, 2]) == ([frozenset({0, 2})], 1, 2)
+    assert eng.expand(iter([2, 0])) == ([frozenset({1, 2})], 1, 2)
     # 1 -> 0 twice, 0 -> 1: both pairs give {1}, kept once, each seed {1}
     eng = engine_cls(2, [[1], [1], [0]], [0, 0, 1])
-    assert expand(eng, {0}) == ([frozenset({1})], 2, 2)
+    assert eng.expand({0}) == ([frozenset({1})], 2, 2)
     # {1, 2} -> 0, 0 -> 1, 0 -> 2: from {1, 2} the seeds {0, 2} and {0, 1}
     eng = engine_cls(3, [[1, 2], [0], [0]], [0, 1, 2])
-    assert expand(eng, [0]) == ([frozenset({1, 2})], 1, 2)
-    assert expand(eng, [1, 2]) == ([frozenset({0})], 2, 4)
-    assert expand(engine_cls(0, [], []), []) == ([], 0, 0)
-    assert expand(engine_cls(2, [], []), [0, 1]) == ([], 0, 0)
+    assert eng.expand([0]) == ([frozenset({1, 2})], 1, 2)
+    assert eng.expand([1, 2]) == ([frozenset({0})], 2, 4)
+    assert engine_cls(0, [], []).expand([]) == ([], 0, 0)
+    assert engine_cls(2, [], []).expand([0, 1]) == ([], 0, 0)
 
 
 @pytest.mark.parametrize("key", [[0, 1, 5], [0, -1], [2**80], None, [1, 0.0], ["0"], 3])
@@ -288,10 +283,11 @@ def test_expand_rejects_a_bad_key(compiled, key):
     errors = []
     for cls in (_closure_py.Engine, compiled.Engine):
         eng = cls(3, [[0], [1]], [1, 2])
-        with pytest.raises((ValueError, TypeError)) as info:
-            eng.expand(key)
-        errors.append(info.type)
-    assert errors[0] is errors[1]
+        for expand in (eng.expand, eng.expander()):
+            with pytest.raises((ValueError, TypeError)) as info:
+                expand(key)
+            errors.append(info.type)
+    assert len(set(errors)) == 1
 
 
 def _twin_pairs(k):
@@ -303,85 +299,21 @@ def _twin_pairs(k):
 _TWINS = _twin_pairs(3)
 
 
-_BAD_PRIOR = "prior must be None or the verdicts of an expand call on this engine"
-
-
-@pytest.mark.parametrize(
-    "kind", ["int", "tuple", "expand's result", "another engine", "the other backend", "a type"]
-)
-def test_expand_rejects_a_bad_prior(compiled, kind):
-    # The compiled kernel's verdicts are None, which carries no entries, so
-    # either backend takes them from any engine.  Every other prior but the
-    # engine's own verdicts is refused before the key is read: on the
-    # compiled kernel that is every prior but None, a pure engine's
-    # verdicts included.
-    errors, taken = [], []
-    for cls, other in ((_closure_py.Engine, compiled.Engine), (compiled.Engine, _closure_py.Engine)):
-        eng = cls(*_TWINS)
-        result = eng.expand([0, 2, 4])
-        prior = {
-            "int": 0,
-            "tuple": (),
-            "expand's result": result,
-            "another engine": cls(*_TWINS).expand([0, 2, 4])[3],  # the same clauses
-            "the other backend": other(*_TWINS).expand([0, 2, 4])[3],
-            "a type": type(result[3]),
-        }[kind]
-        key = iter([1, 2, 4])
-        if prior is None:
-            assert eng.expand(key, prior)[:3] == eng.expand([1, 2, 4])[:3]
-            taken.append(cls)
-        else:
-            with pytest.raises(TypeError) as info:
-                eng.expand(key, prior)
-            assert next(key) == 1  # raised before it read the key
-            errors.append(str(info.value))
-        assert eng.expand([1, 2, 4], result[3])[:3] == eng.expand([1, 2, 4])[:3]
-    takers = {"another engine": [compiled.Engine], "the other backend": [_closure_py.Engine]}
-    assert taken == takers.get(kind, [])
-    assert errors == [_BAD_PRIOR] * (2 - len(taken))
-
-
-def test_verdicts_cannot_be_made_or_changed_outside_expand():
-    # Only the pure kernel's verdicts hold entries; the compiled kernel's are
-    # None (see test_expand_rejects_a_bad_prior).
-    errors = []
-    eng = _closure_py.Engine(*_TWINS)
-    verdicts = eng.expand([0, 2, 4])[3]
-    kind = type(verdicts)
-    for forge in (lambda: kind(), lambda: kind(eng, {})):
-        with pytest.raises(TypeError) as info:
-            forge()
-        errors.append(str(info.value))
-    for copy_of in (copy.copy, copy.deepcopy, pickle.dumps):
-        with pytest.raises(TypeError):
-            copy_of(verdicts)
-    for name in ("extra", "_tested", "_engine"):
-        with pytest.raises(AttributeError):
-            setattr(verdicts, name, {})
-    # An instance made without its constructor is refused by expand.
-    with pytest.raises(TypeError, match=_BAD_PRIOR):
-        eng.expand([1, 2, 4], object.__new__(kind))
-    assert errors == ["verdicts are made only by Engine.expand"] * 2
-
-
 def _clauses_of_a_cnf(seed, n, m):
     cnf = random_horn_cnf(seed, n, m)
     return [sorted(c.body) for c in cnf.clauses], [c.head for c in cnf.clauses]
 
 
 def _walk(eng, expand, limit=None):
-    # The walk of ``keygen._walk``, stopped after ``limit`` expansions: the
-    # keys expanded in pop order, the pairs tried and the closures spent,
-    # the first minimize's n included.  ``expand`` takes the engine, a key
-    # and the verdicts it returned last.
+    # The walk of ``keygen._walk`` on the callable ``expand``, stopped after
+    # ``limit`` expansions: the keys expanded in pop order, the pairs tried
+    # and the closures spent, the first minimize's n included.
     first = frozenset(eng.minimize(range(eng.n)))
     pending, visited, order = [first], {first}, []
     tried = closures = 0
-    verdicts = None
     while pending and len(order) != limit:
         key = pending.pop()
-        out, pairs, spent, verdicts = expand(eng, key, verdicts)
+        out, pairs, spent = expand(key)
         tried += pairs
         closures += spent
         new = [k for k in out if k not in visited]
@@ -396,33 +328,46 @@ def test_walk_on_expand_matches_a_walk_on_minimize(engine_cls):
         n, m = (12, 30) if seed % 2 else (16, 40)
         bodies, heads = _clauses_of_a_cnf(seed, n, m)
         eng = engine_cls(n, bodies, heads)
-        got = _walk(eng, lambda e, key, prior: e.expand(key, prior))
-        expected = _walk(eng, lambda e, key, _: (*_reference_expand(e, bodies, heads, key), None))
+        got = _walk(eng, eng.expander())
+        expected = _walk(eng, lambda key: _reference_expand(eng, bodies, heads, key))
         assert got == expected
 
 
-def _expansions(eng, hand_on, limit=None):
-    # Every expansion of a walk, as (key, out, tried, closures), the walk
-    # handing each expansion the verdicts of the one before or none; and
-    # the entries of all the verdicts, one per chained drop test, where
-    # verdicts of None hold none.
+def _expansions(eng, expand, limit=None):
+    # Every expansion of a walk on ``expand``, as (key, out, tried, closures).
     calls = []
-    entries = 0
 
-    def expand(e, key, prior):
-        nonlocal entries
-        out, tried, closures, verdicts = e.expand(key, prior if hand_on else None)
-        calls.append((sorted(key), out, tried, closures))
-        entries += 0 if verdicts is None else len(verdicts)
-        return out, tried, closures, verdicts
+    def record(key):
+        result = expand(key)
+        calls.append((sorted(key), *result))
+        return result
+
+    _walk(eng, record, limit)
+    return calls
+
+
+def _memo_entries(eng, hand_on, limit=None):
+    # The entries of all the memos of a walk on the pure engine's
+    # ``_expand``, one per chained drop test, each call given the memo of the
+    # one before or none.
+    entries = 0
+    older = None
+
+    def expand(key):
+        nonlocal entries, older
+        out, tried, closures, memo = eng._expand(key, older)
+        entries += len(memo)
+        older = memo if hand_on else None
+        return out, tried, closures
 
     _walk(eng, expand, limit)
-    return calls, entries
+    return entries
 
 
 def test_handing_on_verdicts_changes_no_expansion(engine_cls):
     # Sparse random CNFs, and CNFs with empty bodies, some with duplicate
-    # clauses; n = 0 first.
+    # clauses; n = 0 first.  A walk's expander gives what ``expand`` alone
+    # gives; on the pure engine, the memo it hands on settles drop tests.
     rng = random.Random(0x7E4D)
     walks = chained = settled = 0
     for i in range(160):
@@ -436,55 +381,83 @@ def test_handing_on_verdicts_changes_no_expansion(engine_cls):
                 bodies.append(bodies[j])
                 heads.append(heads[j])
         eng = engine_cls(n, bodies, heads)
-        handed, entries = _expansions(eng, True, limit=60)
-        alone, alone_entries = _expansions(eng, False, limit=60)
-        assert handed == alone
+        handed = _expansions(eng, eng.expander(), limit=60)
+        assert handed == _expansions(eng, eng.expand, limit=60)
         walks += len(handed) > 1
-        chained += entries
-        settled += alone_entries - entries
+        if engine_cls is _closure_py.Engine:
+            entries = _memo_entries(eng, True, 60)
+            chained += entries
+            settled += _memo_entries(eng, False, 60) - entries
+        else:
+            assert eng.expander() == eng.expand  # the compiled kernel keeps no memo
     assert walks > 70
     if engine_cls is _closure_py.Engine:
         assert settled > chained // 10
-    else:
-        assert chained == settled == 0  # the compiled kernel keeps no entries
+
+
+def test_an_expander_hands_each_memo_to_its_next_call(monkeypatch):
+    # Each call of an expander gets the memo of its call before; ``expand``
+    # and a new expander start with none.
+    calls = []
+    expand_with = _closure_py.Engine._expand
+
+    def spy(self, key, older):
+        result = expand_with(self, key, older)
+        calls.append((older, result[3]))
+        return result
+
+    monkeypatch.setattr(_closure_py.Engine, "_expand", spy)
+    eng = _closure_py.Engine(*_TWINS)
+    expand = eng.expander()
+    expand([0, 2, 4])
+    expand([1, 2, 4])
+    eng.expand([0, 2, 4])
+    expand([0, 3, 4])
+    eng.expander()([0, 2, 4])
+    olders = [older for older, _ in calls]
+    assert olders[0] is None and olders[2] is None and olders[4] is None
+    assert olders[1] is calls[0][1] and olders[3] is calls[1][1]
 
 
 def test_verdicts_settle_repeated_drop_tests():
     # Every drop test here chains: one step never decides it, and seeds of
     # half the variables are too small for the suffix rule.  Expanding
     # {0, 2, 4} tests nine pairs; expanding {1, 2, 4} tests nine too, seven
-    # of them already tested, so with the first call's verdicts it chains two.
+    # of them already tested, so with the first call's memo it chains two.
     eng = _closure_py.Engine(*_TWINS)
-    out, tried, closures, first = eng.expand([0, 2, 4])
+    out, tried, closures, first = eng._expand([0, 2, 4], None)
     assert (tried, closures, len(first)) == (3, 9, 9)
     assert out == [frozenset({1, 2, 4}), frozenset({0, 3, 4}), frozenset({0, 2, 5})]
-    fresh = eng.expand([1, 2, 4])
-    handed = eng.expand([1, 2, 4], first)
-    assert handed[:3] == fresh[:3] == (
+    fresh = eng._expand([1, 2, 4], None)
+    handed = eng._expand([1, 2, 4], first)
+    assert handed[:3] == fresh[:3] == eng.expand([1, 2, 4]) == (
         [frozenset({0, 2, 4}), frozenset({1, 3, 4}), frozenset({1, 2, 5})], 3, 9
     )
     assert (len(fresh[3]), len(handed[3])) == (9, 2)
-    # The verdicts are this call's alone: the second call's two entries do
-    # not hold the seven sets it read from the first call's.
-    assert len(eng.expand([0, 2, 4], handed[3])[3]) == 9
+    # The memo is this call's alone: the second call's two entries do not
+    # hold the seven sets it read from the first call's.
+    assert len(eng._expand([0, 2, 4], handed[3])[3]) == 9
 
 
 def test_verdicts_stay_within_the_closure_count():
-    """Each entry of a call's verdicts is one drop test that it chained, and
-    a call chains at most one test per drop tried: len(verdicts) <= closures.
+    """Each entry of a call's memo is one drop test that it chained, and a
+    call chains at most one test per drop tried: len(memo) <= closures.
     A call runs at most m pairs on seeds of at most n variables, so
-    closures <= m·n, and what an expansion consults, its own entries and its
-    prior's, is at most 2·m·n <= 2·(m(n+1)+1) entries: twice the delay bound.
-    The memory cap bounds it further (see the next test).
+    closures <= m·n, and what an expansion consults, its own entries and
+    those of the call before, is at most 2·m·n <= 2·(m(n+1)+1) entries:
+    twice the delay bound.  The memory cap bounds it further (see the next
+    test).
     """
     n, bodies, heads = _twin_pairs(8)
     eng = _closure_py.Engine(n, bodies, heads)
     counts = []
+    older = None
 
-    def expand(e, key, prior):
-        out, tried, closures, verdicts = e.expand(key, prior)
-        counts.append((len(verdicts), closures))
-        return out, tried, closures, verdicts
+    def expand(key):
+        nonlocal older
+        out, tried, closures, older = eng._expand(key, older)
+        counts.append((len(older), closures))
+        return out, tried, closures
 
     order, _, _ = _walk(eng, expand)
     assert len(order) == 256
@@ -504,14 +477,14 @@ def test_verdicts_keep_within_a_memory_budget():
     cap = _closure_py._MEMO_SIZES * (n + len(heads) + n) // (n + 1)
     budget = cap * (8 * (2 * n + 1) + 256)  # the entries' references, plus headers
     key = list(range(0, n, 2))
-    first = eng.expand(key)[3]
+    first = eng._expand(key, None)[3]
     tracemalloc.start()
     try:
-        out, _, closures, verdicts = eng.expand([1, *key[1:]], first)
+        out, _, closures, memo = eng._expand([1, *key[1:]], first)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert closures == 80 * 80 and len(first) == len(verdicts) == cap == 47
+    assert closures == 80 * 80 and len(first) == len(memo) == cap == 47
     # All variables are small ints, which take no memory of their own.
     out_bytes = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
     assert peak - out_bytes <= 2 * budget  # the entries, and the scratch
@@ -637,17 +610,16 @@ _PROPERTY_SETTINGS = settings(
 def test_backends_agree_on_random_input(compiled, data, cnf):
     py, cc = _closure_py.Engine(*cnf), compiled.Engine(*cnf)
     n = cnf[0]
-    priors = {py: None, cc: None}  # each engine gets its own last verdicts
+    expanders = {py: py.expander(), cc: cc.expander()}  # one walk per engine
 
     def expand(eng, seed):
-        return eng.expand(seed)[:3]
+        return eng.expand(seed)
 
     def expand_a_key(eng, seed):
-        # Verdicts are defined for a key argument only: the seed, checked,
-        # is made one, and the walk's verdicts are handed on.
+        # An expander is defined for a key argument only: the seed, checked,
+        # is made one.
         key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
-        out, tried, closures, priors[eng] = eng.expand(key, priors[eng])
-        return out, tried, closures
+        return expanders[eng](key)
 
     for _ in range(6):
         seed = data.draw(_seed_lists(n))

@@ -185,7 +185,7 @@ def test_a_cnf_builds_one_clause_index(monkeypatch):
 
 
 class _ExpandSpy:
-    """An engine that records the key of each ``expand`` call."""
+    """An engine whose expanders record the key of each call."""
 
     def __init__(self, engine, calls):
         self._engine = engine
@@ -194,31 +194,41 @@ class _ExpandSpy:
     def __getattr__(self, name):
         return getattr(self._engine, name)
 
-    def expand(self, key, prior=None):
-        self._calls.append(frozenset(key))
-        return self._engine.expand(key, prior)
+    def expander(self):
+        expand = self._engine.expander()
+
+        def spy(key):
+            self._calls.append(frozenset(key))
+            return expand(key)
+
+        return spy
 
 
-class _PriorSpy(_ExpandSpy):
-    """An engine that records the prior of each ``expand`` call."""
+class _ExpanderSpy(_ExpandSpy):
+    """An engine that records each expander it hands out, with itself."""
 
-    def expand(self, key, prior=None):
-        self._calls.append(prior)
-        return self._engine.expand(key, prior)
+    def expander(self):
+        expand = self._engine.expander()
+        self._calls.append((self._engine, expand))
+        return expand
 
 
 def test_a_compiled_walk_hands_on_none_and_matches_the_pure_walk(compiled, monkeypatch):
+    # Each walk takes one expander.  The compiled one is the bound expand,
+    # which hands nothing on between calls, and its walk gives the keys and
+    # stats of the pure walk.
     cnf = random_horn_cnf(3, 12, 30, 3)
     runs = []
     for cls in (_closure_py.Engine, compiled.Engine):
-        priors = []
-        monkeypatch.setattr(core, "Engine", lambda *args: _PriorSpy(cls(*args), priors))
+        expanders = []
+        monkeypatch.setattr(core, "Engine", lambda *args: _ExpanderSpy(cls(*args), expanders))
         stats = hk.KeyEnumerationStats()
         keys = list(hk.iter_minimal_keys(hk.HornCNF(cnf.universe, cnf.clauses), stats=stats))
-        runs.append((keys, stats, priors))
-    (keys, stats, pure_priors), compiled_run = runs
-    assert len(keys) > 3 and any(p is not None for p in pure_priors)
-    assert compiled_run == (keys, stats, [None] * len(keys))
+        ((engine, expand),) = expanders
+        runs.append((keys, stats, expand == engine.expand))
+    keys, stats, _ = runs[0]
+    assert len(keys) > 3
+    assert runs == [(keys, stats, False), (keys, stats, True)]
 
 
 @pytest.fixture
@@ -259,12 +269,11 @@ def _reference_walk(cnf, expansions):
     first = frozenset(eng.minimize(range(cnf.n)))
     stats = hk.KeyEnumerationStats(closures=cnf.n, startup_closures=cnf.n)
     pending, visited, keys = [first], {first}, []
-    verdicts = None
     while pending:
         keys.append(pending.pop())
         if len(keys) > expansions:
             break
-        out, tried, spent, verdicts = eng.expand(keys[-1], verdicts)
+        out, tried, spent = eng.expand(keys[-1])
         stats.closures += spent
         stats.candidates += tried
         if len(keys) == 1:

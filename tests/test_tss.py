@@ -9,6 +9,7 @@ import pytest
 
 import hornkeys as hk
 from hornkeys.errors import ContractError, InputError, ResourceGuardError
+from hornkeys.formats import parse_roles, serialize_roles
 from hornkeys.oracles import (
     bf_min_target_set,
     bf_minimal_keys,
@@ -292,6 +293,12 @@ def test_role_map_is_a_hashable_immutable_value():
         ((1, (None, (0, "p", 0))), "role entry 1 is not a (clause, role, var) triple"),
         ((1, ((0, "p", 0), [0, "p", 0])), "role entry 2 is not a (clause, role, var) triple"),
         ((1, ((0, "p", 0), (0, "q", 0))), "vertex 2: unknown gadget role 'q'"),
+        ((1, ((-1, "p", 0),)), "vertex 1: clause index -1 is not a nonnegative int"),
+        ((1, ((True, "p", 0),)), "vertex 1: clause index True is not a nonnegative int"),
+        ((1, (("0", "p", 0),)), "vertex 1: clause index '0' is not a nonnegative int"),
+        ((1, ((0, "p", 0), (0, "x", 7))), "vertex 2: variable 7 out of range 0..0"),
+        ((2, ((0, "x", -1),)), "vertex 2: variable -1 out of range 0..1"),
+        ((2, ((0, "x", 1.0),)), "vertex 2: variable must be an int, got 1.0"),
         ((1.0, ((0, "p", 0),)), "role map size must be an int, got 1.0"),
         ((True, ()), "role map size must be an int, got True"),
         ((-1, ()), "role map size must be nonnegative, got -1"),
@@ -303,6 +310,20 @@ def test_role_map_size_and_entries_are_checked(args, message):
     assert str(info.value) == message
 
 
+def test_a_role_map_serializes_to_text_that_parses_back():
+    # The map below used to be accepted and serialized as
+    # "roles 1 3\n2 0 p 1\n3 1 x 8\n", which parse_roles refuses.
+    with pytest.raises(InputError, match="^vertex 1: clause index -1 is not a nonnegative int$"):
+        serialize_roles(hk.RoleMap(1, ((-1, "p", 0), (0, "x", 7))))
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        cnf = random_horn_cnf(rng.randrange(2**32), n, rng.randint(1, 3 * n), 3)
+        cnf = hk.horn_cnf(n, [(c.body, c.head) for c in cnf.clauses if c.body])
+        _, roles = hk.horn_to_tss(cnf)
+        assert parse_roles(serialize_roles(roles)) == roles
+
+
 def test_lift_validates_input(intro_cnf):
     tg, roles = hk.horn_to_tss(intro_cnf)
     for s in [{tg.n}, {-1}, {1.7}, {"2"}, {True}]:
@@ -310,17 +331,19 @@ def test_lift_validates_input(intro_cnf):
             hk.lift_target_set_to_key(intro_cnf, roles, s)
     with pytest.raises(ContractError):
         hk.lift_target_set_to_key(intro_cnf, roles, {0}, tg=tg)  # {a} not a target set
-    # Role maps of other CNFs: fewer variables, a clause past the last one,
-    # and a chain vertex attached to a variable the CNF does not have.
+    # Role maps of other CNFs: fewer variables and a clause past the last
+    # one.  A chain vertex attached to a variable the CNF does not have is
+    # refused when the map is built.
     _, fewer = hk.horn_to_tss(hk.horn_cnf(3, [({0}, 1), ({1}, 2)]))
     _, more = hk.horn_to_tss(
         hk.horn_cnf(5, [(c.body, c.head) for c in intro_cnf.clauses] + [({3}, 4)])
     )
     hub = next(v for v, (ci, role, _) in enumerate(more.roles, 5) if (ci, role) == (4, "p"))
-    stray = hk.RoleMap(5, ((0, "x", 7),))
-    for rm, s in [(fewer, {3, 4}), (fewer, {12}), (more, {hub}), (stray, {5})]:
+    for rm, s in [(fewer, {3, 4}), (fewer, {12}), (more, {hub})]:
         with pytest.raises(InputError):
             hk.lift_target_set_to_key(intro_cnf, rm, s)
+    with pytest.raises(InputError, match="^vertex 5: variable 7 out of range 0..4$"):
+        hk.RoleMap(5, ((0, "x", 7),))
 
 
 def test_exhaustive_lift_on_one_small_gadget():
