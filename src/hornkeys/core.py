@@ -78,6 +78,8 @@ def _index(v, n: int, what: str) -> int:
         return v
     if not _is_int(v):
         raise _not_an_int(v, what)
+    if n == 0:
+        raise InputError(f"{what} {v} out of range: there are no ids")
     raise InputError(f"{what} {v} out of range 0..{n - 1}")
 
 

@@ -41,6 +41,19 @@ class SpernerHypergraph:
         self.edges = ordered
         self._edge_masks = masks
 
+    @classmethod
+    def _of_masks(cls, universe: VariableUniverse, masks: Iterable[int]) -> SpernerHypergraph:
+        """The family of ``masks``, distinct bitmasks over ``universe`` that
+        already form an antichain; nothing is checked.  The edges are put in
+        canonical order, as the public constructor puts them."""
+        h = object.__new__(cls)
+        h.universe = universe
+        # Distinct masks have distinct bit tuples, so the sort never compares masks.
+        keyed = sorted([(tuple(bits_of(m)), m) for m in masks])
+        h.edges = tuple([frozenset(k) for k, _ in keyed])
+        h._edge_masks = tuple([m for _, m in keyed])
+        return h
+
     @property
     def n(self) -> int:
         return self.universe.n
@@ -85,13 +98,13 @@ def minimalize(universe, edges: Iterable[Iterable[int]]) -> SpernerHypergraph:
     if isinstance(universe, int):
         universe = VariableUniverse(universe)
     masks = _minimal_masks(mask_of(_as_varset(e, universe.n)) for e in edges)
-    return SpernerHypergraph(universe, map(set_of, masks))
+    return SpernerHypergraph._of_masks(universe, masks)
 
 
 def restrict(b: SpernerHypergraph, s: Iterable[int]) -> SpernerHypergraph:
     """The subhypergraph induced by ``s``: edges entirely inside ``s``."""
-    s = _as_varset(s, b.n)
-    return SpernerHypergraph(b.universe, [e for e in b.edges if e <= s])
+    s = mask_of(_as_varset(s, b.n))
+    return SpernerHypergraph._of_masks(b.universe, [m for m in b.edge_masks() if m & s == m])
 
 
 def project(b: SpernerHypergraph, s: Iterable[int]) -> SpernerHypergraph:
@@ -200,7 +213,7 @@ def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> Spe
                 f"dualization guard: {len(cur)} partial transversals after "
                 f"edge {i} of {len(masks)} exceeds cap {cap}"
             )
-    return SpernerHypergraph(b.universe, [frozenset(bits_of(m)) for m in cur])
+    return SpernerHypergraph._of_masks(b.universe, cur)
 
 
 def key_horn_cnf(b: SpernerHypergraph) -> HornCNF:
@@ -281,7 +294,8 @@ class Graph:
         return self._adj_masks
 
     def as_hypergraph(self) -> SpernerHypergraph:
-        return SpernerHypergraph(self.universe, [frozenset(e) for e in self.edges])
+        masks = [(1 << u) | (1 << v) for u, v in self.edges]
+        return SpernerHypergraph._of_masks(self.universe, masks)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

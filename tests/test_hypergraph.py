@@ -278,6 +278,8 @@ def test_graph_validation():
             with pytest.raises(InputError) as info:
                 call(v)
             assert str(info.value) == message
+    with pytest.raises(InputError, match="^vertex 0 out of range: there are no ids$"):
+        hk.graph(0, []).neighbors(0)
     assert hk.graph(3, [(0, 1), (1, 0)]).edges == ((0, 1),)  # same edge, one copy
     with pytest.raises(InputError):
         hk.graph(3, [(0, 0)])  # self-loop

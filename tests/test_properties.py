@@ -91,11 +91,37 @@ def test_each_berge_step_is_the_minimal_product(data, b):
 
 
 @_PROPERTY_SETTINGS
-@given(b=_sperner(max_n=9))
-def test_edge_masks_are_the_edges_in_order(b):
-    dual = hk.minimal_transversals(b)
-    for h in (b, dual, hk.minimal_transversals(hk.sperner(b.n, []))):
-        assert h.edge_masks() == tuple(mask_of(e) for e in h.edges)
+@given(data=st.data(), b=_sperner(max_n=9))
+def test_edge_masks_are_the_edges_in_order(data, b):
+    """Each family built from masks without checks (by minimalize, which
+    built b, and by the dual, restrict, project and as_hypergraph) equals the
+    family that the checking public constructor builds from its edges, given
+    in reverse order."""
+    ids = st.integers(0, b.n - 1)
+    s = data.draw(st.sets(ids))
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=12))
+    g = hk.graph(b.n, [(u, v) for u, v in pairs if u != v])
+    dual_of_none = hk.minimal_transversals(hk.sperner(b.n, []))
+    no_edge_inside = hk.restrict(b, set())
+    non_transversal = hk.project(b, set())
+    assert dual_of_none.edges == (frozenset(),)
+    assert no_edge_inside.edges == ()
+    assert non_transversal.edges == ((frozenset(),) if b.edges else ())
+    derived = (
+        b,
+        hk.minimal_transversals(b),
+        dual_of_none,
+        hk.restrict(b, s),
+        no_edge_inside,
+        hk.project(b, s),
+        non_transversal,
+        g.as_hypergraph(),
+    )
+    for h in derived:
+        checked = hk.SpernerHypergraph(h.universe, reversed(h.edges))
+        assert h.edges == checked.edges
+        assert h.edge_masks() == checked.edge_masks() == tuple(mask_of(e) for e in h.edges)
+        assert h == checked and hash(h) == hash(checked)
 
 
 @_PROPERTY_SETTINGS

@@ -298,6 +298,7 @@ def test_role_map_is_a_hashable_immutable_value():
         ((1, (("0", "p", 0),)), "vertex 1: clause index '0' is not a nonnegative int"),
         ((1, ((0, "p", 0), (0, "x", 7))), "vertex 2: variable 7 out of range 0..0"),
         ((2, ((0, "x", -1),)), "vertex 2: variable -1 out of range 0..1"),
+        ((0, ((0, "p", 0),)), "vertex 0: variable 0 out of range: there are no ids"),
         ((2, ((0, "x", 1.0),)), "vertex 2: variable must be an int, got 1.0"),
         ((1.0, ((0, "p", 0),)), "role map size must be an int, got 1.0"),
         ((True, ()), "role map size must be an int, got True"),
