@@ -49,7 +49,7 @@ class Engine:
         self._base_count = list(map(len, bodies))
         self._empty_heads = empty = []
         occ = [[] for _ in range(n)]
-        # The bodies of the clauses with head h, for the goal-directed tests.
+        # The bodies of the clauses with head h, for one-step tests and expand.
         by_head = [[] for _ in range(n)]
         for i, (h, body) in enumerate(zip(checked, map(tuple, bodies))):
             for v in body:
@@ -70,25 +70,6 @@ class Engine:
         self._chain(in_f, queue, self.n)
         return [v for v in range(self.n) if in_f[v]]
 
-    def derives(self, seed, target):
-        """True iff ``target`` is in the closure of ``seed``.
-
-        After the seed is checked, a target in the seed is True, a target
-        that heads no clause is False, a target with a clause body inside the
-        seed is True, and otherwise chaining stops as soon as ``target`` is
-        derived.
-        """
-        target = index(target)
-        if target < 0 or target >= self.n:
-            raise _out_of_range(target, self.n)
-        in_f, queue = self._flag(seed)
-        if in_f[target]:
-            return True
-        found = self._one_step(in_f, target)
-        if found is None:
-            return self._chain(in_f, queue, target)
-        return found
-
     def minimize(self, seed):
         """Shrink the key ``seed`` by greedy drops in ascending order.
 
@@ -103,9 +84,9 @@ class Engine:
         return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
 
     def expand(self, key):
-        """The out-neighbors of the minimal key ``key``, as frozensets, the
-        pairs tried and the closures run (see ``_kernel``).  A bad key raises
-        before the first pair."""
+        """The out-neighbors of the minimal key ``key``, as sorted tuples,
+        the pairs tried and the closures run (see ``_kernel``).  A bad key
+        raises before the first pair."""
         return self._expand(key, None)[:3]
 
     def expander(self):
@@ -146,7 +127,7 @@ class Engine:
                     cur[u] = 1
                 seed = sorted(rest.union(body))
                 closures += len(seed)
-                k2 = frozenset(shrink(cur, seed, memo, older))
+                k2 = tuple(shrink(cur, seed, memo, older))
                 if k2 not in seen:
                     seen.add(k2)
                     out.append(k2)

@@ -9,12 +9,11 @@
  * construction: the head of each clause, the size of each body, the body
  * variables in clause order, a variable -> clause occurrence index and a
  * head -> clause index, all in CSR form.  No call writes to them.
- * ``derives`` answers from the seed alone when it can: True for a target in
- * the seed or with a clause body inside it, False for a target that heads no
- * clause.  ``minimize`` runs the greedy ascending-drop loop of key
- * minimization; the suffix rule of the kernel contract in ``_kernel.py``
- * settles some drops with no test.  ``expand`` runs that loop on each
- * candidate of a minimal key and counts the drops it tried.  Its chains
+ * ``closure`` chains a seed to the end.  ``minimize`` runs the greedy
+ * ascending-drop loop of key minimization; the suffix rule of the kernel
+ * contract in ``_kernel.py`` settles some drops with no test.  ``expand``
+ * runs that loop on each candidate of a minimal key, returns each distinct
+ * result as a sorted tuple and counts the drops it tried.  Its chains
  * are cheap enough that a memo of earlier drop tests, as the pure twin
  * keeps, saves about what it costs, so it keeps none, and ``expander``
  * returns the bound ``expand`` itself.  Each call allocates its own
@@ -330,65 +329,30 @@ flagged_list(const unsigned char *in_f, Py_ssize_t n, Py_ssize_t size)
     return out;
 }
 
-/* Runs one call with fresh scratch: the closure of ``seed`` as a sorted
- * list when ``as_list``, else whether it derives ``target``. */
-static PyObject *
-run(const Engine *self, PyObject *seed, Py_ssize_t target, int as_list)
-{
-    Py_ssize_t n = self->n, size = 0, top;
-    /* One block: count[m], queue[n], then in_f[n + 1]. */
-    Py_ssize_t words = self->m + n;
-    Py_ssize_t *scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1), *queue;
-    unsigned char *in_f;
-    PyObject *out = NULL;
-    int r;
-
-    if (!scratch)
-        return PyErr_NoMemory();
-    queue = scratch + self->m;
-    in_f = (unsigned char *)(scratch + words);
-    memset(in_f, 0, n + 1);
-    if ((top = flag_seed(self, seed, in_f, queue)) < 0)
-        r = -1;
-    else if (as_list)
-        r = chain(self, n, in_f, queue, 0, top, scratch, &size);
-    else if (in_f[target])
-        r = 1;
-    else if ((r = one_step(self, in_f, target)) < 0)
-        r = chain(self, target, in_f, queue, 0, top, scratch, &size);
-    if (r == 1)
-        out = Py_NewRef(Py_True);
-    else if (r == 0 && !as_list)
-        out = Py_NewRef(Py_False);
-    else if (r == 0)
-        out = flagged_list(in_f, n, size);
-    PyMem_Free(scratch);
-    return out;
-}
-
 static PyObject *
 Engine_closure(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"seed", NULL};
-    PyObject *seed;
+    Py_ssize_t n = self->n, size = 0, top;
+    /* One block: count[m], queue[n], then in_f[n + 1]. */
+    Py_ssize_t words = self->m + n;
+    Py_ssize_t *scratch, *queue;
+    unsigned char *in_f;
+    PyObject *seed, *out = NULL;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
         return NULL;
-    return run(self, seed, self->n, 1);
-}
-
-static PyObject *
-Engine_derives(Engine *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"seed", "target", NULL};
-    PyObject *seed, *target_obj;
-    Py_ssize_t target;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &seed, &target_obj))
-        return NULL;
-    if ((target = as_index(target_obj, self->n)) < 0)
-        return NULL;
-    return run(self, seed, target, 0);
+    if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1)))
+        return PyErr_NoMemory();
+    queue = scratch + self->m;
+    in_f = (unsigned char *)(scratch + words);
+    memset(in_f, 0, n + 1);
+    if ((top = flag_seed(self, seed, in_f, queue)) >= 0) {
+        chain(self, n, in_f, queue, 0, top, scratch, &size);
+        out = flagged_list(in_f, n, size);
+    }
+    PyMem_Free(scratch);
+    return out;
 }
 
 /* The greedy drops of ``minimize`` over key[0..nk), ascending, whose
@@ -477,19 +441,21 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
     return out;
 }
 
-/* The variables of key[0..nk) that ``in_k`` flags, as a frozenset. */
+/* The variables of key[0..nk) that ``in_k`` flags, ``size`` of them, as a
+ * sorted tuple. */
 static PyObject *
-flagged_set(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk)
+flagged_tuple(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk, Py_ssize_t size)
 {
-    Py_ssize_t i;
-    PyObject *out = PyFrozenSet_New(NULL), *x;
+    Py_ssize_t i, k = 0;
+    PyObject *out = PyTuple_New(size), *x;
 
     for (i = 0; out && i < nk; i++) {
         if (!in_k[key[i]])
             continue;
-        if (!(x = PyLong_FromSsize_t(key[i])) || PySet_Add(out, x) < 0)
+        if (!(x = PyLong_FromSsize_t(key[i])))
             Py_CLEAR(out);
-        Py_XDECREF(x);
+        else
+            PyTuple_SET_ITEM(out, k++, x);
     }
     return out;
 }
@@ -498,7 +464,7 @@ static PyObject *
 Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"key", NULL};
-    Py_ssize_t n = self->n, nk, ns, i, j, k, v, u, tried = 0, closures = 0;
+    Py_ssize_t n = self->n, nk, ns, size, i, j, k, v, u, tried = 0, closures = 0;
     /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
     Py_ssize_t words = self->m + 3 * n;
@@ -537,8 +503,8 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
                     seed[ns++] = u;
             }
             closures += ns;
-            shrink(self, seed, ns, cur, in_f, free_, queue, scratch);
-            if (!(k2 = flagged_set(cur, seed, ns)))
+            size = shrink(self, seed, ns, cur, in_f, free_, queue, scratch);
+            if (!(k2 = flagged_tuple(cur, seed, ns, size)))
                 goto fail;
             r = PySet_Contains(seen, k2);
             if (r == 0 && (PySet_Add(seen, k2) < 0 || PyList_Append(out, k2) < 0))
@@ -569,18 +535,13 @@ Engine_expander(Engine *self, PyObject *Py_UNUSED(ignored))
 static PyMethodDef Engine_methods[] = {
     {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_VARARGS | METH_KEYWORDS,
      "Return the sorted list of variables derivable from ``seed``."},
-    {"derives", (PyCFunction)(void (*)(void))Engine_derives, METH_VARARGS | METH_KEYWORDS,
-     "True iff ``target`` is in the closure of ``seed``.\n\n"
-     "A target in the seed or with a clause body inside it is True, one\n"
-     "that heads no clause is False; otherwise chaining stops as soon as\n"
-     "``target`` is derived."},
     {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_VARARGS | METH_KEYWORDS,
      "Shrink the key ``seed`` by greedy drops in ascending order.\n\n"
      "Returns the sorted minimal key."},
     {"expand", (PyCFunction)(void (*)(void))Engine_expand, METH_VARARGS | METH_KEYWORDS,
      "The out-neighbors of the minimal key ``key``, with their cost.\n\n"
      "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
-     "minimize shrinks; returns the distinct results as frozensets in\n"
+     "minimize shrinks; returns the distinct results as sorted tuples in\n"
      "first-seen order, the number of pairs and the closures run, one per\n"
      "drop tried."},
     {"expander", (PyCFunction)Engine_expander, METH_NOARGS,

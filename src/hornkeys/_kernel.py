@@ -5,11 +5,6 @@ pure-Python twin, which stays as the reference and fallback.  Both provide
 the one kernel contract, ``Engine(n, bodies, heads)`` with:
 
 - ``closure(seed)``: the sorted list of variables derivable from ``seed``;
-- ``derives(seed, target)``: whether ``target`` is derivable from ``seed``.
-  After checking the whole seed it answers True for a target in the seed,
-  False for a target that heads no clause, True when some clause body of
-  the target lies inside the seed (an empty one included), and otherwise
-  chains only until the target is derived;
 - ``minimize(seed)``: the sorted minimal key that greedy drops in ascending
   order leave of the key ``seed``, dropping v whenever the rest derives it;
   the seed is checked before the first drop.  The suffix rule: a v that lies
@@ -21,11 +16,13 @@ the one kernel contract, ``Engine(n, bodies, heads)`` with:
   seed down that stops once it holds every variable;
 - ``expand(key)``: for a minimal key K, the tuple ``(out, tried,
   closures)``.  Each pair (v ∈ K, clause A→v) gives the key (K ∖ {v}) ∪ A,
-  which ``minimize`` shrinks; ``out`` lists the results as frozensets, by v
-  ascending and then clause input order, each kept at its first place only,
-  ``tried`` counts the pairs, and ``closures`` is the sum of |(K ∖ {v}) ∪ A|
-  over them: one closure computation per drop tried, as in the delay bound,
-  whatever the shortcuts here settle.  This is the key-graph step of
+  which ``minimize`` shrinks; ``out`` lists the results as sorted tuples,
+  by v ascending and then clause input order, each kept at its first place
+  only, ``tried`` counts the pairs, and ``closures`` is the sum of
+  |(K ∖ {v}) ∪ A| over them: one closure computation per drop tried, as in
+  the delay bound, whatever the shortcuts here settle.  A tuple of small
+  ints takes about a quarter of a frozenset's memory, and a walk keeps
+  every key it has seen.  This is the key-graph step of
   Lucchesi and Osborn, "Candidate keys for relations" (1978), run on the
   engine's own head index;
 - ``expander()``: a callable for one walk, each call of which gives exactly

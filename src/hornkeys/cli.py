@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 decided/enumerated, 1 recognizer answered false, 2 input
-error, 3 resource guard tripped.  Every verb accepts --json and emits one
-object {command, result, witness, stats}; see docs/cli_output.schema.json.
+error, 3 resource guard tripped or memory ran out.  Every verb accepts
+--json and emits one object {command, result, witness, stats}; see
+docs/cli_output.schema.json.
 
 ``main(argv)`` runs one command in process and returns its exit code.  It
 builds the argument parser on its first call and reuses it for every later
@@ -486,6 +487,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceGuardError as e:
         print(f"resource guard: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource guard: out of memory", file=sys.stderr)
         return 3
     except BrokenPipeError:
         return 0

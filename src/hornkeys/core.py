@@ -236,7 +236,7 @@ def forward_closure(cnf: HornCNF, s: Iterable[int]) -> frozenset[int]:
 def is_implicate(cnf: HornCNF, body: Iterable[int], head: int) -> bool:
     """True iff ``body -> head`` follows from the CNF (heads in the body do)."""
     body = _as_varset(body, cnf.n)
-    return cnf.engine().derives(body, _index(head, cnf.n, "head index"))
+    return _index(head, cnf.n, "head index") in cnf.engine().closure(body)
 
 
 def is_key(cnf: HornCNF, k: Iterable[int]) -> bool:

@@ -74,7 +74,7 @@ def neighbors(cnf: HornCNF, key) -> list[frozenset[int]]:
         raise ContractError(
             f"{sorted(key)} is not minimal: dropping {v} keeps it a key", witness=key - {v}
         )
-    return engine.expand(key)[0]
+    return [frozenset(k2) for k2 in engine.expand(key)[0]]
 
 
 def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable] = None):
@@ -84,13 +84,15 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     queue its unseen out-neighbors and pop the next.  ``stats`` counts each
     key as it is yielded and each expansion once it has run, and
     ``expanded(key, out_neighbors, newly_discovered)``, when given, hears of
-    each expansion.  Between two emissions, and after the last, the walk
-    runs one expansion, through the walk's own ``engine.expander()``, so its
-    closure count is the delay.  A caller that stops after a key skips that
-    key's expansion.
+    each expansion.  Keys are the kernel's sorted tuples, which take about a
+    quarter of a frozenset's memory, and ``visited`` holds every one for the
+    whole run; callers turn a key into a frozenset as it leaves keygen.
+    Between two emissions, and after the last, the walk runs one expansion,
+    through the walk's own ``engine.expander()``, so its closure count is
+    the delay.  A caller that stops after a key skips that key's expansion.
     """
     engine = cnf.engine()
-    first = frozenset(engine.minimize(range(cnf.n)))
+    first = tuple(engine.minimize(range(cnf.n)))
     pending = [first]
     visited = {first}
     # every counter starts over, so a reused stats object reads as a fresh one;
@@ -147,7 +149,7 @@ def iter_minimal_keys(
 
 def _limited(cnf: HornCNF, limit: Optional[int], stats: KeyEnumerationStats):
     # islice asks for no key past the limit, so the last key is never expanded
-    yield from islice(_walk(cnf, stats), limit)
+    yield from map(frozenset, islice(_walk(cnf, stats), limit))
 
 
 def enumerate_minimal_keys(
@@ -174,22 +176,22 @@ def build_key_graph(cnf: HornCNF, max_keys: int = 100_000) -> KeyGraph:
     """Materialize all minimal keys, in discovery order, and their out-arcs;
     desk scale only."""
     _check_count(max_keys, "max_keys")
-    nodes = []
+    nodes = {}  # each walk key's frozenset, in discovery order
     arcs = []
 
     def expanded(key, out, new):
-        arcs.extend((key, k2) for k2 in out)
-        nodes.extend(new)
+        nodes.update((k2, frozenset(k2)) for k2 in new)
+        arcs.extend((nodes[key], nodes[k2]) for k2 in out)
 
     # Checked at each pop, before that key's expansion: the first key counts
     # at once, and the keys an expansion discovers are queued, so a pop
     # follows every expansion that adds any.
     for key in _walk(cnf, KeyEnumerationStats(), expanded):
         if not nodes:
-            nodes.append(key)
+            nodes[key] = frozenset(key)
         if len(nodes) > max_keys:
             raise ResourceGuardError(f"key graph exceeds {max_keys} minimal keys")
-    return KeyGraph(tuple(nodes), tuple(arcs))
+    return KeyGraph(tuple(nodes.values()), tuple(arcs))
 
 
 def is_strongly_connected(kg: KeyGraph) -> bool:

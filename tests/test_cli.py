@@ -269,6 +269,17 @@ def test_tss2horn_guard(run, tmp_path):
     assert code == 0 and out.splitlines()[0] == "horn 5 5"
 
 
+def test_out_of_memory_exits_3(run, tmp_path, monkeypatch):
+    # Exit 1 would read as a recognizer's "no", so running out of memory
+    # exits 3, like a tripped guard, with one line and no traceback.
+    def exhausted(hg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "minimal_transversals", exhausted)
+    code, out, err = run(["dual", _file(tmp_path, "star.hg", STAR_HG)])
+    assert (code, out, err) == (3, "", "resource guard: out of memory\n")
+
+
 def test_horn2tss(run, tmp_path):
     f = _file(tmp_path, "phi.horn", PHI_HORN)
     out_path = str(tmp_path / "gadget.tss")

@@ -24,7 +24,7 @@ def test_backend_constant():
 def test_engine_exposes_only_the_contract(engine_cls):
     eng = engine_cls(3, [[0], []], [1, 2])
     public = {name for name in dir(eng) if not name.startswith("_")}
-    assert public == {"closure", "derives", "minimize", "expand", "expander", "n", "m"}
+    assert public == {"closure", "minimize", "expand", "expander", "n", "m"}
 
 
 def _make(engine_cls, cnf):
@@ -45,9 +45,14 @@ def test_backends_agree(compiled):
         py, cy = _make(_closure_py.Engine, cnf), _make(compiled.Engine, cnf)
         for _ in range(32):
             seed = _seeds(n, rng.randrange(1 << n))
-            target = rng.randrange(n)
             assert py.closure(seed) == cy.closure(seed)
-            assert py.derives(seed, target) == cy.derives(seed, target)
+            key = seed + [v for v in range(n) if v not in py.closure(seed)]
+            assert py.minimize(key) == cy.minimize(key)
+            key = py.minimize(key)
+            for expand in (py.expand, cy.expand, py.expander(), cy.expander()):
+                out, tried, closures = expand(key)
+                assert all(type(k2) is tuple for k2 in out)
+                assert (out, tried, closures) == py.expand(key)
 
 
 def test_backends_agree_exhaustively_on_small_instances(compiled):
@@ -72,18 +77,6 @@ def _random_clauses(rng, n, m):
     return bodies, heads
 
 
-def test_derives_matches_closure_exhaustively(engine_cls):
-    rng = random.Random(0xD0E5)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        eng = engine_cls(n, *_random_clauses(rng, n, rng.randint(0, 9)))
-        for mask in range(1 << n):
-            seed = _seeds(n, mask)
-            closed = eng.closure(seed)
-            for target in range(n):
-                assert eng.derives(seed, target) == (target in closed)
-
-
 def test_engine_basics(engine_cls):
     eng = engine_cls(4, [[0], [1, 2]], [1, 3])
     assert eng.closure([0]) == [0, 1]
@@ -91,48 +84,19 @@ def test_engine_basics(engine_cls):
     assert eng.closure([]) == []
     assert (eng.n, eng.m) == (4, 2)
 
-    assert eng.derives([0, 2], 3) is True
-    assert eng.derives([0], 3) is False
-    assert eng.derives([2], 2) is True  # the target is in the seed
-    assert eng.derives({0}, 1) is True
-
     with_units = engine_cls(3, [[], [0]], [0, 2])
     assert with_units.closure([]) == [0, 2]
-    assert with_units.derives([], 2) is True
-    assert with_units.derives([], 1) is False
-
-
-def test_derives_shortcuts(engine_cls):
-    # 0 -> 1, {} -> 2, {0, 3} -> 4, 1 -> 4; variables 0 and 3 head no clause
-    eng = engine_cls(5, [[0], [], [0, 3], [1]], [1, 2, 4, 4])
-    assert eng.derives([0, 1], 0) is True  # head-free, in the seed
-    assert eng.derives([1, 2, 4], 0) is False  # head-free, out of the seed
-    assert eng.derives([4], 3) is False
-    assert eng.derives([], 2) is True  # its only clause has an empty body
-    assert eng.derives([3], 2) is True
-    assert eng.derives([0, 3], 4) is True  # one step: a body inside the seed
-    assert eng.derives([1], 4) is True
-    assert eng.derives([0], 4) is True  # two steps: 0 -> 1 -> 4
-    assert eng.derives([3], 4) is False
-
-
-def test_head_free_target_still_checks_the_seed(engine_cls):
-    eng = engine_cls(3, [[0]], [1])
-    with pytest.raises(ValueError):
-        eng.derives([0, 3], 2)  # 2 heads no clause, but 3 is out of range
-    with pytest.raises(ValueError):
-        eng.derives([2, -1], 2)  # the target is in the seed, -1 is not a variable
 
 
 def _reference_minimize(eng, seed):
     cur = set(seed)
     for v in sorted(cur):
-        if eng.derives(cur - {v}, v):
+        if v in eng.closure(cur - {v}):
             cur.discard(v)
     return sorted(cur)
 
 
-def test_minimize_matches_a_loop_of_derives(engine_cls):
+def test_minimize_matches_a_loop_of_closures(engine_cls):
     rng = random.Random(0x3141)
     for _ in range(60):
         n = rng.randint(1, 9)
@@ -226,7 +190,7 @@ def _reference_expand(eng, bodies, heads, key):
                 seed = (set(key) - {v}) | set(body)
                 tried += 1
                 closures += len(seed)
-                k2 = frozenset(eng.minimize(seed))
+                k2 = tuple(eng.minimize(seed))
                 if k2 not in out:
                     out.append(k2)
     return out, tried, closures
@@ -265,15 +229,15 @@ def test_expand_matches_a_loop_of_minimize(engine_cls):
 def test_expand_basics(engine_cls):
     # 0 <-> 1, {0, 2} -> 3, {} -> 4: minimal keys {0, 2} and {1, 2}
     eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
-    assert eng.expand([1, 2]) == ([frozenset({0, 2})], 1, 2)
-    assert eng.expand(iter([2, 0])) == ([frozenset({1, 2})], 1, 2)
+    assert eng.expand([1, 2]) == ([(0, 2)], 1, 2)
+    assert eng.expand(iter([2, 0])) == ([(1, 2)], 1, 2)
     # 1 -> 0 twice, 0 -> 1: both pairs give {1}, kept once, each seed {1}
     eng = engine_cls(2, [[1], [1], [0]], [0, 0, 1])
-    assert eng.expand({0}) == ([frozenset({1})], 2, 2)
+    assert eng.expand({0}) == ([(1,)], 2, 2)
     # {1, 2} -> 0, 0 -> 1, 0 -> 2: from {1, 2} the seeds {0, 2} and {0, 1}
     eng = engine_cls(3, [[1, 2], [0], [0]], [0, 1, 2])
-    assert eng.expand([0]) == ([frozenset({1, 2})], 1, 2)
-    assert eng.expand([1, 2]) == ([frozenset({0})], 2, 4)
+    assert eng.expand([0]) == ([(1, 2)], 1, 2)
+    assert eng.expand([1, 2]) == ([(0,)], 2, 4)
     assert engine_cls(0, [], []).expand([]) == ([], 0, 0)
     assert engine_cls(2, [], []).expand([0, 1]) == ([], 0, 0)
 
@@ -308,7 +272,7 @@ def _walk(eng, expand, limit=None):
     # The walk of ``keygen._walk`` on the callable ``expand``, stopped after
     # ``limit`` expansions: the keys expanded in pop order, the pairs tried
     # and the closures spent, the first minimize's n included.
-    first = frozenset(eng.minimize(range(eng.n)))
+    first = tuple(eng.minimize(range(eng.n)))
     pending, visited, order = [first], {first}, []
     tried = closures = 0
     while pending and len(order) != limit:
@@ -427,11 +391,11 @@ def test_verdicts_settle_repeated_drop_tests():
     eng = _closure_py.Engine(*_TWINS)
     out, tried, closures, first = eng._expand([0, 2, 4], None)
     assert (tried, closures, len(first)) == (3, 9, 9)
-    assert out == [frozenset({1, 2, 4}), frozenset({0, 3, 4}), frozenset({0, 2, 5})]
+    assert out == [(1, 2, 4), (0, 3, 4), (0, 2, 5)]
     fresh = eng._expand([1, 2, 4], None)
     handed = eng._expand([1, 2, 4], first)
     assert handed[:3] == fresh[:3] == eng.expand([1, 2, 4]) == (
-        [frozenset({0, 2, 4}), frozenset({1, 3, 4}), frozenset({1, 2, 5})], 3, 9
+        [(0, 2, 4), (1, 3, 4), (1, 2, 5)], 3, 9
     )
     assert (len(fresh[3]), len(handed[3])) == (9, 2)
     # The memo is this call's alone: the second call's two entries do not
@@ -532,14 +496,6 @@ def test_engine_checks_indices_in_order(engine_cls):
         engine_cls(3, [[0], [1]], [7, 1.0])
 
 
-def test_engine_rejects_non_integer_target(engine_cls):
-    eng = engine_cls(3, [[0]], [1])
-    for target in (1.0, 7.0, -1.0, "1"):
-        with pytest.raises(TypeError):
-            eng.derives([0], target)
-    assert eng.derives([0], 1) is True
-
-
 def test_engine_rejects_out_of_range_seed(engine_cls):
     eng = engine_cls(3, [[0]], [1])
     with pytest.raises(ValueError):
@@ -547,13 +503,9 @@ def test_engine_rejects_out_of_range_seed(engine_cls):
     with pytest.raises(ValueError):
         eng.closure([-1])
     with pytest.raises(ValueError):
-        eng.derives([0, 3], 1)
+        eng.closure([0, 3])
     with pytest.raises(ValueError):
-        eng.derives([0], 3)
-    with pytest.raises(ValueError):
-        eng.derives([0], -1)
-    with pytest.raises(ValueError):
-        eng.derives([1], 2**80)
+        eng.closure([1, 2**80])
 
 
 @pytest.mark.parametrize("bad", [0.0, 2.0, 7.0, -1.0, "0"])
@@ -562,7 +514,7 @@ def test_engine_rejects_non_integer_seed(engine_cls, bad):
     with pytest.raises(TypeError):
         eng.closure([0, bad])
     with pytest.raises(TypeError):
-        eng.derives([bad], 2)
+        eng.closure([bad])
     with pytest.raises(TypeError):
         eng.minimize([1, bad])
 
@@ -623,11 +575,14 @@ def test_backends_agree_on_random_input(compiled, data, cnf):
 
     for _ in range(6):
         seed = data.draw(_seed_lists(n))
-        target = data.draw(st.integers(-1, n))
-        for method, args in [("closure", (seed,)), ("derives", (seed, target)), ("minimize", (seed,))]:
-            assert _outcome(getattr(py, method), *args) == _outcome(getattr(cc, method), *args)
+        for method in ("closure", "minimize"):
+            assert _outcome(getattr(py, method), seed) == _outcome(getattr(cc, method), seed)
         for call in (expand, expand_a_key):
-            assert _outcome(call, py, seed) == _outcome(call, cc, seed)
+            outcomes = _outcome(call, py, seed), _outcome(call, cc, seed)
+            assert outcomes[0] == outcomes[1]
+            for outcome in outcomes:
+                if isinstance(outcome, tuple):  # not an error type
+                    assert all(type(k2) is tuple for k2 in outcome[0])
 
 
 @_PROPERTY_SETTINGS

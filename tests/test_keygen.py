@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -266,7 +267,7 @@ def _reference_walk(cnf, expansions):
     # The walk of ``keygen._walk`` run by hand on ``engine.expand`` and cut
     # after ``expansions`` expansions: the keys it pops, with its counters.
     eng = cnf.engine()
-    first = frozenset(eng.minimize(range(cnf.n)))
+    first = tuple(eng.minimize(range(cnf.n)))
     stats = hk.KeyEnumerationStats(closures=cnf.n, startup_closures=cnf.n)
     pending, visited, keys = [first], {first}, []
     while pending:
@@ -284,7 +285,7 @@ def _reference_walk(cnf, expansions):
         visited.update(new)
         pending += new
     stats.keys = len(keys)
-    return keys, stats
+    return list(map(frozenset, keys)), stats
 
 
 def test_a_limit_of_k_runs_k_minus_1_expansions(backend):
@@ -324,6 +325,23 @@ def test_a_walk_closed_halfway_leaves_the_engine_as_it_was(backend):
         assert next(walk, None) is None
         assert list(hk.iter_minimal_keys(cnf)) == keys
     assert checked > 10
+
+
+def test_a_walk_keeps_each_key_in_a_few_hundred_bytes(backend):
+    # x_i -> y_i and y_i -> x_i for i < 10: 1,024 minimal keys, each of 10
+    # variables, all held in ``visited`` until the walk ends.  As frozensets
+    # they took about 780 B per key; as sorted tuples, under 200.
+    k = 10
+    cnf = hk.horn_cnf(2 * k, [({v ^ 1}, v) for v in range(2 * k)])
+    cnf.engine()
+    tracemalloc.start()
+    try:
+        stats = hk.enumerate_minimal_keys(cnf, lambda key: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.keys == 2**k
+    assert peak / stats.keys < 400
 
 
 def test_enumeration_matches_brute_force():
