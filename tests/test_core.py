@@ -73,6 +73,18 @@ def test_is_implicate(intro_cnf):
     assert not hk.is_implicate(intro_cnf, {C}, D)
 
 
+def test_is_implicate_matches_the_closure_exhaustively():
+    rng = random.Random(0x1417)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        cnf = random_horn_cnf(rng.randrange(2**32), n, rng.randint(0, 9))
+        for mask in range(1 << n):
+            body = {v for v in range(n) if (mask >> v) & 1}
+            closed = bf_forward_closure(cnf, body)
+            for head in range(n):
+                assert hk.is_implicate(cnf, body, head) == (head in closed)
+
+
 @pytest.mark.parametrize("head", [True, False, 1.0, 0.0, 1.5, "1", b"1", (1,), None, -1, 5, 2**70])
 def test_is_implicate_rejects_bad_heads(intro_cnf, head):
     # a bool head is refused like a bool body variable, not read as 0 or 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hornkeys as hk
 from hornkeys import _closure_py
-from hornkeys.oracles import random_horn_cnf
+from hornkeys.oracles import bf_forward_closure, random_horn_cnf
 
 def test_backend_constant():
     assert hk.BACKEND in ("python", "c")
@@ -75,6 +75,30 @@ def _random_clauses(rng, n, m):
         bodies.append(rng.sample(others, rng.randint(0, min(3, len(others)))))
         heads.append(head)
     return bodies, heads
+
+
+def test_closure_matches_the_brute_force_oracle_exhaustively(engine_cls):
+    rng = random.Random(0xD0E5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        bodies, heads = _random_clauses(rng, n, rng.randint(0, 9))
+        eng = engine_cls(n, bodies, heads)
+        cnf = hk.horn_cnf(n, list(zip(map(set, bodies), heads)))
+        for mask in range(1 << n):
+            seed = _seeds(n, mask)
+            assert eng.closure(seed) == sorted(bf_forward_closure(cnf, seed))
+
+
+def test_closure_with_head_free_variables_and_shared_heads(engine_cls):
+    # 0 -> 1, {} -> 2, {0, 3} -> 4, 1 -> 4; variables 0 and 3 head no clause
+    eng = engine_cls(5, [[0], [], [0, 3], [1]], [1, 2, 4, 4])
+    assert eng.closure([]) == [2]  # its only clause has an empty body
+    assert eng.closure([1, 2, 4]) == [1, 2, 4]  # head-free 0 stays out
+    assert eng.closure([4]) == [2, 4]
+    assert eng.closure([3]) == [2, 3]
+    assert eng.closure([0, 3]) == [0, 1, 2, 3, 4]  # 4 from either of its clauses
+    assert eng.closure([1]) == [1, 2, 4]
+    assert eng.closure([0]) == [0, 1, 2, 4]  # two steps: 0 -> 1 -> 4
 
 
 def test_engine_basics(engine_cls):
@@ -506,6 +530,20 @@ def test_engine_rejects_out_of_range_seed(engine_cls):
         eng.closure([0, 3])
     with pytest.raises(ValueError):
         eng.closure([1, 2**80])
+
+
+def test_an_engine_without_clauses_still_checks_its_seed(engine_cls):
+    # With no clause to chain, every call could return its seed as it is;
+    # each still refuses a variable outside the universe.
+    eng = engine_cls(3, [], [])
+    for call in (eng.closure, eng.minimize, eng.expand, eng.expander()):
+        with pytest.raises(ValueError):
+            call([0, 1, 2, 3])
+        with pytest.raises(ValueError):
+            call([2, -1])
+    assert eng.closure([2, 0]) == [0, 2]
+    assert eng.minimize([2, 1, 0]) == [0, 1, 2]
+    assert eng.expand([0, 1, 2]) == ([], 0, 0)
 
 
 @pytest.mark.parametrize("bad", [0.0, 2.0, 7.0, -1.0, "0"])
