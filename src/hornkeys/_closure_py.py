@@ -1,10 +1,10 @@
 """Pure-Python forward-chaining kernel.
 
 Twin of the compiled extension in ``_fastclosure``; both implement the same
-counter-based propagation and must return identical results.  One engine
-instance is bound to one clause list and holds nothing else: every call
-works on scratch of its own, so an engine can be shared freely, across
-threads included.  ``expand`` reports the closure computations it ran,
+counter-based propagation, with one counter per distinct clause body, and
+must return identical results.  One engine instance is bound to one clause
+list and holds nothing else: every call works on scratch of its own, so an
+engine can be shared freely, across threads included.  ``expand`` reports the closure computations it ran,
 which the enumeration's delay counters add up.  Only this twin keeps a memo
 of the drop tests an expansion chained; the callable that ``expander``
 returns for one walk hands each call's memo on to the next (see
@@ -24,16 +24,21 @@ _MEMO_SIZES = 16
 class Engine:
     """Forward-chaining closures for a fixed list of (body, head) clauses.
 
-    Work per call is linear in the total clause size: every clause keeps a
-    counter of body variables not yet derived, and each derived variable
-    decrements the counters of the clauses whose bodies contain it.
+    Work per call is linear in the total clause size: every distinct body
+    keeps one counter of its variables not yet derived, each derived
+    variable decrements the counters of the bodies that contain it, and a
+    counter that reaches 0 fires the heads of all the clauses with that
+    body, in clause order.  This is the counter per dependency X → Y of
+    Beeri and Bernstein's LINCLOSURE (1979); a key Horn CNF repeats each
+    body once per variable outside it.
     """
 
     def __init__(self, n, bodies, heads):
         # A float index is a TypeError here, as in the compiled twin: n and
         # the heads go through operator.index before their range check.  A
-        # body variable is converted only on the error path; in range,
-        # ``occ[v]`` already refuses a non-integer.
+        # body variable is checked by indexing ``occ`` with it, which raises
+        # for a non-integer and past n - 1; the error path then reports the
+        # first bad variable in body order, as the compiled twin does.
         n = index(n)
         if n < 0:
             raise ValueError(f"universe size must be nonnegative, got {n}")
@@ -41,28 +46,61 @@ class Engine:
             raise ValueError("bodies and heads must have equal length")
         self.n = n
         self.m = len(heads)
-        self._heads = checked = []
+        checked = []
         for h in map(index, heads):
             if h < 0 or h >= n:
                 raise _out_of_range(h, n)
             checked.append(h)
-        self._base_count = list(map(len, bodies))
+        # The clauses with equal non-empty body sets share one counter: a
+        # group, numbered in order of its first clause.  ``_heads[g]`` is the
+        # head of that clause, and ``_more[g]`` None or the heads of the
+        # group's later clauses, so a group of one clause fires at no cost.
+        groups = {}
+        self._heads = first = []
+        self._more = more = []
         self._empty_heads = empty = []
         occ = [[] for _ in range(n)]
         # The bodies of the clauses with head h, for one-step tests and expand.
+        # A frozenset body is kept as it is, and is its own group key.
         by_head = [[] for _ in range(n)]
-        for i, (h, body) in enumerate(zip(checked, map(tuple, bodies))):
-            for v in body:
-                if v < 0 or v >= n:
-                    raise _out_of_range(index(v), n)
-                occ[v].append(i)
-            if not body:
-                empty.append(h)
-            by_head[h].append(body)
+        size = 0
+        try:
+            for h, body in zip(checked, bodies):
+                if body.__class__ is frozenset:
+                    key = body
+                else:
+                    body = tuple(body)
+                    key = frozenset(body)
+                by_head[h].append(body)
+                if not body:
+                    empty.append(h)
+                    continue
+                size += len(body)
+                g = len(first)
+                if groups.setdefault(key, g) == g:
+                    for v in key:
+                        if v < 0:  # occ[v] would count from the end
+                            raise IndexError
+                        occ[v].append(g)
+                    first.append(h)
+                    more.append(None)
+                    continue
+                # Equal to a checked set, so in range; a float equal to an
+                # int is still refused, as occ[v] raises for it.
+                for v in body:
+                    occ[v]
+                g = groups[key]
+                if more[g] is None:
+                    more[g] = [h]
+                else:
+                    more[g].append(h)
+        except (IndexError, TypeError):
+            raise _bad_body(body, n) from None
+        self._base_count = list(map(len, groups))
         # Tuples hold no spare room: a ``HornCNF`` keeps its engine for life.
         self._occ = tuple(map(tuple, occ))
         self._by_head = tuple(map(tuple, by_head))
-        self._memo_cap = _MEMO_SIZES * (n + self.m + sum(self._base_count)) // (n + 1)
+        self._memo_cap = _MEMO_SIZES * (n + self.m + size) // (n + 1)
 
     def closure(self, seed):
         """Return the sorted list of variables derivable from ``seed``."""
@@ -247,19 +285,35 @@ class Engine:
                     push(h)
             count = self._base_count[:]
         heads = self._heads
+        more = self._more
         occ = self._occ
         for v in queue:
-            for i in occ[v]:
-                c = count[i] - 1
-                count[i] = c
+            for g in occ[v]:
+                c = count[g] - 1
+                count[g] = c
                 if not c:
-                    h = heads[i]
+                    h = heads[g]
                     if not in_f[h]:
                         if h == target:
                             return True
                         in_f[h] = 1
                         push(h)
+                    if more[g]:
+                        for h in more[g]:
+                            if not in_f[h]:
+                                if h == target:
+                                    return True
+                                in_f[h] = 1
+                                push(h)
         return False
+
+
+def _bad_body(body, n):
+    # The error for the first variable of ``body`` that is not an index in
+    # range: index() raises for a non-integer.
+    for v in map(index, body):
+        if v < 0 or v >= n:
+            return _out_of_range(v, n)
 
 
 def _out_of_range(v, n):

@@ -6,9 +6,13 @@
  * extension; it needs only the CPython C API.
  *
  * The engine owns no Python objects, only flat arrays fixed at
- * construction: the head of each clause, the size of each body, the body
- * variables in clause order, a variable -> clause occurrence index and a
- * head -> clause index, all in CSR form.  No call writes to them.
+ * construction: the body variables in clause order, a head -> clause index,
+ * and for the chains one counter per distinct body.  Clauses whose
+ * non-empty bodies hold the same variables form one group, as in Beeri and
+ * Bernstein's LINCLOSURE (1979): a variable -> group occurrence index, the
+ * number of distinct variables of each group, and its heads in clause
+ * order, which all fire when its counter reaches 0.  All are in CSR form,
+ * and no call writes to them.
  * ``closure`` chains a seed to the end.  ``minimize`` runs the greedy
  * ascending-drop loop of key minimization; the suffix rule of the kernel
  * contract in ``_kernel.py`` settles some drops with no test.  ``expand``
@@ -26,12 +30,13 @@
 
 typedef struct {
     PyObject_HEAD
-    Py_ssize_t n, m, n_empty;
-    Py_ssize_t *heads;       /* m: head of each clause */
-    Py_ssize_t *base_count;  /* m: body size of each clause */
+    Py_ssize_t n, m, n_empty, n_groups;
+    Py_ssize_t *base_count;  /* n_groups: distinct variables of each group's body */
+    Py_ssize_t *fire_start;  /* n_groups + 1: heads of group g are fire_item[fire_start[g]..fire_start[g+1]) */
+    Py_ssize_t *fire_item;
     Py_ssize_t *body_start;  /* m + 1: body of i is body_item[body_start[i]..body_start[i+1]) */
     Py_ssize_t *body_item;
-    Py_ssize_t *occ_start;   /* n + 1: clauses of v are occ_item[occ_start[v]..occ_start[v+1]) */
+    Py_ssize_t *occ_start;   /* n + 1: groups of v are occ_item[occ_start[v]..occ_start[v+1]) */
     Py_ssize_t *occ_item;
     Py_ssize_t *head_start;  /* n + 1: clauses with head h are head_item[head_start[h]..head_start[h+1]) */
     Py_ssize_t *head_item;
@@ -44,7 +49,8 @@ typedef struct {
 static Py_ssize_t
 as_index(PyObject *obj, Py_ssize_t n)
 {
-    Py_ssize_t v = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    Py_ssize_t v = PyLong_CheckExact(obj) ? PyLong_AsSsize_t(obj)
+                                          : PyNumber_AsSsize_t(obj, PyExc_OverflowError);
     if (v == -1 && PyErr_Occurred()) {
         if (!PyErr_ExceptionMatches(PyExc_OverflowError))
             return -1;
@@ -60,8 +66,9 @@ static void
 Engine_dealloc(Engine *self)
 {
     PyTypeObject *tp = Py_TYPE(self);
-    PyMem_Free(self->heads);
     PyMem_Free(self->base_count);
+    PyMem_Free(self->fire_start);
+    PyMem_Free(self->fire_item);
     PyMem_Free(self->body_start);
     PyMem_Free(self->body_item);
     PyMem_Free(self->occ_start);
@@ -73,82 +80,189 @@ Engine_dealloc(Engine *self)
     Py_DECREF(tp);
 }
 
+/* Numbers the distinct non-empty bodies in order of their first clause:
+ * sets group_of[i] (-1 for an empty body), first[g], the first clause of
+ * group g, self->n_groups and self->base_count[g], the number of distinct
+ * variables of g, and counts those in occ_start[v + 1].  Returns the sum of
+ * the counts, or -1 when out of memory.  ``mark`` is scratch of n entries.
+ * A table of at least 2m slots, probed in turn, finds the group of a body
+ * from the sum of its variables' multiplicative hashes, which does not
+ * depend on their order. */
+static Py_ssize_t
+group_bodies(Engine *self, Py_ssize_t *group_of, Py_ssize_t *first, Py_ssize_t *mark)
+{
+    const Py_ssize_t m = self->m, *start = self->body_start, *item = self->body_item;
+    Py_ssize_t *size = self->base_count, *occ = self->occ_start, *table;
+    Py_ssize_t i, k, g, v, slot, distinct, groups = 0, total = 0, mask = 1;
+    uint64_t h;
+
+    while (mask < 2 * m)
+        mask <<= 1;
+    if (!(table = PyMem_New(Py_ssize_t, mask)))
+        return -1;
+    memset(table, 0xff, mask * sizeof(Py_ssize_t)); /* every slot -1 */
+    mask--;
+    memset(mark, 0, self->n * sizeof(Py_ssize_t));
+    for (i = 0; i < m; i++) {
+        group_of[i] = -1;
+        if (start[i] == start[i + 1])
+            continue;
+        /* mark[v] == i + 1 flags the variables of body i. */
+        for (k = start[i], distinct = 0, h = 0; k < start[i + 1]; k++) {
+            if (mark[v = item[k]] != i + 1) {
+                mark[v] = i + 1;
+                distinct++;
+                h += (uint64_t)v * 0x9E3779B97F4A7C15ULL;
+            }
+        }
+        /* A group of as many variables, each flagged, has the same body. */
+        for (slot = (Py_ssize_t)(h ^ h >> 32) & mask; (g = table[slot]) >= 0; slot = (slot + 1) & mask) {
+            if (size[g] != distinct)
+                continue;
+            for (k = start[first[g]]; k < start[first[g] + 1] && mark[item[k]] == i + 1; k++)
+                ;
+            if (k == start[first[g] + 1])
+                break;
+        }
+        if (g < 0) {
+            g = table[slot] = groups++;
+            first[g] = i;
+            size[g] = distinct;
+            total += distinct;
+            for (k = start[i]; k < start[i + 1]; k++) {
+                if (mark[v = item[k]] == i + 1) {
+                    mark[v] = 0;
+                    occ[v + 1]++;
+                }
+            }
+        }
+        group_of[i] = g;
+    }
+    self->n_groups = groups;
+    PyMem_Free(table);
+    return total;
+}
+
 /* Fills the engine from lists of clause bodies and heads; 0 on success.
  * Each index is read and checked once, because ``__index__`` may run
  * Python code and need not return the same value twice. */
 static int
 Engine_build(Engine *self, PyObject *bodies, PyObject *heads)
 {
-    Py_ssize_t n = self->n, m = PyList_GET_SIZE(heads);
-    Py_ssize_t i, j, k, v, total = 0, *fill = NULL;
+    Py_ssize_t n = self->n, m = PyList_GET_SIZE(heads), cap = 3 * m + 1;
+    Py_ssize_t i, k, g, v, occ_total;
+    Py_ssize_t *head_of = NULL, *group_of = NULL, *first = NULL, *fill = NULL, *grown;
     int status = -1;
 
     self->m = m;
-    self->heads = PyMem_New(Py_ssize_t, m ? m : 1);
+    head_of = PyMem_New(Py_ssize_t, m ? m : 1);
+    group_of = PyMem_New(Py_ssize_t, m ? m : 1);
+    first = PyMem_New(Py_ssize_t, m ? m : 1);
     self->base_count = PyMem_New(Py_ssize_t, m ? m : 1);
     self->body_start = PyMem_New(Py_ssize_t, m + 1);
     self->head_item = PyMem_New(Py_ssize_t, m ? m : 1);
+    self->body_item = PyMem_New(Py_ssize_t, cap);
+    self->fire_item = PyMem_New(Py_ssize_t, m ? m : 1);
     self->occ_start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
     self->head_start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
-    if (!self->heads || !self->base_count || !self->body_start || !self->head_item
-        || !self->occ_start || !self->head_start) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < m; i++) {
-        if ((self->heads[i] = as_index(PyList_GET_ITEM(heads, i), n)) < 0)
-            return -1;
-        self->head_start[self->heads[i] + 1]++;
-    }
-    self->body_start[0] = 0;
-    for (i = 0; i < m; i++) {
-        PyObject *body = PySequence_List(PyList_GET_ITEM(bodies, i));
-        if (!body || PyList_SetItem(bodies, i, body) < 0)
-            return -1;
-        self->base_count[i] = PyList_GET_SIZE(body);
-        total += self->base_count[i];
-        self->body_start[i + 1] = total;
-        if (self->base_count[i] == 0)
-            self->n_empty++;
-    }
-
-    /* The body variables, flat in clause order, and their occurrence counts. */
-    self->body_item = PyMem_New(Py_ssize_t, total ? total : 1);
-    self->occ_item = PyMem_New(Py_ssize_t, total ? total : 1);
-    self->empty_heads = PyMem_New(Py_ssize_t, self->n_empty ? self->n_empty : 1);
     fill = PyMem_New(Py_ssize_t, n ? n : 1);
-    if (!self->body_item || !self->occ_item || !self->empty_heads || !fill) {
+    if (!head_of || !group_of || !first || !self->base_count || !self->body_start
+        || !self->head_item || !self->body_item || !self->fire_item
+        || !self->occ_start || !self->head_start || !fill) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0, k = 0; i < m; i++) {
-        PyObject *body = PyList_GET_ITEM(bodies, i);
-        for (j = 0; j < self->base_count[i]; j++, k++) {
-            if ((v = as_index(PyList_GET_ITEM(body, j), n)) < 0)
-                goto done;
-            self->body_item[k] = v;
-            self->occ_start[v + 1]++;
-        }
+    for (i = 0; i < m; i++) {
+        if ((head_of[i] = as_index(PyList_GET_ITEM(heads, i), n)) < 0)
+            goto done;
+        self->head_start[head_of[i] + 1]++;
     }
+    /* The body variables, flat in clause order, read in one pass over each
+     * body; their block doubles when it is full. */
+    self->body_start[0] = 0;
+    for (i = 0, k = 0; i < m; i++) {
+        PyObject *it = PyObject_GetIter(PyList_GET_ITEM(bodies, i)), *x;
+        if (!it)
+            goto done;
+        while ((x = PyIter_Next(it))) {
+            if (k == cap) {
+                if (!(grown = PyMem_Realloc(self->body_item, 2 * cap * sizeof(Py_ssize_t)))) {
+                    Py_DECREF(x);
+                    Py_DECREF(it);
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                self->body_item = grown;
+                cap *= 2;
+            }
+            v = as_index(x, n);
+            Py_DECREF(x);
+            if (v < 0) {
+                Py_DECREF(it);
+                goto done;
+            }
+            self->body_item[k++] = v;
+        }
+        Py_DECREF(it);
+        if (PyErr_Occurred())
+            goto done;
+        self->body_start[i + 1] = k;
+        if (k == self->body_start[i])
+            self->n_empty++;
+    }
+    /* The engine lives as long as its CNF: give back the unused room. */
+    if ((grown = PyMem_Realloc(self->body_item, (k ? k : 1) * sizeof(Py_ssize_t))))
+        self->body_item = grown;
+    if (!(self->empty_heads = PyMem_New(Py_ssize_t, self->n_empty ? self->n_empty : 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* The groups, the heads of each in clause order, and the groups of
+     * each variable. */
+    if ((occ_total = group_bodies(self, group_of, first, fill)) < 0
+        || !(self->fire_start = PyMem_Calloc(self->n_groups + 1, sizeof(Py_ssize_t)))
+        || !(self->occ_item = PyMem_New(Py_ssize_t, occ_total ? occ_total : 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    self->n_empty = 0;
+    for (i = 0; i < m; i++) {
+        if (group_of[i] < 0)
+            self->empty_heads[self->n_empty++] = head_of[i];
+        else
+            self->fire_start[group_of[i] + 1]++;
+    }
+    for (g = 0; g < self->n_groups; g++)
+        self->fire_start[g + 1] += self->fire_start[g];
     for (v = 0; v < n; v++) {
         self->occ_start[v + 1] += self->occ_start[v];
         self->head_start[v + 1] += self->head_start[v];
     }
-
+    /* Groups are listed in ascending order, so a variable that a body
+     * repeats is already the last entry of its list. */
     memcpy(fill, self->occ_start, n * sizeof(Py_ssize_t));
-    self->n_empty = 0;
-    for (i = 0, k = 0; i < m; i++) {
-        if (self->base_count[i] == 0)
-            self->empty_heads[self->n_empty++] = self->heads[i];
-        for (j = 0; j < self->base_count[i]; j++, k++)
-            self->occ_item[fill[self->body_item[k]]++] = i;
+    for (g = 0; g < self->n_groups; g++) {
+        for (k = self->body_start[first[g]]; k < self->body_start[first[g] + 1]; k++) {
+            v = self->body_item[k];
+            if (fill[v] == self->occ_start[v] || self->occ_item[fill[v] - 1] != g)
+                self->occ_item[fill[v]++] = g;
+        }
+    }
+    memcpy(first, self->fire_start, self->n_groups * sizeof(Py_ssize_t));
+    for (i = 0; i < m; i++) {
+        if (group_of[i] >= 0)
+            self->fire_item[first[group_of[i]]++] = head_of[i];
     }
     memcpy(fill, self->head_start, n * sizeof(Py_ssize_t));
     for (i = 0; i < m; i++)
-        self->head_item[fill[self->heads[i]]++] = i;
+        self->head_item[fill[head_of[i]]++] = i;
     status = 0;
 
 done:
+    PyMem_Free(head_of);
+    PyMem_Free(group_of);
+    PyMem_Free(first);
     PyMem_Free(fill);
     return status;
 }
@@ -250,7 +364,10 @@ static int
 chain(const Engine *self, Py_ssize_t target, unsigned char *in_f, Py_ssize_t *queue,
       Py_ssize_t done, Py_ssize_t top, Py_ssize_t *count, Py_ssize_t *size)
 {
-    Py_ssize_t i, j, k, v, h;
+    /* Locals, so that the stores to in_f and count need not reload them. */
+    const Py_ssize_t *occ_start = self->occ_start, *occ_item = self->occ_item;
+    const Py_ssize_t *fire_start = self->fire_start, *fire_item = self->fire_item;
+    Py_ssize_t i, j, k, g, v, h, end, last;
 
     if (!done) {
         for (j = 0; j < self->n_empty; j++) {
@@ -262,14 +379,16 @@ chain(const Engine *self, Py_ssize_t target, unsigned char *in_f, Py_ssize_t *qu
                 queue[top++] = h;
             }
         }
-        memcpy(count, self->base_count, self->m * sizeof(Py_ssize_t));
+        memcpy(count, self->base_count, self->n_groups * sizeof(Py_ssize_t));
     }
     for (k = done; k < top; k++) {
         v = queue[k];
-        for (j = self->occ_start[v]; j < self->occ_start[v + 1]; j++) {
-            i = self->occ_item[j];
-            if (--count[i] == 0) {
-                h = self->heads[i];
+        for (j = occ_start[v], end = occ_start[v + 1]; j < end; j++) {
+            g = occ_item[j];
+            if (--count[g] != 0)
+                continue;
+            for (i = fire_start[g], last = fire_start[g + 1]; i < last; i++) {
+                h = fire_item[i];
                 if (!in_f[h]) {
                     if (h == target)
                         return 1;
@@ -334,8 +453,8 @@ Engine_closure(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"seed", NULL};
     Py_ssize_t n = self->n, size = 0, top;
-    /* One block: count[m], queue[n], then in_f[n + 1]. */
-    Py_ssize_t words = self->m + n;
+    /* One block: count[G], queue[n], then in_f[n + 1]. */
+    Py_ssize_t words = self->n_groups + n;
     Py_ssize_t *scratch, *queue;
     unsigned char *in_f;
     PyObject *seed, *out = NULL;
@@ -344,7 +463,7 @@ Engine_closure(Engine *self, PyObject *args, PyObject *kwds)
         return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1)))
         return PyErr_NoMemory();
-    queue = scratch + self->m;
+    queue = scratch + self->n_groups;
     in_f = (unsigned char *)(scratch + words);
     memset(in_f, 0, n + 1);
     if ((top = flag_seed(self, seed, in_f, queue)) >= 0) {
@@ -358,7 +477,7 @@ Engine_closure(Engine *self, PyObject *args, PyObject *kwds)
 /* The greedy drops of ``minimize`` over key[0..nk), ascending, whose
  * variables ``in_k`` flags: clears the flags of the dropped ones and returns
  * how many stay.  in_f, free_, queue and count are scratch of n + 1, n, n
- * and m entries. */
+ * and G entries, G the number of body groups. */
 static Py_ssize_t
 shrink(const Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *in_k,
        unsigned char *in_f, unsigned char *free_, Py_ssize_t *queue, Py_ssize_t *count)
@@ -419,9 +538,9 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"seed", NULL};
     Py_ssize_t n = self->n, nk;
-    /* One block: count[m], queue[n], key[n], then in_k[n + 1], in_f[n + 1]
+    /* One block: count[G], queue[n], key[n], then in_k[n + 1], in_f[n + 1]
      * and free_[n]. */
-    Py_ssize_t words = self->m + 2 * n;
+    Py_ssize_t words = self->n_groups + 2 * n;
     Py_ssize_t *scratch, *queue, *key;
     unsigned char *in_k, *in_f, *free_;
     PyObject *seed, *out = NULL;
@@ -430,7 +549,7 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
         return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 3 * n + 2)))
         return PyErr_NoMemory();
-    queue = scratch + self->m;
+    queue = scratch + self->n_groups;
     key = queue + n;
     in_k = (unsigned char *)(scratch + words);
     in_f = in_k + n + 1;
@@ -465,9 +584,9 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"key", NULL};
     Py_ssize_t n = self->n, nk, ns, size, i, j, k, v, u, tried = 0, closures = 0;
-    /* One block: count[m], queue[n], key[n], seed[n], then in_k[n + 1],
+    /* One block: count[G], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
-    Py_ssize_t words = self->m + 3 * n;
+    Py_ssize_t words = self->n_groups + 3 * n;
     Py_ssize_t *scratch, *queue, *key, *seed;
     unsigned char *in_k, *cur, *in_f, *free_;
     PyObject *key_obj, *out = NULL, *seen = NULL, *k2;
@@ -477,7 +596,7 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
         return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 4 * n + 3)))
         return PyErr_NoMemory();
-    queue = scratch + self->m;
+    queue = scratch + self->n_groups;
     key = queue + n;
     seed = key + n;
     in_k = (unsigned char *)(scratch + words);

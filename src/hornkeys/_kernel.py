@@ -1,8 +1,12 @@
 """Closure-kernel backend selection.
 
 The compiled C extension is used when it was built; otherwise the
-pure-Python twin, which stays as the reference and fallback.  Both provide
-the one kernel contract, ``Engine(n, bodies, heads)`` with:
+pure-Python twin, which stays as the reference and fallback.  Both chain
+forward with one counter per distinct clause body: the clauses whose
+non-empty bodies hold the same variables share one counter of the body
+variables not yet derived, each counted once however often a body lists
+it, and when it reaches 0 all their heads fire in clause order.  Both
+provide the one kernel contract, ``Engine(n, bodies, heads)`` with:
 
 - ``closure(seed)``: the sorted list of variables derivable from ``seed``;
 - ``minimize(seed)``: the sorted minimal key that greedy drops in ascending

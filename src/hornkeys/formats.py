@@ -140,10 +140,9 @@ def parse_horn(text: str) -> HornCNF:
 
 
 def serialize_horn(cnf: HornCNF) -> str:
-    out = []
-    for c in cnf.clauses:
-        body = " ".join(str(v + 1) for v in sorted(c.body))
-        out.append((body + " " if body else "") + f"-> {c.head + 1}")
+    ids = list(map(str, range(1, cnf.n + 1)))  # ids[v] is v's 1-based id as text
+    id_of = ids.__getitem__
+    out = [" ".join([*map(id_of, sorted(c.body)), "->", ids[c.head]]) for c in cnf.clauses]
     return _text(f"horn {cnf.n} {cnf.m}", cnf.universe, out)
 
 

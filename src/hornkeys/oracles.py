@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from ._bitset import bits_of, mask_of, set_of
-from .core import HornCNF, VariableUniverse, horn_cnf
+from .core import HornClause, HornCNF, VariableUniverse
 from .errors import ContractError, InputError, ResourceGuardError, bf_max_vars, subset_budget
 from .hypergraph import Graph, SpernerHypergraph, minimalize
 from .tss import ThresholdGraph
@@ -261,24 +261,41 @@ def bf_spanning_trees(h: Graph, budget: Optional[int] = None) -> set[frozenset[i
 # instances; every size parameter is explicit.
 
 
+def _at_least(value: int, low: int, what: str):
+    # A size below ``low`` leaves a generator nothing to draw from.
+    if value < low:
+        raise InputError(f"{what} must be at least {low}, got {value}")
+
+
 def random_horn_cnf(seed: int, n: int, m: int, max_body: int = 3) -> HornCNF:
+    universe = VariableUniverse(n)
+    _at_least(m, 0, "the clause count")
+    _at_least(max_body, 1, "the largest body size")
+    if m and not n:
+        raise InputError("clauses need at least one variable")
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):
         head = rng.randrange(n)
-        others = [v for v in range(n) if v != head]
+        others = list(range(n))
+        del others[head]
         size = rng.randint(1, min(max_body, len(others))) if others else 0
-        clauses.append((rng.sample(others, size), head))
-    return horn_cnf(n, clauses)
+        clauses.append(HornClause._trusted(frozenset(rng.sample(others, size)), head))
+    return HornCNF._trusted(universe, tuple(clauses))
 
 
 def random_sperner(seed: int, n: int, k: int, max_edge: int = 4) -> SpernerHypergraph:
+    universe = VariableUniverse(n)
+    _at_least(k, 0, "the edge count")
+    _at_least(max_edge, 1, "the largest edge size")
+    if k and not n:
+        raise InputError("edges need at least one vertex")
     rng = random.Random(seed)
     edges = []
     for _ in range(k):
         size = rng.randint(1, min(max_edge, n))
         edges.append(frozenset(rng.sample(range(n), size)))
-    return minimalize(VariableUniverse(n), edges)
+    return minimalize(universe, edges)
 
 
 def random_graph(seed: int, n: int, p: float) -> Graph:
@@ -318,6 +335,7 @@ def random_bipartite_graph(seed: int, a: int, b: int, p: float) -> Graph:
 
 
 def random_threshold_graph(seed: int, n: int, p: float, tmax: int = 2) -> ThresholdGraph:
+    _at_least(tmax, 1, "the largest threshold")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -327,6 +345,11 @@ def random_threshold_graph(seed: int, n: int, p: float, tmax: int = 2) -> Thresh
 
 
 def random_general_cnf(seed: int, n: int, m: int, width: int = 3) -> GeneralCNF:
+    _at_least(n, 0, "the variable count")
+    _at_least(m, 0, "the clause count")
+    _at_least(width, 1, "the largest clause width")
+    if m and not n:
+        raise InputError("clauses need at least one variable")
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):

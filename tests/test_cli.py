@@ -338,6 +338,36 @@ def test_gen_is_deterministic(run, tmp_path):
         assert out.splitlines()[0].startswith(magic + " ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["horn", "--n", "0", "--m", "3"],
+        ["horn", "--n", "-2"],
+        ["horn", "--max-body", "0"],
+        ["horn", "--m", "-1"],
+        ["sperner", "--n", "0", "--k", "3"],
+        ["sperner", "--max-edge", "0"],
+        ["tss", "--tmax", "0"],
+        ["cnf", "--n", "0", "--m", "2"],
+        ["cnf", "--width", "0"],
+    ],
+    ids=" ".join,
+)
+def test_gen_refuses_sizes_it_cannot_draw_from(run, args):
+    # An input error (exit 2) with a message, before any draw: not a raw
+    # traceback, and not an empty instance.
+    code, out, err = run(["gen", *args[:1], "--seed", "1", *args[1:]])
+    assert (code, out) == (2, "")
+    assert "error" in err and "randrange" not in err
+
+
+def test_gen_draws_the_smallest_instances(run):
+    assert run(["gen", "horn", "--seed", "1", "--n", "0", "--m", "0"])[1] == "horn 0 0\n"
+    assert run(["gen", "horn", "--seed", "1", "--n", "1", "--m", "2"])[1] == "horn 1 2\n-> 1\n-> 1\n"
+    assert run(["gen", "sperner", "--seed", "1", "--n", "0", "--k", "0"])[0] == 0
+    assert run(["gen", "cnf", "--seed", "1", "--n", "0", "--m", "0"])[0] == 0
+
+
 def test_gen_to_file_feeds_other_verbs(run, tmp_path):
     f = str(tmp_path / "r.horn")
     assert run(["gen", "horn", "--seed", "11", "--n", "5", "--m", "6", "-o", f])[0] == 0

@@ -1,5 +1,6 @@
 """Text formats: round trips and line-numbered rejection of malformed input."""
 
+import hashlib
 import random
 import time
 
@@ -38,6 +39,38 @@ def test_horn_round_trip(intro_cnf):
     assert parse_horn(text) == intro_cnf
     # serialization is a fixed point
     assert serialize_horn(parse_horn(text)) == text
+
+
+# sha256 of serialize_horn(random_horn_cnf(seed, n, m, max_body)), recorded
+# before the serializer and the generator were rewritten for speed: both
+# must keep every byte, and the generator every draw.  The cases include
+# n = 0, n = 1 (whose only clause body is empty), m = 0 and max_body = 1.
+HORN_TEXT_DIGESTS = {
+    (0, 0, 0, 3): "e9eb77c654def6ec94265d3ae34642260b942479d09bff0175b45550ba23f7dd",
+    (1, 1, 3, 3): "cea54f04c7d72b60c3e789a54a6f3e8196c5b3e46cc6672e8bdb39945078b940",
+    (2, 5, 0, 3): "11fc87091c5dcec8a85b9d330403bb491e634502209fcacd6d1397ff88eced3a",
+    (3, 8, 12, 1): "de2784da919c0757d6eea01eaf84924cd213c25c326007184b84aed11a73043e",
+    (4, 16, 40, 3): "445a75a75f915741a81811df62755bfcbe6486df4cd53fa19b18b04a269a6672",
+    (5, 36, 108, 3): "6c5eff2344ca79df4786d888cc43276d96751b9ecc1fed99b39b6ab779955968",
+    (6, 12, 30, 6): "01ed5819df73f28d59207ac6d326b77444cdf187942356fb8232efb5652a27ab",
+}
+
+
+@pytest.mark.parametrize("case", list(HORN_TEXT_DIGESTS), ids=lambda case: "-".join(map(str, case)))
+def test_generated_horn_text_is_unchanged(case):
+    text = serialize_horn(random_horn_cnf(*case))
+    assert hashlib.sha256(text.encode()).hexdigest() == HORN_TEXT_DIGESTS[case]
+
+
+def test_horn_text_with_names_and_a_unit_clause():
+    cnf = hk.horn_cnf(
+        5,
+        [({0}, 1), ({1}, 0), ({0, 2}, 3), ({0, 2}, 4), (set(), 2)],
+        labels=("a", "b", "c", "d", "e"),
+    )
+    assert serialize_horn(cnf) == (
+        "horn 5 5\nnames a b c d e\n1 -> 2\n2 -> 1\n1 3 -> 4\n1 3 -> 5\n-> 3\n"
+    )
 
 
 def test_horn_without_names():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hornkeys as hk
 from hornkeys import _closure_py
-from hornkeys.oracles import bf_forward_closure, random_horn_cnf
+from hornkeys.oracles import bf_forward_closure, random_horn_cnf, random_sperner
 
 def test_backend_constant():
     assert hk.BACKEND in ("python", "c")
@@ -321,6 +321,74 @@ def test_walk_on_expand_matches_a_walk_on_minimize(engine_cls):
         assert got == expected
 
 
+def _shared_bodies(rng, n, m):
+    # Clauses drawn from a few bodies and the empty one, so that most share
+    # their body with others: each listed in a shuffled order, some with a
+    # variable repeated, and some clauses repeated whole.
+    pool = [rng.sample(range(n), rng.randint(1, min(3, n))) for _ in range(max(1, m // 4))]
+    bodies, heads = [], []
+    for _ in range(m):
+        body = list(rng.choice(pool + [[]]))
+        rng.shuffle(body)
+        if body and rng.random() < 0.3:
+            body.insert(rng.randrange(len(body) + 1), rng.choice(body))
+        outside = [v for v in range(n) if v not in body]
+        if outside:
+            bodies.append(body)
+            heads.append(rng.choice(outside))
+    for j in rng.sample(range(len(bodies)), min(2, len(bodies))):
+        bodies.append(bodies[j])
+        heads.append(heads[j])
+    return bodies, heads
+
+
+def _shared_body_cases():
+    # (n, bodies, heads): key Horn CNFs, whose clauses share each body
+    # n - |e| times, with their bodies as the frozensets a HornCNF passes
+    # and as lists; one body in two orders and with a repeated variable,
+    # a duplicate clause and two empty bodies; a body longer than three
+    # variables per clause, repeated; then random shared bodies.
+    cases = []
+    for seed in range(4):
+        phi = hk.key_horn_cnf(random_sperner(seed, 7, 6, 3))
+        cases.append((7, [c.body for c in phi.clauses], [c.head for c in phi.clauses]))
+        cases.append((7, [sorted(c.body) for c in phi.clauses], [c.head for c in phi.clauses]))
+    cases.append((5, [[0, 1], [1, 0], [1, 1], [1], [], [], [0, 1], [3, 3, 4]], [2, 3, 0, 4, 2, 2, 2, 1]))
+    cases.append((9, [list(range(1, 9)), list(range(8, 0, -1)), [0]], [0, 0, 5]))
+    rng = random.Random(0x5A4E)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        cases.append((n, *_shared_bodies(rng, n, rng.randint(1, 3 * n))))
+    return cases
+
+
+def test_shared_bodies_match_the_oracles(engine_cls):
+    for n, bodies, heads in _shared_body_cases():
+        eng = engine_cls(n, bodies, heads)
+        cnf = hk.horn_cnf(n, list(zip(map(set, bodies), heads)))
+        for mask in range(1 << n):
+            seed = _seeds(n, mask)
+            assert eng.closure(seed) == sorted(bf_forward_closure(cnf, seed))
+            if len(eng.closure(seed)) == n:
+                assert eng.minimize(seed) == _reference_minimize(eng, seed)
+                key = eng.minimize(seed)
+                assert eng.expand(key) == _reference_expand(eng, bodies, heads, key)
+        got = _walk(eng, eng.expander())
+        assert got == _walk(eng, lambda key: _reference_expand(eng, bodies, heads, key))
+
+
+def test_backends_agree_on_shared_bodies(compiled):
+    for n, bodies, heads in _shared_body_cases():
+        py, cy = _closure_py.Engine(n, bodies, heads), compiled.Engine(n, bodies, heads)
+        for mask in range(1 << n):
+            seed = _seeds(n, mask)
+            assert py.closure(seed) == cy.closure(seed)
+            key = seed + [v for v in range(n) if v not in py.closure(seed)]
+            assert py.minimize(key) == cy.minimize(key)
+            assert py.expand(py.minimize(key)) == cy.expand(cy.minimize(key))
+        assert _expansions(py, py.expander()) == _expansions(cy, cy.expander())
+
+
 def _expansions(eng, expand, limit=None):
     # Every expansion of a walk on ``expand``, as (key, out, tried, closures).
     calls = []
@@ -489,6 +557,8 @@ def test_verdicts_keep_within_a_memory_budget():
         (0, [[]], [0]),
         (-1, [], []),
         (3, [[0], [1]], [2]),
+        (3, [[7, 1.0]], [0]),  # the first bad variable of a body is reported
+        (3, [[1], [1, 5]], [0, 2]),
     ],
 )
 def test_engine_rejects_bad_clauses(engine_cls, n, bodies, heads):
@@ -507,6 +577,9 @@ def test_engine_rejects_bad_clauses(engine_cls, n, bodies, heads):
         (3, [[0], [1]], [1.0, 7]),
         (3.0, [[0]], [1]),
         (-1.0, [], []),
+        (3, [[1.0, 7]], [0]),
+        (3, [[1], [1.0]], [0, 2]),  # a body equal to an earlier one of ints
+        (3, [[0, 1], [1, 0.0]], [2, 2]),
     ],
 )
 def test_engine_rejects_non_integer_indices(engine_cls, n, bodies, heads):

@@ -9,7 +9,7 @@ import pytest
 import hornkeys as hk
 from hornkeys import _closure_py, core, tss
 from hornkeys.errors import ContractError, InputError, ResourceGuardError
-from hornkeys.oracles import bf_minimal_keys, random_horn_cnf
+from hornkeys.oracles import bf_minimal_keys, random_horn_cnf, random_sperner
 
 A, B, C, D = range(4)
 
@@ -501,7 +501,9 @@ def test_rho_progress_toward_k2():
 # four keys only: the record of a walk that expanded all five, less the
 # fifth expansion.  A limited run with fewer keys runs to the end.  Kernel
 # speed-ups must leave every one of these unchanged: the counters are part
-# of the enumeration contract.
+# of the enumeration contract.  The phi records, full walks of key Horn
+# CNFs, whose clauses share each body n - |e| times, date from before the
+# kernel kept one counter per distinct body.
 COUNTER_DIGESTS = {
     ("limited", 0): "a7b0fb3b940fee0b1af8e81a9d19f497a9e64015b5ba2a3d67b30f4fed2f8db6",
     ("limited", 1): "2780367504ec9caf8411e9ff5dd36a8ee495b3800421572106f37b8d0bf5ba92",
@@ -551,6 +553,10 @@ COUNTER_DIGESTS = {
     ("units", 1): "fab722d93a26f204881e5caa60f25c31068379f4c4b9c279fa38a934be4793a0",
     ("units", 2): "b211c0da35b197d3edd3d79d8c15c94590b870cf3d730938983429acf9d0df64",
     ("units", 3): "9b7c4c742840a14b3230b863188dbe4db4538a386827664a203dc1e4b16d4da8",
+    ("phi", 0): "917c97eb3e0afd35ef4b67988d466ab28f68a693c1933f3e4639707d5bcfaa61",
+    ("phi", 1): "41e6bb8409a27317f03f5f76160cbca33cf8b100e0523a0aa29a18dfb09bdf63",
+    ("phi", 2): "30286377338c1da22917f09da8991bda15094af77278a2e50b25d26c0c8d6105",
+    ("phi", 3): "b17908324ed604d7799b9817b9a0f47975737fbcd59d3fb8a2973539cdcf187c",
 }
 
 
@@ -566,6 +572,8 @@ def _counter_case(kind, seed):
         return random_horn_cnf(seed, 36, 108, 3), 5
     if kind == "full":
         return random_horn_cnf(seed, 12, 30, 3), None
+    if kind == "phi":
+        return hk.key_horn_cnf(random_sperner(seed, 14, 20, 3)), None
     return _units_and_duplicates(seed), None
 
 
