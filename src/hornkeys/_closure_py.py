@@ -4,21 +4,12 @@ Twin of the compiled extension in ``_fastclosure``; both implement the same
 counter-based propagation, with one counter per distinct clause body, and
 must return identical results.  One engine instance is bound to one clause
 list and holds nothing else: every call works on scratch of its own, so an
-engine can be shared freely, across threads included.  ``expand`` reports the closure computations it ran,
-which the enumeration's delay counters add up.  Only this twin keeps a memo
-of the drop tests an expansion chained; the callable that ``expander``
-returns for one walk hands each call's memo on to the next (see
-``_kernel``).
+engine can be shared freely, across threads included.  ``expand`` reports
+the closure computations it ran, which the enumeration's delay counters add
+up.
 """
 
 from operator import index
-
-# The entries one expansion stores are capped so that their closure
-# flags, n + 1 per entry, come to at most this many times the engine's size
-# n + m + Σ|body|.  With no cap, an expansion whose drop tests all chain and
-# fail would keep one entry per drop tried: O(m·n²) references.  Walks of
-# random sparse CNFs (n = 36, m = 108) stored at most 7.04 times the size.
-_MEMO_SIZES = 16
 
 
 class Engine:
@@ -63,7 +54,6 @@ class Engine:
         # The bodies of the clauses with head h, for one-step tests and expand.
         # A frozenset body is kept as it is, and is its own group key.
         by_head = [[] for _ in range(n)]
-        size = 0
         try:
             for h, body in zip(checked, bodies):
                 if body.__class__ is frozenset:
@@ -75,7 +65,6 @@ class Engine:
                 if not body:
                     empty.append(h)
                     continue
-                size += len(body)
                 g = len(first)
                 if groups.setdefault(key, g) == g:
                     for v in key:
@@ -100,7 +89,6 @@ class Engine:
         # Tuples hold no spare room: a ``HornCNF`` keeps its engine for life.
         self._occ = tuple(map(tuple, occ))
         self._by_head = tuple(map(tuple, by_head))
-        self._memo_cap = _MEMO_SIZES * (n + self.m + size) // (n + 1)
 
     def closure(self, seed):
         """Return the sorted list of variables derivable from ``seed``."""
@@ -125,25 +113,6 @@ class Engine:
         """The out-neighbors of the minimal key ``key``, as sorted tuples,
         the pairs tried and the closures run (see ``_kernel``).  A bad key
         raises before the first pair."""
-        return self._expand(key, None)[:3]
-
-    def expander(self):
-        """A callable for one walk: each call gives what :meth:`expand`
-        gives, and consults the drop-test memo of the call before it (see
-        ``_kernel``).  Its results are defined only for a key argument."""
-        older = None
-
-        def expand(key):
-            nonlocal older
-            out, tried, closures, older = self._expand(key, older)
-            return out, tried, closures
-
-        return expand
-
-    def _expand(self, key, older):
-        # ``expand``, plus the memo of the drop tests this call chained, for
-        # the next call to take as ``older``.
-        memo = {}
         in_k, _ = self._flag(key)
         key = [v for v in range(self.n) if in_k[v]]
         by_head = self._by_head
@@ -165,23 +134,18 @@ class Engine:
                     cur[u] = 1
                 seed = sorted(rest.union(body))
                 closures += len(seed)
-                k2 = tuple(shrink(cur, seed, memo, older))
+                k2 = tuple(shrink(cur, seed))
                 if k2 not in seen:
                     seen.add(k2)
                     out.append(k2)
             in_k[v] = 1
-        return out, tried, closures, memo
+        return out, tried, closures
 
-    def _shrink(self, in_k, key, memo=None, older=None):
+    def _shrink(self, in_k, key):
         # The greedy drops of ``minimize`` over the ascending ``key``, whose
         # variables ``in_k`` flags; clears the flags of the dropped ones and
-        # returns the rest.  ``memo`` and ``older``, when given, map each set
-        # an earlier drop test chained from, as a sorted tuple, to the
-        # closure flags the chain left, or to True when it derived its
-        # target: a test of such a set reads its verdict there.  Each chained
-        # test adds its entry to ``memo`` while it holds fewer than the cap.
+        # returns the rest.
         one_step = self._one_step
-        cap = self._memo_cap
         free = None  # by variable, the suffix rule's verdicts once a chain is due
         for v in key:
             in_k[v] = 0
@@ -193,19 +157,7 @@ class Engine:
                     free = self._suffix_free(key[key.index(v):])
                     if free[v]:
                         continue
-                rest = [u for u in key if in_k[u]]
-                if memo is not None:
-                    y = tuple(rest)
-                    found = memo.get(y)
-                    if found is None and older:
-                        found = older.get(y)
-                    if found is not None and found is not True:
-                        found = found[v]
-                if found is None:
-                    in_f = in_k[:]
-                    found = self._chain(in_f, rest, v)
-                    if memo is not None and len(memo) < cap:
-                        memo[y] = True if found else in_f
+                found = self._chain(in_k[:], [u for u in key if in_k[u]], v)
             if not found:
                 in_k[v] = 1
         return [v for v in key if in_k[v]]

@@ -17,11 +17,9 @@
  * ascending-drop loop of key minimization; the suffix rule of the kernel
  * contract in ``_kernel.py`` settles some drops with no test.  ``expand``
  * runs that loop on each candidate of a minimal key, returns each distinct
- * result as a sorted tuple and counts the drops it tried.  Its chains
- * are cheap enough that a memo of earlier drop tests, as the pure twin
- * keeps, saves about what it costs, so it keeps none, and ``expander``
- * returns the bound ``expand`` itself.  Each call allocates its own
- * scratch, so a seed iterable that calls back into the engine is safe.
+ * result as a sorted tuple and counts the drops it tried.  No call keeps
+ * anything for the next: each allocates its own scratch, so a seed
+ * iterable that calls back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -645,12 +643,6 @@ fail:
     return NULL;
 }
 
-static PyObject *
-Engine_expander(Engine *self, PyObject *Py_UNUSED(ignored))
-{
-    return PyObject_GetAttrString((PyObject *)self, "expand");
-}
-
 static PyMethodDef Engine_methods[] = {
     {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_VARARGS | METH_KEYWORDS,
      "Return the sorted list of variables derivable from ``seed``."},
@@ -663,9 +655,6 @@ static PyMethodDef Engine_methods[] = {
      "minimize shrinks; returns the distinct results as sorted tuples in\n"
      "first-seen order, the number of pairs and the closures run, one per\n"
      "drop tried."},
-    {"expander", (PyCFunction)Engine_expander, METH_NOARGS,
-     "A callable for one walk that gives what expand gives: the bound\n"
-     "expand itself, as this kernel keeps no memo between calls."},
     {NULL, NULL, 0, NULL},
 };
 

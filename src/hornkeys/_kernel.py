@@ -29,28 +29,11 @@ provide the one kernel contract, ``Engine(n, bodies, heads)`` with:
   every key it has seen.  This is the key-graph step of
   Lucchesi and Osborn, "Candidate keys for relations" (1978), run on the
   engine's own head index;
-- ``expander()``: a callable for one walk, each call of which gives exactly
-  what ``expand`` gives; its results are defined only for a key argument.
-  On the pure kernel every expansion keeps a memo, one entry per drop test
-  it chained: the tested set Y, with the closure C of Y for a test that
-  failed, or marked as a key for a test that passed.  A drop test of a set
-  Y that an entry of the call, or else of the callable's previous call,
-  holds takes its verdict from that entry with no chain: whether v ∈ C, or
-  True.  Both are exact.  C is the whole closure of Y, since a chain that
-  misses its target runs to the end.  Every seed that an expansion shrinks
-  from a key is a key, so a Y that derives the dropped v is a key, and
-  derives any target.  A call stores at most ``closures`` entries, at most
-  m·n, and older memos are dropped, so a call consults the entries of at
-  most two calls: below 2·(m(n+1)+1), twice the delay bound.  A call also
-  stops storing at 16·(n + m + Σ|body|)/(n + 1) entries, so the n + 1 flags
-  of each keep its memory linear in the engine's size.  The compiled
-  kernel's chains are cheap enough that such a memo saves about what it
-  costs, so its ``expander()`` returns the bound ``expand``;
 - ``n`` and ``m``.
 
 These are the only public names.  An engine is an immutable index: no call
-changes it, so one engine serves any number of callers and threads, and
-each walk owns its expander, whose memo is the one state a walk keeps.
+changes it or keeps anything for the next, so one engine serves any number
+of callers and threads.
 Out-of-range indices raise ``ValueError`` at construction and at each call.
 """
 

@@ -11,12 +11,7 @@ queues the unseen ones before it pops the next: the first key costs one
 greedy minimization of V, one expansion runs between two emissions and one
 after the last, which bounds the closure computations between consecutive
 outputs by m·(n+1)+1, and a caller that stops after the k-th key never pays
-for that key's expansion.  Each walk expands through its own
-``Engine.expander()``: on the pure kernel each expansion consults the memo
-of drop tests of the one before it, which settles the tests it repeats
-without a chain, and drops older memos, so what one expansion consults stays
-below twice that bound.  Outputs and counts are those of ``expand`` run
-alone.
+for that key's expansion.
 """
 
 from __future__ import annotations
@@ -87,9 +82,9 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     each expansion.  Keys are the kernel's sorted tuples, which take about a
     quarter of a frozenset's memory, and ``visited`` holds every one for the
     whole run; callers turn a key into a frozenset as it leaves keygen.
-    Between two emissions, and after the last, the walk runs one expansion,
-    through the walk's own ``engine.expander()``, so its closure count is
-    the delay.  A caller that stops after a key skips that key's expansion.
+    Between two emissions, and after the last, the walk runs one
+    ``engine.expand``, so its closure count is the delay.  A caller that
+    stops after a key skips that key's expansion.
     """
     engine = cnf.engine()
     first = tuple(engine.minimize(range(cnf.n)))
@@ -99,12 +94,11 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     # the first minimize tries one drop per variable
     stats.keys = stats.candidates = stats.max_delay_closures = 0
     stats.closures = stats.startup_closures = cnf.n
-    expand = engine.expander()
     while pending:
         key = pending.pop()
         stats.keys += 1
         yield key
-        out, tried, spent = expand(key)
+        out, tried, spent = engine.expand(key)
         stats.closures += spent
         stats.candidates += tried
         if key is first:

@@ -113,8 +113,9 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
     """The CNF Ψ_G with a clause A→v for every A ⊆ N(v) of size t(v).
 
     Keys of Ψ_G are exactly the target sets of the graph.  Clause count is
-    Σ_v C(deg v, t v), polynomial only for bounded thresholds, so thresholds
-    above ``max_threshold`` raise a resource error naming the vertex.
+    Σ_v C(deg v, t v), polynomial only for bounded thresholds, so a threshold
+    above ``max_threshold`` raises a resource error naming the vertex, unless
+    it is above the vertex's degree too: such a vertex gets no clause.
     """
     if not _is_int(max_threshold):
         raise _not_an_int(max_threshold, "max_threshold")
@@ -123,13 +124,14 @@ def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
     clauses = []
     for v in range(tg.n):
         t = tg.thresholds[v]
-        if t > max_threshold:
+        nbrs = list(bits_of(adj[v]))
+        if max_threshold < t <= len(nbrs):
             raise ResourceGuardError(
                 f"threshold {t} at vertex {tg.universe.name(v)} exceeds the "
                 f"guard {max_threshold}"
             )
         # No vertex neighbours itself, so no body holds its head.
-        clauses += [clause(frozenset(body), v) for body in combinations(bits_of(adj[v]), t)]
+        clauses += [clause(frozenset(body), v) for body in combinations(nbrs, t)]
     return HornCNF._trusted(tg.universe, tuple(clauses))
 
 

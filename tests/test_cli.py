@@ -267,6 +267,9 @@ def test_tss2horn_guard(run, tmp_path):
     assert code == 3 and "resource guard" in err
     code, out, _ = run(["tss2horn", big, "--max-threshold", "4"])
     assert code == 0 and out.splitlines()[0] == "horn 5 5"
+    # A threshold above the guard and the degree emits no clause to guard.
+    lone = _file(tmp_path, "lone.tss", "tss 2 1\ne 1 2\nt 1 5\nt 2 1\n")
+    assert run(["tss-enum", lone]) == (0, "1\n", "")
 
 
 def test_out_of_memory_exits_3(run, tmp_path, monkeypatch):

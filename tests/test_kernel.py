@@ -6,8 +6,6 @@ whether or not the package was built in place.
 """
 
 import random
-import sys
-import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +22,7 @@ def test_backend_constant():
 def test_engine_exposes_only_the_contract(engine_cls):
     eng = engine_cls(3, [[0], []], [1, 2])
     public = {name for name in dir(eng) if not name.startswith("_")}
-    assert public == {"closure", "minimize", "expand", "expander", "n", "m"}
+    assert public == {"closure", "minimize", "expand", "n", "m"}
 
 
 def _make(engine_cls, cnf):
@@ -49,7 +47,7 @@ def test_backends_agree(compiled):
             key = seed + [v for v in range(n) if v not in py.closure(seed)]
             assert py.minimize(key) == cy.minimize(key)
             key = py.minimize(key)
-            for expand in (py.expand, cy.expand, py.expander(), cy.expander()):
+            for expand in (py.expand, cy.expand):
                 out, tried, closures = expand(key)
                 assert all(type(k2) is tuple for k2 in out)
                 assert (out, tried, closures) == py.expand(key)
@@ -271,20 +269,10 @@ def test_expand_rejects_a_bad_key(compiled, key):
     errors = []
     for cls in (_closure_py.Engine, compiled.Engine):
         eng = cls(3, [[0], [1]], [1, 2])
-        for expand in (eng.expand, eng.expander()):
-            with pytest.raises((ValueError, TypeError)) as info:
-                expand(key)
-            errors.append(info.type)
+        with pytest.raises((ValueError, TypeError)) as info:
+            eng.expand(key)
+        errors.append(info.type)
     assert len(set(errors)) == 1
-
-
-def _twin_pairs(k):
-    # 0 <-> 1, 2 <-> 3, ... for k pairs: the 2**k minimal keys take one of
-    # each pair.
-    return 2 * k, [[v ^ 1] for v in range(2 * k)], list(range(2 * k))
-
-
-_TWINS = _twin_pairs(3)
 
 
 def _clauses_of_a_cnf(seed, n, m):
@@ -292,14 +280,14 @@ def _clauses_of_a_cnf(seed, n, m):
     return [sorted(c.body) for c in cnf.clauses], [c.head for c in cnf.clauses]
 
 
-def _walk(eng, expand, limit=None):
-    # The walk of ``keygen._walk`` on the callable ``expand``, stopped after
-    # ``limit`` expansions: the keys expanded in pop order, the pairs tried
-    # and the closures spent, the first minimize's n included.
+def _walk(eng, expand):
+    # The walk of ``keygen._walk`` on the callable ``expand``: the keys
+    # expanded in pop order, the pairs tried and the closures spent, the
+    # first minimize's n included.
     first = tuple(eng.minimize(range(eng.n)))
     pending, visited, order = [first], {first}, []
     tried = closures = 0
-    while pending and len(order) != limit:
+    while pending:
         key = pending.pop()
         out, pairs, spent = expand(key)
         tried += pairs
@@ -316,7 +304,7 @@ def test_walk_on_expand_matches_a_walk_on_minimize(engine_cls):
         n, m = (12, 30) if seed % 2 else (16, 40)
         bodies, heads = _clauses_of_a_cnf(seed, n, m)
         eng = engine_cls(n, bodies, heads)
-        got = _walk(eng, eng.expander())
+        got = _walk(eng, eng.expand)
         expected = _walk(eng, lambda key: _reference_expand(eng, bodies, heads, key))
         assert got == expected
 
@@ -373,7 +361,7 @@ def test_shared_bodies_match_the_oracles(engine_cls):
                 assert eng.minimize(seed) == _reference_minimize(eng, seed)
                 key = eng.minimize(seed)
                 assert eng.expand(key) == _reference_expand(eng, bodies, heads, key)
-        got = _walk(eng, eng.expander())
+        got = _walk(eng, eng.expand)
         assert got == _walk(eng, lambda key: _reference_expand(eng, bodies, heads, key))
 
 
@@ -386,10 +374,10 @@ def test_backends_agree_on_shared_bodies(compiled):
             key = seed + [v for v in range(n) if v not in py.closure(seed)]
             assert py.minimize(key) == cy.minimize(key)
             assert py.expand(py.minimize(key)) == cy.expand(cy.minimize(key))
-        assert _expansions(py, py.expander()) == _expansions(cy, cy.expander())
+        assert _expansions(py, py.expand) == _expansions(cy, cy.expand)
 
 
-def _expansions(eng, expand, limit=None):
+def _expansions(eng, expand):
     # Every expansion of a walk on ``expand``, as (key, out, tried, closures).
     calls = []
 
@@ -398,152 +386,8 @@ def _expansions(eng, expand, limit=None):
         calls.append((sorted(key), *result))
         return result
 
-    _walk(eng, record, limit)
+    _walk(eng, record)
     return calls
-
-
-def _memo_entries(eng, hand_on, limit=None):
-    # The entries of all the memos of a walk on the pure engine's
-    # ``_expand``, one per chained drop test, each call given the memo of the
-    # one before or none.
-    entries = 0
-    older = None
-
-    def expand(key):
-        nonlocal entries, older
-        out, tried, closures, memo = eng._expand(key, older)
-        entries += len(memo)
-        older = memo if hand_on else None
-        return out, tried, closures
-
-    _walk(eng, expand, limit)
-    return entries
-
-
-def test_handing_on_verdicts_changes_no_expansion(engine_cls):
-    # Sparse random CNFs, and CNFs with empty bodies, some with duplicate
-    # clauses; n = 0 first.  A walk's expander gives what ``expand`` alone
-    # gives; on the pure engine, the memo it hands on settles drop tests.
-    rng = random.Random(0x7E4D)
-    walks = chained = settled = 0
-    for i in range(160):
-        n = rng.randint(1, 14) if i else 0
-        if i % 2:
-            bodies, heads = _clauses_of_a_cnf(i, n, rng.randint(n, 3 * n))
-        else:
-            bodies, heads = _few_units(rng, n, rng.randint(n, 5 * n))
-        if bodies and rng.random() < 0.5:
-            for j in rng.sample(range(len(bodies)), min(3, len(bodies))):
-                bodies.append(bodies[j])
-                heads.append(heads[j])
-        eng = engine_cls(n, bodies, heads)
-        handed = _expansions(eng, eng.expander(), limit=60)
-        assert handed == _expansions(eng, eng.expand, limit=60)
-        walks += len(handed) > 1
-        if engine_cls is _closure_py.Engine:
-            entries = _memo_entries(eng, True, 60)
-            chained += entries
-            settled += _memo_entries(eng, False, 60) - entries
-        else:
-            assert eng.expander() == eng.expand  # the compiled kernel keeps no memo
-    assert walks > 70
-    if engine_cls is _closure_py.Engine:
-        assert settled > chained // 10
-
-
-def test_an_expander_hands_each_memo_to_its_next_call(monkeypatch):
-    # Each call of an expander gets the memo of its call before; ``expand``
-    # and a new expander start with none.
-    calls = []
-    expand_with = _closure_py.Engine._expand
-
-    def spy(self, key, older):
-        result = expand_with(self, key, older)
-        calls.append((older, result[3]))
-        return result
-
-    monkeypatch.setattr(_closure_py.Engine, "_expand", spy)
-    eng = _closure_py.Engine(*_TWINS)
-    expand = eng.expander()
-    expand([0, 2, 4])
-    expand([1, 2, 4])
-    eng.expand([0, 2, 4])
-    expand([0, 3, 4])
-    eng.expander()([0, 2, 4])
-    olders = [older for older, _ in calls]
-    assert olders[0] is None and olders[2] is None and olders[4] is None
-    assert olders[1] is calls[0][1] and olders[3] is calls[1][1]
-
-
-def test_verdicts_settle_repeated_drop_tests():
-    # Every drop test here chains: one step never decides it, and seeds of
-    # half the variables are too small for the suffix rule.  Expanding
-    # {0, 2, 4} tests nine pairs; expanding {1, 2, 4} tests nine too, seven
-    # of them already tested, so with the first call's memo it chains two.
-    eng = _closure_py.Engine(*_TWINS)
-    out, tried, closures, first = eng._expand([0, 2, 4], None)
-    assert (tried, closures, len(first)) == (3, 9, 9)
-    assert out == [(1, 2, 4), (0, 3, 4), (0, 2, 5)]
-    fresh = eng._expand([1, 2, 4], None)
-    handed = eng._expand([1, 2, 4], first)
-    assert handed[:3] == fresh[:3] == eng.expand([1, 2, 4]) == (
-        [(0, 2, 4), (1, 3, 4), (1, 2, 5)], 3, 9
-    )
-    assert (len(fresh[3]), len(handed[3])) == (9, 2)
-    # The memo is this call's alone: the second call's two entries do not
-    # hold the seven sets it read from the first call's.
-    assert len(eng._expand([0, 2, 4], handed[3])[3]) == 9
-
-
-def test_verdicts_stay_within_the_closure_count():
-    """Each entry of a call's memo is one drop test that it chained, and a
-    call chains at most one test per drop tried: len(memo) <= closures.
-    A call runs at most m pairs on seeds of at most n variables, so
-    closures <= m·n, and what an expansion consults, its own entries and
-    those of the call before, is at most 2·m·n <= 2·(m(n+1)+1) entries:
-    twice the delay bound.  The memory cap bounds it further (see the next
-    test).
-    """
-    n, bodies, heads = _twin_pairs(8)
-    eng = _closure_py.Engine(n, bodies, heads)
-    counts = []
-    older = None
-
-    def expand(key):
-        nonlocal older
-        out, tried, closures, older = eng._expand(key, older)
-        counts.append((len(older), closures))
-        return out, tried, closures
-
-    order, _, _ = _walk(eng, expand)
-    assert len(order) == 256
-    assert all(entries <= closures <= len(heads) * n for entries, closures in counts)
-    assert any(entries for entries, _ in counts)
-
-
-def test_verdicts_keep_within_a_memory_budget():
-    """A call stores at most ``_MEMO_SIZES * (n + m + Σ|body|) // (n + 1)``
-    entries, each at most n variables and n + 1 flags: its memory is linear
-    in the engine's size.  On 80 twin pairs every one of the 6,400 drop
-    tests of an expansion chains and fails, so with no cap each would keep
-    its set and its n + 1 flags, about 13 MB, where the cap keeps 47.
-    """
-    n, bodies, heads = _twin_pairs(80)
-    eng = _closure_py.Engine(n, bodies, heads)
-    cap = _closure_py._MEMO_SIZES * (n + len(heads) + n) // (n + 1)
-    budget = cap * (8 * (2 * n + 1) + 256)  # the entries' references, plus headers
-    key = list(range(0, n, 2))
-    first = eng._expand(key, None)[3]
-    tracemalloc.start()
-    try:
-        out, _, closures, memo = eng._expand([1, *key[1:]], first)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert closures == 80 * 80 and len(first) == len(memo) == cap == 47
-    # All variables are small ints, which take no memory of their own.
-    out_bytes = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
-    assert peak - out_bytes <= 2 * budget  # the entries, and the scratch
 
 
 @pytest.mark.parametrize(
@@ -609,7 +453,7 @@ def test_an_engine_without_clauses_still_checks_its_seed(engine_cls):
     # With no clause to chain, every call could return its seed as it is;
     # each still refuses a variable outside the universe.
     eng = engine_cls(3, [], [])
-    for call in (eng.closure, eng.minimize, eng.expand, eng.expander()):
+    for call in (eng.closure, eng.minimize, eng.expand):
         with pytest.raises(ValueError):
             call([0, 1, 2, 3])
         with pytest.raises(ValueError):
@@ -673,16 +517,14 @@ _PROPERTY_SETTINGS = settings(
 def test_backends_agree_on_random_input(compiled, data, cnf):
     py, cc = _closure_py.Engine(*cnf), compiled.Engine(*cnf)
     n = cnf[0]
-    expanders = {py: py.expander(), cc: cc.expander()}  # one walk per engine
 
     def expand(eng, seed):
         return eng.expand(seed)
 
     def expand_a_key(eng, seed):
-        # An expander is defined for a key argument only: the seed, checked,
-        # is made one.
+        # The seed, checked, made a minimal key.
         key = eng.minimize(seed + [v for v in range(n) if v not in eng.closure(seed)])
-        return expanders[eng](key)
+        return eng.expand(key)
 
     for _ in range(6):
         seed = data.draw(_seed_lists(n))

@@ -76,6 +76,9 @@ def test_tss_to_horn_threshold_above_degree_contributes_nothing():
     psi = hk.tss_to_horn(tg)
     assert all(c.head != 1 for c in psi.clauses)
     assert all(1 in s for s in bf_target_sets(tg))
+    # t(0) = 5 > deg(0) = 1 passes the threshold guard of 3: no clause to guard
+    tg = hk.threshold_graph(2, [(0, 1)], [5, 1])
+    assert all(c.head != 0 for c in hk.tss_to_horn(tg).clauses)
 
 
 def test_tss_to_horn_guard():
