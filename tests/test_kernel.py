@@ -6,6 +6,8 @@ whether or not the package was built in place.
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -388,6 +390,88 @@ def _expansions(eng, expand):
 
     _walk(eng, record)
     return calls
+
+
+def test_expand_keeps_nothing_between_calls(engine_cls):
+    # Sparse random CNFs, and CNFs with empty bodies, some with duplicate
+    # clauses; n = 0 first.  Each key of a walk, expanded again in reverse
+    # order with other calls in between, gives what it gave in the walk.
+    rng = random.Random(0x7E4D)
+    walks = 0
+    for i in range(160):
+        n = rng.randint(1, 14) if i else 0
+        if i % 2:
+            bodies, heads = _clauses_of_a_cnf(i, n, rng.randint(n, 3 * n))
+        else:
+            bodies, heads = _few_units(rng, n, rng.randint(n, 5 * n))
+        if bodies and rng.random() < 0.5:
+            for j in rng.sample(range(len(bodies)), min(3, len(bodies))):
+                bodies.append(bodies[j])
+                heads.append(heads[j])
+        eng = engine_cls(n, bodies, heads)
+        calls = _expansions(eng, eng.expand)
+        for key, *result in reversed(calls):
+            eng.closure(key[:1])
+            eng.minimize(range(n))
+            assert list(eng.expand(key)) == result
+        walks += len(calls) > 1
+    assert walks > 70
+
+
+def _twin_pairs(k):
+    # 0 <-> 1, 2 <-> 3, ... for k pairs: the 2**k minimal keys take one of
+    # each pair.
+    return 2 * k, [[v ^ 1] for v in range(2 * k)], list(range(2 * k))
+
+
+def test_expand_on_twin_pairs(engine_cls):
+    # Every drop test here chains: one step never decides it, and seeds of
+    # half the variables are too small for the suffix rule.  Each key tries
+    # three pairs of three variables each, whatever was expanded before.
+    eng = engine_cls(*_twin_pairs(3))
+    first = ([(1, 2, 4), (0, 3, 4), (0, 2, 5)], 3, 9)
+    assert eng.expand([0, 2, 4]) == first
+    assert eng.expand([1, 2, 4]) == ([(0, 2, 4), (1, 3, 4), (1, 2, 5)], 3, 9)
+    assert eng.expand([4, 0, 2]) == first
+
+
+def test_expand_stays_within_the_delay_bound(engine_cls):
+    """A call runs at most m pairs, each on a seed of at most n variables,
+    so it spends at most m·n closures: within the delay bound m(n+1)+1."""
+    n, bodies, heads = _twin_pairs(8)
+    eng = engine_cls(n, bodies, heads)
+    calls = _expansions(eng, eng.expand)
+    assert len(calls) == 256
+    for key, out, tried, closures in calls:
+        assert len(out) <= tried <= len(heads)
+        assert closures <= tried * n <= len(heads) * n
+    assert all(closures == len(heads) // 2 * (n // 2) for *_, closures in calls)
+
+
+def test_expand_keeps_within_a_memory_budget():
+    """An expansion's scratch is linear in the engine's size, and a call
+    keeps nothing once it returns but its output.  On 80 twin pairs every
+    one of the 6,400 drop tests of an expansion chains and fails, so a
+    call that kept each test's set and n + 1 flags would keep about 13 MB.
+    """
+    n, bodies, heads = _twin_pairs(80)
+    eng = _closure_py.Engine(n, bodies, heads)
+    size = n + len(heads) + sum(map(len, bodies))
+    one_test = 8 * (2 * n + 1) + 256  # a set of n variables and n + 1 flags
+    key = list(range(0, n, 2))
+    eng.expand(key)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, tried, closures = eng.expand(key)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(out), tried, closures) == (80, 80, 80 * 80)
+    # All variables are small ints, which take no memory of their own.
+    out_bytes = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
+    assert peak - before - out_bytes <= 256 * size
+    assert kept - before - out_bytes < one_test
 
 
 @pytest.mark.parametrize(
