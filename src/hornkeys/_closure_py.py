@@ -9,6 +9,7 @@ the closure computations it ran, which the enumeration's delay counters add
 up.
 """
 
+from itertools import compress
 from operator import index
 
 
@@ -33,6 +34,7 @@ class Engine:
         n = index(n)
         if n < 0:
             raise ValueError(f"universe size must be nonnegative, got {n}")
+        bodies, heads = list(bodies), list(heads)
         if len(bodies) != len(heads):
             raise ValueError("bodies and heads must have equal length")
         self.n = n
@@ -90,16 +92,16 @@ class Engine:
         self._occ = tuple(map(tuple, occ))
         self._by_head = tuple(map(tuple, by_head))
 
-    def closure(self, seed):
-        """Return the sorted list of variables derivable from ``seed``."""
+    def closure(self, seed, /):
+        """Return the sorted tuple of variables derivable from ``seed``."""
         in_f, queue = self._flag(seed)
         self._chain(in_f, queue, self.n)
-        return [v for v in range(self.n) if in_f[v]]
+        return tuple(compress(range(self.n), in_f))
 
-    def minimize(self, seed):
+    def minimize(self, seed, /):
         """Shrink the key ``seed`` by greedy drops in ascending order.
 
-        Returns the sorted minimal key.  Ascending order is the one
+        Returns the minimal key as a sorted tuple.  Ascending order is the one
         tie-breaking rule that makes enumeration output reproducible.  A bad
         seed raises before the first drop.  ``seed`` must be a key: then
         every ``cur`` is one, and ``cur - {v}`` is a key exactly when it
@@ -107,14 +109,14 @@ class Engine:
         Drops the suffix rule settles skip the test (see ``_kernel``).
         """
         in_k, _ = self._flag(seed)
-        return self._shrink(in_k, [v for v in range(self.n) if in_k[v]])
+        return tuple(self._shrink(in_k, list(compress(range(self.n), in_k))))
 
-    def expand(self, key):
+    def expand(self, key, /):
         """The out-neighbors of the minimal key ``key``, as sorted tuples,
         the pairs tried and the closures run (see ``_kernel``).  A bad key
         raises before the first pair."""
         in_k, _ = self._flag(key)
-        key = [v for v in range(self.n) if in_k[v]]
+        key = list(compress(range(self.n), in_k))
         by_head = self._by_head
         shrink = self._shrink
         out = []

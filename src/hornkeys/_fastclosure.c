@@ -13,13 +13,15 @@
  * number of distinct variables of each group, and its heads in clause
  * order, which all fire when its counter reaches 0.  All are in CSR form,
  * and no call writes to them.
- * ``closure`` chains a seed to the end.  ``minimize`` runs the greedy
- * ascending-drop loop of key minimization; the suffix rule of the kernel
- * contract in ``_kernel.py`` settles some drops with no test.  ``expand``
- * runs that loop on each candidate of a minimal key, returns each distinct
- * result as a sorted tuple and counts the drops it tried.  No call keeps
- * anything for the next: each allocates its own scratch, so a seed
- * iterable that calls back into the engine is safe.
+ * Each method takes one positional argument, an iterable of variables that
+ * ``sorted_seed`` checks and lists ascending, and gives its sets as sorted
+ * tuples that ``flagged_tuple`` builds.  ``closure`` chains a seed to the
+ * end.  ``minimize`` runs the greedy ascending-drop loop of key
+ * minimization; the suffix rule of the kernel contract in ``_kernel.py``
+ * settles some drops with no test.  ``expand`` runs that loop on each
+ * candidate of a minimal key, returns each distinct result and counts the
+ * drops it tried.  No call keeps anything for the next: each allocates its
+ * own scratch, so a seed iterable that calls back into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -302,34 +304,6 @@ fail:
     return NULL;
 }
 
-/* Checks ``seed`` and flags it in ``in_f`` (n + 1 zeroed flags), listing
- * each of its variables once in ``queue``.  Returns how many were listed,
- * or -1 with an exception set. */
-static Py_ssize_t
-flag_seed(const Engine *self, PyObject *seed, unsigned char *in_f, Py_ssize_t *queue)
-{
-    Py_ssize_t top = 0, v;
-    PyObject *it, *item;
-
-    it = PyObject_GetIter(seed);
-    if (!it)
-        return -1;
-    while ((item = PyIter_Next(it))) {
-        v = as_index(item, self->n);
-        Py_DECREF(item);
-        if (v < 0) {
-            Py_DECREF(it);
-            return -1;
-        }
-        if (!in_f[v]) {
-            in_f[v] = 1;
-            queue[top++] = v;
-        }
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : top;
-}
-
 /* The verdict on a target outside the flagged set when one step decides
  * it: 0 when it heads no clause, 1 when some clause body is inside the set
  * (an empty one included), -1 when only chaining can tell. */
@@ -426,47 +400,72 @@ suffix_free(const Engine *self, const Py_ssize_t *key, Py_ssize_t low, Py_ssize_
     }
 }
 
-/* The variables flagged in ``in_f[0..n)`` as a sorted list of ``size``. */
+/* Checks ``seed``, flags it in in_k (n + 1 flags, cleared here) and lists
+ * it ascending in ``key``, with no branch: key[nk] is in bounds as nk <= v.
+ * Returns its size, or -1 with an exception set. */
+static Py_ssize_t
+sorted_seed(const Engine *self, PyObject *seed, unsigned char *in_k, Py_ssize_t *key)
+{
+    Py_ssize_t v, nk = 0;
+    PyObject *it, *item;
+
+    memset(in_k, 0, self->n + 1);
+    if (!(it = PyObject_GetIter(seed)))
+        return -1;
+    while ((item = PyIter_Next(it))) {
+        v = as_index(item, self->n);
+        Py_DECREF(item);
+        if (v < 0) {
+            Py_DECREF(it);
+            return -1;
+        }
+        in_k[v] = 1;
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred())
+        return -1;
+    for (v = 0; v < self->n; v++) {
+        key[nk] = v;
+        nk += in_k[v];
+    }
+    return nk;
+}
+
+/* The first ``size`` variables flagged in in_f[0..n), as a sorted tuple. */
 static PyObject *
-flagged_list(const unsigned char *in_f, Py_ssize_t n, Py_ssize_t size)
+flagged_tuple(const unsigned char *in_f, Py_ssize_t n, Py_ssize_t size)
 {
     Py_ssize_t v, k = 0;
-    PyObject *out = PyList_New(size);
+    PyObject *out = PyTuple_New(size), *x;
 
-    for (v = 0; out && v < n; v++) {
+    for (v = 0; out && k < size && v < n; v++) {
         if (!in_f[v])
             continue;
-        PyObject *x = PyLong_FromSsize_t(v);
-        if (!x) {
+        if (!(x = PyLong_FromSsize_t(v)))
             Py_CLEAR(out);
-            break;
-        }
-        PyList_SET_ITEM(out, k++, x);
+        else
+            PyTuple_SET_ITEM(out, k++, x);
     }
     return out;
 }
 
 static PyObject *
-Engine_closure(Engine *self, PyObject *args, PyObject *kwds)
+Engine_closure(Engine *self, PyObject *seed)
 {
-    static char *kwlist[] = {"seed", NULL};
     Py_ssize_t n = self->n, size = 0, top;
     /* One block: count[G], queue[n], then in_f[n + 1]. */
     Py_ssize_t words = self->n_groups + n;
     Py_ssize_t *scratch, *queue;
     unsigned char *in_f;
-    PyObject *seed, *out = NULL;
+    PyObject *out = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
-        return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + n + 1)))
         return PyErr_NoMemory();
     queue = scratch + self->n_groups;
     in_f = (unsigned char *)(scratch + words);
-    memset(in_f, 0, n + 1);
-    if ((top = flag_seed(self, seed, in_f, queue)) >= 0) {
+    if ((top = sorted_seed(self, seed, in_f, queue)) >= 0) {
         chain(self, n, in_f, queue, 0, top, scratch, &size);
-        out = flagged_list(in_f, n, size);
+        out = flagged_tuple(in_f, n, size);
     }
     PyMem_Free(scratch);
     return out;
@@ -512,39 +511,17 @@ shrink(const Engine *self, const Py_ssize_t *key, Py_ssize_t nk, unsigned char *
     return size;
 }
 
-/* Flags ``seed`` in in_k (n + 1 zeroed flags) and lists it ascending in
- * key; returns its size, or -1 with an exception set.  ``queue`` is scratch
- * of n entries. */
-static Py_ssize_t
-sorted_seed(const Engine *self, PyObject *seed, unsigned char *in_k, Py_ssize_t *key,
-            Py_ssize_t *queue)
-{
-    Py_ssize_t v, nk = 0;
-
-    memset(in_k, 0, self->n + 1);
-    if (flag_seed(self, seed, in_k, queue) < 0)
-        return -1;
-    for (v = 0; v < self->n; v++) {
-        if (in_k[v])
-            key[nk++] = v;
-    }
-    return nk;
-}
-
 static PyObject *
-Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
+Engine_minimize(Engine *self, PyObject *seed)
 {
-    static char *kwlist[] = {"seed", NULL};
     Py_ssize_t n = self->n, nk;
     /* One block: count[G], queue[n], key[n], then in_k[n + 1], in_f[n + 1]
      * and free_[n]. */
     Py_ssize_t words = self->n_groups + 2 * n;
     Py_ssize_t *scratch, *queue, *key;
     unsigned char *in_k, *in_f, *free_;
-    PyObject *seed, *out = NULL;
+    PyObject *out = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &seed))
-        return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 3 * n + 2)))
         return PyErr_NoMemory();
     queue = scratch + self->n_groups;
@@ -552,46 +529,24 @@ Engine_minimize(Engine *self, PyObject *args, PyObject *kwds)
     in_k = (unsigned char *)(scratch + words);
     in_f = in_k + n + 1;
     free_ = in_f + n + 1;
-    if ((nk = sorted_seed(self, seed, in_k, key, queue)) >= 0)
-        out = flagged_list(in_k, n, shrink(self, key, nk, in_k, in_f, free_, queue, scratch));
+    if ((nk = sorted_seed(self, seed, in_k, key)) >= 0)
+        out = flagged_tuple(in_k, n, shrink(self, key, nk, in_k, in_f, free_, queue, scratch));
     PyMem_Free(scratch);
     return out;
 }
 
-/* The variables of key[0..nk) that ``in_k`` flags, ``size`` of them, as a
- * sorted tuple. */
 static PyObject *
-flagged_tuple(const unsigned char *in_k, const Py_ssize_t *key, Py_ssize_t nk, Py_ssize_t size)
+Engine_expand(Engine *self, PyObject *key_obj)
 {
-    Py_ssize_t i, k = 0;
-    PyObject *out = PyTuple_New(size), *x;
-
-    for (i = 0; out && i < nk; i++) {
-        if (!in_k[key[i]])
-            continue;
-        if (!(x = PyLong_FromSsize_t(key[i])))
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, k++, x);
-    }
-    return out;
-}
-
-static PyObject *
-Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"key", NULL};
     Py_ssize_t n = self->n, nk, ns, size, i, j, k, v, u, tried = 0, closures = 0;
     /* One block: count[G], queue[n], key[n], seed[n], then in_k[n + 1],
      * cur[n + 1], in_f[n + 1] and free_[n]. */
     Py_ssize_t words = self->n_groups + 3 * n;
     Py_ssize_t *scratch, *queue, *key, *seed;
     unsigned char *in_k, *cur, *in_f, *free_;
-    PyObject *key_obj, *out = NULL, *seen = NULL, *k2;
+    PyObject *out = NULL, *seen = NULL, *k2;
     int r;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &key_obj))
-        return NULL;
     if (!(scratch = PyMem_Malloc(words * sizeof(Py_ssize_t) + 4 * n + 3)))
         return PyErr_NoMemory();
     queue = scratch + self->n_groups;
@@ -601,7 +556,7 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
     cur = in_k + n + 1;
     in_f = cur + n + 1;
     free_ = in_f + n + 1;
-    if ((nk = sorted_seed(self, key_obj, in_k, key, queue)) < 0
+    if ((nk = sorted_seed(self, key_obj, in_k, key)) < 0
         || !(out = PyList_New(0)) || !(seen = PySet_New(NULL)))
         goto fail;
 
@@ -621,7 +576,7 @@ Engine_expand(Engine *self, PyObject *args, PyObject *kwds)
             }
             closures += ns;
             size = shrink(self, seed, ns, cur, in_f, free_, queue, scratch);
-            if (!(k2 = flagged_tuple(cur, seed, ns, size)))
+            if (!(k2 = flagged_tuple(cur, n, size)))
                 goto fail;
             r = PySet_Contains(seen, k2);
             if (r == 0 && (PySet_Add(seen, k2) < 0 || PyList_Append(out, k2) < 0))
@@ -644,12 +599,12 @@ fail:
 }
 
 static PyMethodDef Engine_methods[] = {
-    {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_VARARGS | METH_KEYWORDS,
-     "Return the sorted list of variables derivable from ``seed``."},
-    {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_VARARGS | METH_KEYWORDS,
+    {"closure", (PyCFunction)(void (*)(void))Engine_closure, METH_O,
+     "Return the sorted tuple of variables derivable from ``seed``."},
+    {"minimize", (PyCFunction)(void (*)(void))Engine_minimize, METH_O,
      "Shrink the key ``seed`` by greedy drops in ascending order.\n\n"
-     "Returns the sorted minimal key."},
-    {"expand", (PyCFunction)(void (*)(void))Engine_expand, METH_VARARGS | METH_KEYWORDS,
+     "Returns the minimal key as a sorted tuple."},
+    {"expand", (PyCFunction)(void (*)(void))Engine_expand, METH_O,
      "The out-neighbors of the minimal key ``key``, with their cost.\n\n"
      "Each pair (v in key, clause A -> v) gives (key - {v}) | A, which\n"
      "minimize shrinks; returns the distinct results as sorted tuples in\n"

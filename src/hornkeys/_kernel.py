@@ -6,11 +6,13 @@ forward with one counter per distinct clause body: the clauses whose
 non-empty bodies hold the same variables share one counter of the body
 variables not yet derived, each counted once however often a body lists
 it, and when it reaches 0 all their heads fire in clause order.  Both
-provide the one kernel contract, ``Engine(n, bodies, heads)`` with:
+provide the one kernel contract, ``Engine(n, bodies, heads)``, whose three
+methods each take one positional argument, an iterable of variables, and
+give every set of variables as a sorted tuple:
 
-- ``closure(seed)``: the sorted list of variables derivable from ``seed``;
-- ``minimize(seed)``: the sorted minimal key that greedy drops in ascending
-  order leave of the key ``seed``, dropping v whenever the rest derives it;
+- ``closure(seed)``: the variables derivable from ``seed``;
+- ``minimize(seed)``: the minimal key that greedy drops in ascending order
+  leave of the key ``seed``, dropping v whenever the rest derives it;
   the seed is checked before the first drop.  The suffix rule: a v that lies
   in the closure of the later seed variables, S ∩ (v, n), is dropped with
   no test.  That is exact, because the rest at v's turn still holds all of
@@ -20,8 +22,8 @@ provide the one kernel contract, ``Engine(n, bodies, heads)`` with:
   seed down that stops once it holds every variable;
 - ``expand(key)``: for a minimal key K, the tuple ``(out, tried,
   closures)``.  Each pair (v ∈ K, clause A→v) gives the key (K ∖ {v}) ∪ A,
-  which ``minimize`` shrinks; ``out`` lists the results as sorted tuples,
-  by v ascending and then clause input order, each kept at its first place
+  which ``minimize`` shrinks; the list ``out`` holds the results by v
+  ascending and then clause input order, each kept at its first place
   only, ``tried`` counts the pairs, and ``closures`` is the sum of
   |(K ∖ {v}) ∪ A| over them: one closure computation per drop tried, as in
   the delay bound, whatever the shortcuts here settle.  A tuple of small
@@ -31,9 +33,10 @@ provide the one kernel contract, ``Engine(n, bodies, heads)`` with:
   engine's own head index;
 - ``n`` and ``m``.
 
-These are the only public names.  An engine is an immutable index: no call
-changes it or keeps anything for the next, so one engine serves any number
-of callers and threads.
+These are the only public names, and a keyword argument to a method is a
+``TypeError``.  An engine is an immutable index: no call changes it or
+keeps anything for the next, so one engine serves any number of callers
+and threads.  The bodies and heads may be any iterables, each read once.
 Out-of-range indices raise ``ValueError`` at construction and at each call.
 """
 

@@ -87,7 +87,7 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
     stops after a key skips that key's expansion.
     """
     engine = cnf.engine()
-    first = tuple(engine.minimize(range(cnf.n)))
+    first = engine.minimize(range(cnf.n))
     pending = [first]
     visited = {first}
     # every counter starts over, so a reused stats object reads as a fresh one;

@@ -27,6 +27,28 @@ def test_engine_exposes_only_the_contract(engine_cls):
     assert public == {"closure", "minimize", "expand", "n", "m"}
 
 
+def test_methods_take_one_positional_argument(engine_cls):
+    eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
+    for call, name in ((eng.closure, "seed"), (eng.minimize, "seed"), (eng.expand, "key")):
+        with pytest.raises(TypeError):
+            call(**{name: [1, 2]})
+        with pytest.raises(TypeError):
+            call()
+        with pytest.raises(TypeError):
+            call([1, 2], [0])
+
+
+def test_methods_return_sorted_tuples(engine_cls):
+    eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
+    empty = engine_cls(0, [], [])
+    for result in (eng.closure([2, 0]), eng.minimize(range(5)), empty.closure([]), empty.minimize([])):
+        assert type(result) is tuple and result == tuple(sorted(set(result)))
+        assert all(type(v) is int for v in result)
+    out, tried, closures = eng.expand([2, 1])
+    assert type(out) is list
+    assert out == [(0, 2)] and all(type(k2) is tuple for k2 in out)
+
+
 def _make(engine_cls, cnf):
     bodies = [sorted(c.body) for c in cnf.clauses]
     heads = [c.head for c in cnf.clauses]
@@ -86,30 +108,30 @@ def test_closure_matches_the_brute_force_oracle_exhaustively(engine_cls):
         cnf = hk.horn_cnf(n, list(zip(map(set, bodies), heads)))
         for mask in range(1 << n):
             seed = _seeds(n, mask)
-            assert eng.closure(seed) == sorted(bf_forward_closure(cnf, seed))
+            assert eng.closure(seed) == tuple(sorted(bf_forward_closure(cnf, seed)))
 
 
 def test_closure_with_head_free_variables_and_shared_heads(engine_cls):
     # 0 -> 1, {} -> 2, {0, 3} -> 4, 1 -> 4; variables 0 and 3 head no clause
     eng = engine_cls(5, [[0], [], [0, 3], [1]], [1, 2, 4, 4])
-    assert eng.closure([]) == [2]  # its only clause has an empty body
-    assert eng.closure([1, 2, 4]) == [1, 2, 4]  # head-free 0 stays out
-    assert eng.closure([4]) == [2, 4]
-    assert eng.closure([3]) == [2, 3]
-    assert eng.closure([0, 3]) == [0, 1, 2, 3, 4]  # 4 from either of its clauses
-    assert eng.closure([1]) == [1, 2, 4]
-    assert eng.closure([0]) == [0, 1, 2, 4]  # two steps: 0 -> 1 -> 4
+    assert eng.closure([]) == (2,)  # its only clause has an empty body
+    assert eng.closure([1, 2, 4]) == (1, 2, 4)  # head-free 0 stays out
+    assert eng.closure([4]) == (2, 4)
+    assert eng.closure([3]) == (2, 3)
+    assert eng.closure([0, 3]) == (0, 1, 2, 3, 4)  # 4 from either of its clauses
+    assert eng.closure([1]) == (1, 2, 4)
+    assert eng.closure([0]) == (0, 1, 2, 4)  # two steps: 0 -> 1 -> 4
 
 
 def test_engine_basics(engine_cls):
     eng = engine_cls(4, [[0], [1, 2]], [1, 3])
-    assert eng.closure([0]) == [0, 1]
-    assert eng.closure([0, 2]) == [0, 1, 2, 3]
-    assert eng.closure([]) == []
+    assert eng.closure([0]) == (0, 1)
+    assert eng.closure([0, 2]) == (0, 1, 2, 3)
+    assert eng.closure([]) == ()
     assert (eng.n, eng.m) == (4, 2)
 
     with_units = engine_cls(3, [[], [0]], [0, 2])
-    assert with_units.closure([]) == [0, 2]
+    assert with_units.closure([]) == (0, 2)
 
 
 def _reference_minimize(eng, seed):
@@ -117,7 +139,7 @@ def _reference_minimize(eng, seed):
     for v in sorted(cur):
         if v in eng.closure(cur - {v}):
             cur.discard(v)
-    return sorted(cur)
+    return tuple(sorted(cur))
 
 
 def test_minimize_matches_a_loop_of_closures(engine_cls):
@@ -135,10 +157,10 @@ def test_minimize_matches_a_loop_of_closures(engine_cls):
 def test_minimize_basics(engine_cls):
     # 0 <-> 1, {0, 2} -> 3, {} -> 4
     eng = engine_cls(5, [[1], [0], [0, 2], []], [0, 1, 3, 4])
-    assert eng.minimize(range(5)) == [1, 2]
-    assert eng.minimize({4, 3, 2, 1, 0}) == [1, 2]
-    assert eng.minimize(iter([0, 2, 3])) == [0, 2]
-    assert engine_cls(0, [], []).minimize([]) == []
+    assert eng.minimize(range(5)) == (1, 2)
+    assert eng.minimize({4, 3, 2, 1, 0}) == (1, 2)
+    assert eng.minimize(iter([0, 2, 3])) == (0, 2)
+    assert engine_cls(0, [], []).minimize([]) == ()
 
 
 def test_suffix_rule_drops_what_one_step_cannot_decide(engine_cls):
@@ -146,11 +168,11 @@ def test_suffix_rule_drops_what_one_step_cannot_decide(engine_cls):
     # steps, 4 -> 2 -> 1; 1 lies in the closure of {3, 4}, so the suffix
     # rule drops it.  3 and 4 head no clause and stay.
     eng = engine_cls(5, [[4], [2], [1, 3]], [2, 1, 0])
-    assert eng.minimize([1, 3, 4]) == [3, 4]
+    assert eng.minimize([1, 3, 4]) == (3, 4)
     # {2} -> 0, {0} -> 1: one step drops 0; 1 then needs 2 -> 0 -> 1, and
     # the closure of {2} is all of V, which settles 1 with no test.
     eng = engine_cls(3, [[2], [0]], [0, 1])
-    assert eng.minimize(range(3)) == [2]
+    assert eng.minimize(range(3)) == (2,)
 
 
 def test_suffix_rule_that_decides_nothing(engine_cls):
@@ -158,17 +180,17 @@ def test_suffix_rule_that_decides_nothing(engine_cls):
     # undecided by one step, and 1 lies outside the closure of {2}, so the
     # chain decides it and keeps it.
     eng = engine_cls(3, [[1], [0]], [0, 1])
-    assert eng.minimize(range(3)) == [1, 2]
+    assert eng.minimize(range(3)) == (1, 2)
 
 
 def test_suffix_rule_with_empty_bodies(engine_cls):
     # {} -> 3, {2, 3} -> 0, {0} -> 1: the suffix closure starts from {3}.
     eng = engine_cls(4, [[], [2, 3], [0]], [3, 0, 1])
-    assert eng.minimize(range(4)) == [2]
-    assert eng.minimize([1, 2, 3]) == [2]
+    assert eng.minimize(range(4)) == (2,)
+    assert eng.minimize([1, 2, 3]) == (2,)
     # {} -> 2, {3} -> 0, {0} -> 1: the pass settles 1 and the unit head 2
     eng = engine_cls(4, [[], [3], [0]], [2, 0, 1])
-    assert eng.minimize(range(4)) == [3]
+    assert eng.minimize(range(4)) == (3,)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["half", "over-half"])
@@ -200,7 +222,7 @@ def test_minimize_rejects_a_bad_seed(engine_cls, seed):
     eng = engine_cls(3, [[0], [1]], [1, 2])
     with pytest.raises((ValueError, TypeError)):
         eng.minimize(seed)
-    assert eng.minimize(range(3)) == [0]
+    assert eng.minimize(range(3)) == (0,)
 
 
 def _reference_expand(eng, bodies, heads, key):
@@ -358,7 +380,7 @@ def test_shared_bodies_match_the_oracles(engine_cls):
         cnf = hk.horn_cnf(n, list(zip(map(set, bodies), heads)))
         for mask in range(1 << n):
             seed = _seeds(n, mask)
-            assert eng.closure(seed) == sorted(bf_forward_closure(cnf, seed))
+            assert eng.closure(seed) == tuple(sorted(bf_forward_closure(cnf, seed)))
             if len(eng.closure(seed)) == n:
                 assert eng.minimize(seed) == _reference_minimize(eng, seed)
                 key = eng.minimize(seed)
@@ -542,8 +564,8 @@ def test_an_engine_without_clauses_still_checks_its_seed(engine_cls):
             call([0, 1, 2, 3])
         with pytest.raises(ValueError):
             call([2, -1])
-    assert eng.closure([2, 0]) == [0, 2]
-    assert eng.minimize([2, 1, 0]) == [0, 1, 2]
+    assert eng.closure([2, 0]) == (0, 2)
+    assert eng.minimize([2, 1, 0]) == (0, 1, 2)
     assert eng.expand([0, 1, 2]) == ([], 0, 0)
 
 
@@ -561,6 +583,26 @@ def test_engine_rejects_non_integer_seed(engine_cls, bad):
 def test_engine_rejects_mismatched_lists():
     with pytest.raises(ValueError):
         _closure_py.Engine(3, [[0], [1]], [2])
+
+
+def test_engine_builds_from_iterators_as_from_lists(compiled):
+    # Both backends take any iterable of bodies and of heads, read once.
+    n, bodies, heads = 5, [[1], [0], [0, 2], [], [2, 0]], [0, 1, 3, 4, 1]
+    makes = (iter, lambda xs: (x for x in xs), tuple)
+    for cls in (_closure_py.Engine, compiled.Engine):
+        with pytest.raises(ValueError):
+            cls(n, iter(bodies), (h for h in heads[1:]))
+        expected = cls(n, bodies, heads)
+        for make_bodies in makes + (lambda xs: (iter(x) for x in xs),):
+            for make_heads in makes:
+                eng = cls(n, make_bodies(bodies), make_heads(heads))
+                assert (eng.n, eng.m) == (expected.n, expected.m)
+                for mask in range(1 << n):
+                    seed = _seeds(n, mask)
+                    assert eng.closure(seed) == expected.closure(seed)
+                    key = seed + [v for v in range(n) if v not in eng.closure(seed)]
+                    assert eng.minimize(key) == expected.minimize(key)
+                    assert eng.expand(eng.minimize(key)) == expected.expand(expected.minimize(key))
 
 
 @st.composite
@@ -613,12 +655,16 @@ def test_backends_agree_on_random_input(compiled, data, cnf):
     for _ in range(6):
         seed = data.draw(_seed_lists(n))
         for method in ("closure", "minimize"):
-            assert _outcome(getattr(py, method), seed) == _outcome(getattr(cc, method), seed)
+            outcomes = _outcome(getattr(py, method), seed), _outcome(getattr(cc, method), seed)
+            assert outcomes[0] == outcomes[1]
+            assert type(outcomes[0]) is type(outcomes[1])
         for call in (expand, expand_a_key):
             outcomes = _outcome(call, py, seed), _outcome(call, cc, seed)
             assert outcomes[0] == outcomes[1]
+            assert type(outcomes[0]) is type(outcomes[1])
             for outcome in outcomes:
                 if isinstance(outcome, tuple):  # not an error type
+                    assert type(outcome[0]) is list
                     assert all(type(k2) is tuple for k2 in outcome[0])
 
 
@@ -633,5 +679,5 @@ def test_minimize_is_the_greedy_key_shrink(compiled, data, cnf, backend):
     for v in sorted(key):
         if len(eng.closure(cur - {v})) == n:
             cur.discard(v)
-    assert eng.minimize(key) == sorted(cur)
+    assert eng.minimize(key) == tuple(sorted(cur))
 
