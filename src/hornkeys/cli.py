@@ -3,7 +3,8 @@
 Exit codes: 0 decided/enumerated, 1 recognizer answered false, 2 input
 error, 3 resource guard tripped or memory ran out.  Every verb accepts
 --json and emits one object {command, result, witness, stats}; see
-docs/cli_output.schema.json.
+docs/cli_output.schema.json.  -o writes the text form for every verb that
+takes it, and --json always prints its one object on stdout.
 
 ``main(argv)`` runs one command in process and returns its exit code.  It
 builds the argument parser on its first call and reuses it for every later
@@ -94,8 +95,8 @@ def _ids(s, universe, names: bool) -> list:
     return [_id(v, universe, names) for v in sorted(s)]
 
 
-def _line(s, universe, names: bool) -> str:
-    return " ".join(str(t) for t in _ids(s, universe, names))
+def _line(ids) -> str:
+    return " ".join(map(str, ids))
 
 
 def _parse_set(spec: str, universe) -> frozenset[int]:
@@ -116,64 +117,58 @@ def _parse_set(spec: str, universe) -> frozenset[int]:
     return frozenset(out)
 
 
-def _payload(command: str, result, witness=None, stats=None) -> str:
-    return json.dumps(
-        {"command": command, "result": result, "witness": witness, "stats": stats}
-    )
-
-
-def _emit_set(args, command: str, s, universe, names: bool) -> int:
+def _emit(args, result, text, witness=None, stats=None, code: int = 0) -> int:
+    """Answer once and return ``code``.  Under --json, print the one object
+    {command, result, witness, stats} on stdout.  Otherwise write ``text``
+    to --output when the verb takes that flag and it is given, else to stdout."""
     if args.json:
-        print(_payload(command, _ids(s, universe, names)))
+        payload = {"command": args.command, "result": result, "witness": witness, "stats": stats}
+        print(json.dumps(payload))
     else:
-        print(_line(s, universe, names))
-    return 0
+        _write(getattr(args, "output", None), text)
+    return code
 
 
-def _emit_sets(args, command: str, sets, universe) -> int:
-    if args.json:
-        print(_payload(command, [_ids(s, universe, False) for s in sets]))
-    else:
-        for s in sets:
-            print(_line(s, universe, False))
-    return 0
+def _emit_text(args, text: str) -> int:
+    return _emit(args, text, text)
+
+
+def _emit_set(args, s, universe, names: bool = False) -> int:
+    ids = _ids(s, universe, names)
+    return _emit(args, ids, _line(ids) + "\n")
+
+
+def _emit_sets(args, sets, universe) -> int:
+    """The sets in the order of their sorted members, one a line."""
+    ids = sorted(_ids(s, universe, False) for s in sets)
+    return _emit(args, ids, "".join(_line(x) + "\n" for x in ids))
 
 
 # Text and JSON label of the vertex set in each recognizer witness (S, v).
 _WITNESS_LABELS = {"transversal-pair-missing": "T", "no-individual-neighbor": "I"}
 
 
-def _emit_verdict(args, command: str, ok: bool, witness, universe) -> int:
+def _emit_verdict(args, ok: bool, witness, universe) -> int:
     """``unique``/``not unique`` plus the witness, if any; exit 0 or 1."""
-    shown = None
+    text, shown = ("unique\n" if ok else "not unique\n"), None
     if witness is not None:
         s, v = witness.data
         label = _WITNESS_LABELS[witness.kind]
-        shown = {
-            "kind": witness.kind,
-            label: _ids(s, universe, True),  # labels whenever the input has them
-            "v": _id(v, universe, True),
-        }
-    if args.json:
-        print(_payload(command, ok, shown))
-    else:
-        print("unique" if ok else "not unique")
-        if shown is not None:
-            print(f"{label}: {_line(s, universe, True)}")
-            print(f"v: {shown['v']}")
-    return 0 if ok else 1
+        ids = _ids(s, universe, True)  # labels whenever the input has them
+        shown = {"kind": witness.kind, label: ids, "v": _id(v, universe, True)}
+        text += f"{label}: {_line(ids)}\nv: {shown['v']}\n"
+    return _emit(args, ok, text, shown, code=0 if ok else 1)
 
 
 # --- enumeration verbs -----------------------------------------------------
 
 
-def _run_enumeration(args, command, universe, iterator, stats: KeyEnumerationStats) -> int:
+def _run_enumeration(args, universe, iterator, stats: KeyEnumerationStats) -> int:
     if args.json:
         keys = [_ids(k, universe, args.names) for k in iterator]
-        print(_payload(command, keys, None, dataclasses.asdict(stats)))
-        return 0
+        return _emit(args, keys, None, stats=dataclasses.asdict(stats))
     for k in iterator:
-        print(_line(k, universe, args.names), flush=True)
+        print(_line(_ids(k, universe, args.names)), flush=True)
     if args.stats:
         print(
             f"# keys={stats.keys} closures={stats.closures} "
@@ -185,21 +180,14 @@ def _run_enumeration(args, command, universe, iterator, stats: KeyEnumerationSta
 def cmd_keys(args) -> int:
     cnf = parse_horn(_read(args.input))
     stats = KeyEnumerationStats()
-    return _run_enumeration(
-        args, "keys", cnf.universe, iter_minimal_keys(cnf, args.limit, stats), stats
-    )
+    return _run_enumeration(args, cnf.universe, iter_minimal_keys(cnf, args.limit, stats), stats)
 
 
 def cmd_tss_enum(args) -> int:
     tg = parse_tss(_read(args.input))
     stats = KeyEnumerationStats()
-    return _run_enumeration(
-        args,
-        "tss-enum",
-        tg.universe,
-        iter_minimal_target_sets(tg, args.limit, stats, args.max_threshold),
-        stats,
-    )
+    sets = iter_minimal_target_sets(tg, args.limit, stats, args.max_threshold)
+    return _run_enumeration(args, tg.universe, sets, stats)
 
 
 def cmd_key_min(args) -> int:
@@ -211,7 +199,7 @@ def cmd_key_min(args) -> int:
         # name the ids as the user gave them
         why = _not_a_key(s, e.witness, cnf.n, lambda v: _id(v, cnf.universe, args.names))
         raise ContractError(why, witness=e.witness) from None
-    return _emit_set(args, "key-min", key, cnf.universe, args.names)
+    return _emit_set(args, key, cnf.universe, args.names)
 
 
 # --- recognizers -----------------------------------------------------------
@@ -219,58 +207,43 @@ def cmd_key_min(args) -> int:
 
 def cmd_unique_hg(args) -> int:
     hg = parse_hypergraph(_read(args.input))
-    return _emit_verdict(args, "unique-hg", *is_unique_key_hypergraph(hg), hg.universe)
+    return _emit_verdict(args, *is_unique_key_hypergraph(hg), hg.universe)
 
 
 def cmd_unique_graph(args) -> int:
     g = parse_graph(_read(args.input))
-    return _emit_verdict(args, "unique-graph", *is_unique_key_graph(g), g.universe)
+    return _emit_verdict(args, *is_unique_key_graph(g), g.universe)
 
 
 # --- transformations -------------------------------------------------------
 
 
-def _emit_text(args, command: str, text: str) -> int:
-    if args.json:
-        print(_payload(command, text))
-    else:
-        _write(args.output, text)
-    return 0
-
-
 def cmd_dual(args) -> int:
-    hg = parse_hypergraph(_read(args.input))
-    d = minimal_transversals(hg)
+    d = minimal_transversals(parse_hypergraph(_read(args.input)))
     if args.json:
-        print(_payload("dual", [_ids(e, d.universe, False) for e in d.edges]))
-        return 0
-    _write(args.output, serialize_hypergraph(d))
-    return 0
+        return _emit(args, [_ids(e, d.universe, False) for e in d.edges], None)
+    return _emit(args, None, serialize_hypergraph(d))
 
 
 def cmd_phi_b(args) -> int:
-    hg = parse_hypergraph(_read(args.input))
-    return _emit_text(args, "phi-b", serialize_horn(key_horn_cnf(hg)))
+    return _emit_text(args, serialize_horn(key_horn_cnf(parse_hypergraph(_read(args.input)))))
 
 
 def cmd_sat2graph(args) -> int:
     cnf = parse_general_cnf(_read(args.input))
-    return _emit_text(args, "sat2graph", serialize_graph(build_sat_graph(cnf)))
+    return _emit_text(args, serialize_graph(build_sat_graph(cnf)))
 
 
 def cmd_tss2horn(args) -> int:
     tg = parse_tss(_read(args.input))
-    return _emit_text(args, "tss2horn", serialize_horn(tss_to_horn(tg, args.max_threshold)))
+    return _emit_text(args, serialize_horn(tss_to_horn(tg, args.max_threshold)))
 
 
 def cmd_horn2tss(args) -> int:
-    cnf = parse_horn(_read(args.input))
-    tg, roles = horn_to_tss(cnf)
-    tss_text = serialize_tss(tg)
-    roles_text = serialize_roles(roles)
+    tg, roles = horn_to_tss(parse_horn(_read(args.input)))
+    tss_text, roles_text = serialize_tss(tg), serialize_roles(roles)
     if args.json:
-        print(_payload("horn2tss", {"tss": tss_text, "roles": roles_text}))
-        return 0
+        return _emit(args, {"tss": tss_text, "roles": roles_text}, None)
     if args.output is None:
         raise InputError("horn2tss needs --output to place the roles sidecar")
     _write(args.output, tss_text)
@@ -283,93 +256,89 @@ def cmd_horn2tss(args) -> int:
 
 def cmd_tss_activate(args) -> int:
     tg = parse_tss(_read(args.input))
-    seed = _parse_set(args.seed_set, tg.universe)
-    active = activate(tg, seed)
-    if args.json:
-        result = {
-            "active": _ids(active, tg.universe, args.names),
-            "is_target_set": len(active) == tg.n,
-        }
-        print(_payload("tss-activate", result))
-        return 0
-    print(_line(active, tg.universe, args.names))
-    return 0
+    active = activate(tg, _parse_set(args.seed_set, tg.universe))
+    ids = _ids(active, tg.universe, args.names)
+    return _emit(args, {"active": ids, "is_target_set": len(active) == tg.n}, _line(ids) + "\n")
 
 
 def cmd_tss_min(args) -> int:
     tg = parse_tss(_read(args.input))
-    return _emit_set(args, "tss-min", minimum_target_set(tg), tg.universe, args.names)
+    return _emit_set(args, minimum_target_set(tg), tg.universe, args.names)
 
 
 # --- generators and oracles ------------------------------------------------
 
+# Each `gen` kind: the text of its seeded instance, drawn with the size flags.
+_GENERATORS = {
+    "horn": lambda a: serialize_horn(random_horn_cnf(a.seed, a.n, a.m, a.max_body)),
+    "sperner": lambda a: serialize_hypergraph(random_sperner(a.seed, a.n, a.k, a.max_edge)),
+    "graph": lambda a: serialize_graph(random_graph(a.seed, a.n, a.p)),
+    "bipartite": lambda a: serialize_graph(random_bipartite_graph(a.seed, a.a, a.b, a.p)),
+    "tss": lambda a: serialize_tss(random_threshold_graph(a.seed, a.n, a.p, a.tmax)),
+    "cnf": lambda a: serialize_general_cnf(random_general_cnf(a.seed, a.n, a.m, a.width)),
+}
+
 
 def cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "horn":
-        text = serialize_horn(random_horn_cnf(args.seed, args.n, args.m, args.max_body))
-    elif kind == "sperner":
-        text = serialize_hypergraph(random_sperner(args.seed, args.n, args.k, args.max_edge))
-    elif kind == "graph":
-        text = serialize_graph(random_graph(args.seed, args.n, args.p))
-    elif kind == "bipartite":
-        text = serialize_graph(random_bipartite_graph(args.seed, args.a, args.b, args.p))
-    elif kind == "tss":
-        text = serialize_tss(random_threshold_graph(args.seed, args.n, args.p, args.tmax))
-    else:  # cnf
-        text = serialize_general_cnf(random_general_cnf(args.seed, args.n, args.m, args.width))
-    return _emit_text(args, "gen", text)
+    return _emit_text(args, _GENERATORS[args.kind](args))
+
+
+def _oracle_sat(cnf, args) -> int:
+    assignment = bf_satisfying_assignment(cnf)
+    if assignment is None:
+        return _emit(args, None, "unsatisfiable\n", code=1)
+    model = [(i + 1) if val else -(i + 1) for i, val in enumerate(assignment)]
+    return _emit(args, model, _line(model) + "\n")
+
+
+def _oracle_closure(cnf, args) -> int:
+    if args.set is None:
+        raise InputError("oracle closure needs --set")
+    closed = bf_forward_closure(cnf, _parse_set(args.set, cnf.universe))
+    return _emit_set(args, closed, cnf.universe)
+
+
+# Each oracle: the parser of its input, and its answer to the parsed input.
+_ORACLES = {
+    "minimal-keys": (parse_horn, lambda x, a: _emit_sets(a, bf_minimal_keys(x), x.universe)),
+    "transversals": (
+        parse_hypergraph,
+        lambda x, a: _emit_text(a, serialize_hypergraph(bf_minimal_transversals(x))),
+    ),
+    "unique-key": (parse_hypergraph, lambda x, a: _emit_verdict(a, bf_unique_key(x), None, None)),
+    "min-tss": (parse_tss, lambda x, a: _emit_set(a, bf_min_target_set(x), x.universe)),
+    "minimal-tss": (parse_tss, lambda x, a: _emit_sets(a, bf_minimal_target_sets(x), x.universe)),
+    "cuts": (
+        parse_graph,
+        lambda x, a: _emit_text(a, serialize_hypergraph(graphic_matroid_cuts(x))),
+    ),
+    "sat": (parse_general_cnf, _oracle_sat),
+    "mis": (parse_graph, lambda x, a: _emit_sets(a, bf_maximal_independent_sets(x), x.universe)),
+    "closure": (parse_horn, _oracle_closure),
+}
 
 
 def cmd_oracle(args) -> int:
-    name = args.name
-    if name == "minimal-keys":
-        cnf = parse_horn(_read(args.input))
-        keys = sorted(bf_minimal_keys(cnf), key=lambda s: tuple(sorted(s)))
-        return _emit_sets(args, "oracle", keys, cnf.universe)
-    if name == "transversals":
-        hg = parse_hypergraph(_read(args.input))
-        return _emit_text(args, "oracle", serialize_hypergraph(bf_minimal_transversals(hg)))
-    if name == "unique-key":
-        hg = parse_hypergraph(_read(args.input))
-        return _emit_verdict(args, "oracle", bf_unique_key(hg), None, hg.universe)
-    if name == "min-tss":
-        tg = parse_tss(_read(args.input))
-        return _emit_set(args, "oracle", bf_min_target_set(tg), tg.universe, False)
-    if name == "minimal-tss":
-        tg = parse_tss(_read(args.input))
-        sets = sorted(bf_minimal_target_sets(tg), key=lambda s: tuple(sorted(s)))
-        return _emit_sets(args, "oracle", sets, tg.universe)
-    if name == "cuts":
-        g = parse_graph(_read(args.input))
-        return _emit_text(args, "oracle", serialize_hypergraph(graphic_matroid_cuts(g)))
-    if name == "sat":
-        cnf = parse_general_cnf(_read(args.input))
-        assignment = bf_satisfying_assignment(cnf)
-        if args.json:
-            result = None
-            if assignment is not None:
-                result = [(i + 1) if val else -(i + 1) for i, val in enumerate(assignment)]
-            print(_payload("oracle", result))
-            return 0 if assignment is not None else 1
-        if assignment is None:
-            print("unsatisfiable")
-            return 1
-        print(" ".join(str((i + 1) if v else -(i + 1)) for i, v in enumerate(assignment)))
-        return 0
-    if name == "mis":
-        g = parse_graph(_read(args.input))
-        return _emit_sets(args, "oracle", bf_maximal_independent_sets(g), g.universe)
-    if name == "closure":
-        cnf = parse_horn(_read(args.input))
-        if args.set is None:
-            raise InputError("oracle closure needs --set")
-        closed = bf_forward_closure(cnf, _parse_set(args.set, cnf.universe))
-        return _emit_set(args, "oracle", closed, cnf.universe, False)
-    raise InputError(f"unknown oracle {name!r}")
+    parse, answer = _ORACLES[args.name]
+    return answer(parse(_read(args.input)), args)
 
 
 # --- parser ----------------------------------------------------------------
+
+# Flags that several verbs take, each stated once: option strings and keywords.
+_FLAGS = {
+    "limit": (["--limit"], dict(type=int, default=None, help="stop after this many keys")),
+    "stats": (["--stats"], dict(action="store_true", help="append a stats comment line")),
+    "names": (
+        ["--names"],
+        dict(action="store_true", help="print labels instead of ids when the input has them"),
+    ),
+    "output": (["-o", "--output"], dict(default=None, help="write the text form to this file")),
+    "max-threshold": (
+        ["--max-threshold"],
+        dict(type=int, default=3, help="largest threshold expanded into clauses (exit 3 above)"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,60 +350,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help: str, with_input: bool = True):
+    def shared(sp, *flags: str):
+        for flag in flags:
+            options, keywords = _FLAGS[flag]
+            sp.add_argument(*options, **keywords)
+
+    def add(name: str, func, help: str, *flags: str, with_input: bool = True):
+        """A verb with its input, --json and the shared ``flags``; a verb whose
+        own options come first adds its shared flags after them."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
         if with_input:
             sp.add_argument("input", help="input file, or - for stdin")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        shared(sp, *flags)
         return sp
 
-    sp = add("keys", cmd_keys, "enumerate all minimal keys of a horn file")
-    sp.add_argument("--limit", type=int, default=None, help="stop after this many keys")
-    sp.add_argument("--stats", action="store_true", help="append a stats comment line")
-    sp.add_argument(
-        "--names", action="store_true", help="print labels instead of ids when the input has them"
-    )
-
+    add("keys", cmd_keys, "enumerate all minimal keys of a horn file", "limit", "stats", "names")
     sp = add("key-min", cmd_key_min, "greedily minimize a key given with --set")
     sp.add_argument("--set", required=True, help="candidate key, e.g. '1,3' or 'a c'")
-    sp.add_argument("--names", action="store_true")
-
+    shared(sp, "names")
     add("unique-hg", cmd_unique_hg, "decide whether a Sperner hypergraph is unique key")
     add("unique-graph", cmd_unique_graph, "decide whether a graph is unique key")
-
-    sp = add("dual", cmd_dual, "minimal transversals of a Sperner hypergraph")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = add("phi-b", cmd_phi_b, "write the key Horn CNF of a hypergraph")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = add("sat2graph", cmd_sat2graph, "build the gadget graph of a general CNF")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = add("tss2horn", cmd_tss2horn, "reduce target set selection to keys")
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--max-threshold", type=int, default=3)
-
-    sp = add("horn2tss", cmd_horn2tss, "reduce keys to target set selection")
-    sp.add_argument("-o", "--output", default=None)
+    add("dual", cmd_dual, "minimal transversals of a Sperner hypergraph", "output")
+    add("phi-b", cmd_phi_b, "write the key Horn CNF of a hypergraph", "output")
+    add("sat2graph", cmd_sat2graph, "build the gadget graph of a general CNF", "output")
+    add("tss2horn", cmd_tss2horn, "reduce target set selection to keys", "output", "max-threshold")
+    sp = add("horn2tss", cmd_horn2tss, "reduce keys to target set selection", "output")
     sp.add_argument("--roles", default=None, help="sidecar path (default <output>.roles)")
-
     sp = add("tss-enum", cmd_tss_enum, "enumerate all minimal target sets")
-    sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--stats", action="store_true")
-    sp.add_argument("--names", action="store_true")
-    sp.add_argument("--max-threshold", type=int, default=3)
-
+    shared(sp, "limit", "stats", "names", "max-threshold")
     sp = add("tss-activate", cmd_tss_activate, "run threshold activation from a seed set")
     sp.add_argument("--seed-set", required=True, help="e.g. '1,4' or 'b d'")
-    sp.add_argument("--names", action="store_true")
-
-    sp = add("tss-min", cmd_tss_min, "exhaustive minimum target set")
-    sp.add_argument("--names", action="store_true")
+    shared(sp, "names")
+    add("tss-min", cmd_tss_min, "exhaustive minimum target set", "names")
 
     sp = add("gen", cmd_gen, "generate a random instance", with_input=False)
-    sp.add_argument("kind", choices=["horn", "sperner", "graph", "bipartite", "tss", "cnf"])
+    sp.add_argument("kind", choices=_GENERATORS)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--m", type=int, default=6)
@@ -446,27 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-edge", type=int, default=4)
     sp.add_argument("--tmax", type=int, default=2)
     sp.add_argument("--width", type=int, default=3)
-    sp.add_argument("-o", "--output", default=None)
+    shared(sp, "output")
 
     sp = add("oracle", cmd_oracle, "run a brute-force reference oracle", with_input=False)
-    sp.add_argument(
-        "name",
-        choices=[
-            "minimal-keys",
-            "transversals",
-            "unique-key",
-            "min-tss",
-            "minimal-tss",
-            "cuts",
-            "sat",
-            "mis",
-            "closure",
-        ],
-    )
+    sp.add_argument("name", choices=_ORACLES)
     sp.add_argument("input", help="input file, or - for stdin")
     sp.add_argument("--set", default=None, help="seed set for `closure`")
-    sp.add_argument("-o", "--output", default=None)
-
+    shared(sp, "output")
     return p
 
 

@@ -483,6 +483,7 @@ GOLDEN_INPUTS = {
     "fig.cnf": FIG_CNF,
     "small.horn": "horn 3 2\nnames a b c\n1 -> 2\n1 3 -> 2\n",
     "tiny.horn": "horn 2 1\n1 -> 2\n",
+    "unsat.cnf": "cnf 1 2\n1\n-1\n",
 }
 
 # Texts that the transformation verbs write, recorded byte for byte.
@@ -644,6 +645,45 @@ GOLDEN = [
         0,
         '{"command": "dual", "result": [[1, 3], [2, 3], [2, 4]], "witness": null, "stats": null}\n',
     ),
+    (["oracle", "sat", "fig.cnf"], 0, "-1 -2 -3 -4\n"),
+    (
+        ["oracle", "sat", "fig.cnf", "--json"],
+        0,
+        '{"command": "oracle", "result": [-1, -2, -3, -4], "witness": null, "stats": null}\n',
+    ),
+    (["oracle", "sat", "unsat.cnf"], 1, "unsatisfiable\n"),
+    (
+        ["oracle", "sat", "unsat.cnf", "--json"],
+        1,
+        '{"command": "oracle", "result": null, "witness": null, "stats": null}\n',
+    ),
+    (["oracle", "transversals", "chain.hg"], 0, "hg 4 3\nnames a b c d\n1 3\n2 3\n2 4\n"),
+    (
+        ["oracle", "transversals", "chain.hg", "--json"],
+        0,
+        _text_json("oracle", "hg 4 3\nnames a b c d\n1 3\n2 3\n2 4\n"),
+    ),
+    (["oracle", "cuts", "k3.hg"], 0, "hg 3 3\nnames 1-2 1-3 2-3\n1 2\n1 3\n2 3\n"),
+    (
+        ["oracle", "cuts", "k3.hg", "--json"],
+        0,
+        _text_json("oracle", "hg 3 3\nnames 1-2 1-3 2-3\n1 2\n1 3\n2 3\n"),
+    ),
+    (["oracle", "mis", "path.hg"], 0, "1 3\n2\n"),
+    (["oracle", "closure", "phi.horn", "--set", "1,2"], 0, "1 2 3 4\n"),
+    (["oracle", "unique-key", "chain.hg"], 1, "not unique\n"),
+    (["tss-activate", "wheel.tss", "--seed-set", "b", "--names"], 0, "a b c d e\n"),
+    (
+        ["tss-activate", "wheel.tss", "--seed-set", "b", "--names", "--json"],
+        0,
+        '{"command": "tss-activate", "result": {"active": ["a", "b", "c", "d", "e"], '
+        '"is_target_set": true}, "witness": null, "stats": null}\n',
+    ),
+    (
+        ["gen", "horn", "--seed", "1", "--json"],
+        0,
+        _text_json("gen", "horn 6 6\n1 4 6 -> 2\n5 6 -> 4\n5 -> 2\n2 5 -> 1\n2 3 -> 6\n3 -> 5\n"),
+    ),
 ]
 
 
@@ -657,6 +697,40 @@ def test_golden_output(run, tmp_path, monkeypatch, argv, code, stdout):
     assert (got_code, out) == (code, stdout)
     if "--json" in argv:
         _json_ok(out)
+
+
+# Every verb that takes -o, on inputs of GOLDEN_INPUTS; two exit 1.
+OUTPUT_CASES = [
+    ["oracle", "minimal-keys", "phi.horn"],
+    ["oracle", "transversals", "chain.hg"],
+    ["oracle", "unique-key", "chain.hg"],
+    ["oracle", "min-tss", "wheel.tss"],
+    ["oracle", "minimal-tss", "wheel.tss"],
+    ["oracle", "cuts", "k3.hg"],
+    ["oracle", "sat", "unsat.cnf"],
+    ["oracle", "mis", "path.hg"],
+    ["oracle", "closure", "phi.horn", "--set", "1,2"],
+    ["dual", "chain.hg"],
+    ["phi-b", "chain.hg"],
+    ["sat2graph", "fig.cnf"],
+    ["tss2horn", "wheel.tss"],
+    ["gen", "tss", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CASES, ids=" ".join)
+def test_output_flag_writes_the_text_stdout_would_show(run, tmp_path, monkeypatch, argv):
+    # Seven oracles once printed to stdout under -o and wrote no file.
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        _file(tmp_path, name, text)
+    code, out, err = run(argv)
+    assert out and err == ""
+    assert run([*argv, "-o", "out.txt"]) == (code, "", "")
+    assert Path("out.txt").read_text() == out
+    # --json prints its one object on stdout, with or without -o.
+    assert run([*argv, "--json", "-o", "json.txt"]) == run([*argv, "--json"])
+    assert not Path("json.txt").exists()
 
 
 def test_golden_horn2tss_files(run, tmp_path, monkeypatch):

@@ -2,8 +2,9 @@
 
 Each case generates an instance with ``gen`` (n <= 6), mutates its lines and
 runs one verb on it.  Whatever the input, a verb must end with an exit code
-of 0-3 and no escaping exception, and a recognizer that says "no" (exit 1)
-must name its witness.  Half the cases set the header's record count to
+of 0-3 and no escaping exception.  Under --json it prints one object, and a
+recognizer that says "no" (exit 1) names its witness there; under -o it
+prints nothing.  Half the cases set the header's record count to
 the mutated records, so that they reach the verb; the universe size stays
 as ``gen`` wrote it or shorter, since no guard bounds it yet.
 """
@@ -18,25 +19,31 @@ from hornkeys import cli
 VERBS = [
     (["keys"], "horn"),
     (["keys", "--limit", "3", "--stats"], "horn"),
+    (["keys", "--json"], "horn"),
     (["key-min", "--set", "1,2,3,4,5,6"], "horn"),
     (["horn2tss", "-o", "{out}"], "horn"),
     (["unique-hg", "--json"], "sperner"),
     (["unique-graph", "--json"], "graph"),
     (["unique-graph", "--json"], "bipartite"),
     (["dual"], "sperner"),
+    (["dual", "--json"], "sperner"),
+    (["dual", "-o", "{out}"], "sperner"),
     (["phi-b"], "sperner"),
     (["sat2graph"], "cnf"),
     (["tss2horn"], "tss"),
     (["tss-enum", "--stats"], "tss"),
     (["tss-activate", "--seed-set", "1,2"], "tss"),
+    (["tss-activate", "--seed-set", "1,2", "--json"], "tss"),
     (["tss-min"], "tss"),
     (["oracle", "minimal-keys"], "horn"),
+    (["oracle", "minimal-keys", "-o", "{out}"], "horn"),
     (["oracle", "closure", "--set", "1"], "horn"),
     (["oracle", "transversals"], "sperner"),
     (["oracle", "unique-key"], "sperner"),
     (["oracle", "cuts"], "graph"),
     (["oracle", "mis"], "graph"),
     (["oracle", "sat"], "cnf"),
+    (["oracle", "sat", "--json"], "cnf"),
     (["oracle", "min-tss"], "tss"),
     (["oracle", "minimal-tss"], "tss"),
 ]
@@ -98,7 +105,11 @@ def test_every_verb_survives_mutated_input(capsys, tmp_path):
         captured = capsys.readouterr()
         context = (argv, path.read_text(), captured.err)
         assert code in (0, 1, 2, 3), context
-        if code == 1 and verb[0] in ("unique-hg", "unique-graph"):
-            assert json.loads(captured.out)["witness"] is not None, context
+        if "-o" in verb:
+            assert captured.out == "", context
+        elif "--json" in verb and code < 2:
+            payload = json.loads(captured.out)  # the one object, and nothing after it
+            if code == 1 and verb[0] in ("unique-hg", "unique-graph"):
+                assert payload["witness"] is not None, context
         codes.add(code)
     assert {0, 1, 2} <= codes
