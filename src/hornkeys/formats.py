@@ -294,6 +294,15 @@ def parse_roles(text: str) -> RoleMap:
 
 
 def serialize_roles(rm: RoleMap) -> str:
-    rows = enumerate(rm.roles, rm.n_original + 1)
-    out = [f"{vid} {clause + 1} {role} {var + 1}" for vid, (clause, role, var) in rows]
-    return _text(f"roles {rm.n_original} {rm.n_total}", None, out)
+    n0 = rm.n_original
+    ids = list(map(str, range(1, n0 + 1)))  # ids[v] is v's 1-based id as text
+    # A clause index may be any nonnegative int, so its text is kept by index
+    # as it first appears, never in a table sized by the largest index.
+    clause_ids: dict[int, str] = {}
+    out = []
+    for vid, (clause, role, var) in enumerate(rm.roles, n0 + 1):
+        c = clause_ids.get(clause)
+        if c is None:
+            c = clause_ids[clause] = str(clause + 1)
+        out.append(f"{vid} {c} {role} {ids[var]}")
+    return _text(f"roles {n0} {rm.n_total}", None, out)

@@ -186,6 +186,12 @@ def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> Spe
     a step that could expand past 8·cap sets is refused before it starts;
     either raises a resource error carrying the partial count.
     """
+    return SpernerHypergraph._of_masks(b.universe, _transversal_masks(b, cap))
+
+
+def _transversal_masks(b: SpernerHypergraph, cap: Optional[int] = None) -> list[int]:
+    """The minimal transversals of ``b`` as bitmasks, in the order the Berge
+    loop of :func:`minimal_transversals` leaves them, with its guards."""
     cap = dual_cap(cap)
     if any(not e for e in b.edges):
         raise InputError("cannot dualize a family containing the empty edge")
@@ -213,7 +219,7 @@ def minimal_transversals(b: SpernerHypergraph, cap: Optional[int] = None) -> Spe
                 f"dualization guard: {len(cur)} partial transversals after "
                 f"edge {i} of {len(masks)} exceeds cap {cap}"
             )
-    return SpernerHypergraph._of_masks(b.universe, cur)
+    return cur
 
 
 def key_horn_cnf(b: SpernerHypergraph) -> HornCNF:

@@ -35,8 +35,8 @@ from .hypergraph import (
     _minimal_masks,
     _mis_masks,
     _private_cover,
+    _transversal_masks,
     is_transversal,
-    minimal_transversals,
     project,
     support_union,
 )
@@ -123,23 +123,30 @@ def is_unique_key_hypergraph(
     (T ∪ {v}) ∖ {u} is a transversal, that is iff v lies in every private
     edge of some u.  Each T costs O(|B|) mask operations.
 
-    Returns (True, None) or (False, witness); the witness is the first T in
-    the dual's canonical order with the lowest v ∉ T ∪ U(T), and it is
-    re-verified before being returned.
+    The T are the bitmasks that the Berge loop of minimal_transversals
+    leaves, under the same guards; the dual hypergraph is never built, and
+    only the failing T are ordered.  Returns (True, None) or (False,
+    witness); the witness is the first failing T in the dual's canonical
+    order with its lowest v ∉ T ∪ U(T), and it is re-verified before being
+    returned.
     """
     _require_edges(b)
-    dual = minimal_transversals(b, cap)
     edge_masks = b.edge_masks()
     full = (1 << b.n) - 1
-    for tm in dual.edge_masks():
+    failing = []
+    for tm in _transversal_masks(b, cap):
         # Each u ∈ T has a private edge, which holds u, so T ⊆ U(T).
         missing = full & ~_private_cover(tm, edge_masks)
         if missing:
-            w = Witness("transversal-pair-missing", (set_of(tm), next(bits_of(missing))))
-            if not verify_witness(w, b):
-                raise ContractError("recognizer produced an invalid witness", witness=w)
-            return False, w
-    return True, None
+            failing.append((tuple(bits_of(tm)), missing))
+    if not failing:
+        return True, None
+    # Distinct T have distinct bit tuples, so min never compares the masks.
+    t, missing = min(failing)
+    w = Witness("transversal-pair-missing", (frozenset(t), next(bits_of(missing))))
+    if not verify_witness(w, b):
+        raise ContractError("recognizer produced an invalid witness", witness=w)
+    return False, w
 
 
 def addable_clauses(

@@ -224,9 +224,11 @@ def _matching(k, r):
     ],
 )
 def test_dual_guard_messages_on_perfect_matchings(k, r, cap, message):
-    with pytest.raises(ResourceGuardError) as exc:
-        hk.minimal_transversals(_matching(k, r), cap=cap)
-    assert str(exc.value) == "dualization guard: " + message.format(k=k)
+    # The recognizer runs the same Berge loop, so it trips the same guard.
+    for call in (hk.minimal_transversals, hk.is_unique_key_hypergraph):
+        with pytest.raises(ResourceGuardError) as exc:
+            call(_matching(k, r), cap=cap)
+        assert str(exc.value) == "dualization guard: " + message.format(k=k)
 
 
 @pytest.mark.parametrize("extra", [{1, 3, 5}, {0, 9}, {1, 2}, {3, 4, 9}, {0, 2, 4, 6, 8}])

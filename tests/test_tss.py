@@ -326,6 +326,10 @@ def test_a_role_map_serializes_to_text_that_parses_back():
         cnf = hk.horn_cnf(n, [(c.body, c.head) for c in cnf.clauses if c.body])
         _, roles = hk.horn_to_tss(cnf)
         assert parse_roles(serialize_roles(roles)) == roles
+    # No clause index sizes a table: a huge one serializes as it is.
+    huge = hk.RoleMap(1, ((10**9, "p", 0),))
+    assert serialize_roles(huge) == "roles 1 2\n2 1000000001 p 1\n"
+    assert parse_roles(serialize_roles(huge)) == huge
 
 
 def test_lift_validates_input(intro_cnf):

@@ -6,8 +6,10 @@ import random
 import pytest
 
 import hornkeys as hk
+from hornkeys._bitset import set_of
 from hornkeys.errors import ContractError, InputError
 from hornkeys.oracles import (
+    bf_minimal_transversals,
     bf_satisfiable,
     bf_unique_key,
     graphic_matroid_cuts,
@@ -46,6 +48,10 @@ def test_perfect_matchings_are_unique_key(k):
         (5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], ({1, 3}, 0)),
         # A matching plus {1, 2, 4}: {0, 2, 5} fails at 3, not at the lower 1.
         (6, [{0, 1}, {2, 3}, {4, 5}, {1, 2, 4}], ({0, 2, 5}, 3)),
+        # The Berge loop meets the failing {2, 3} before the first one, {1, 3}.
+        (5, [{0, 2, 3}, {1, 2}, {3, 4}], ({1, 3}, 0)),
+        # The Berge loop meets the failing {3} before the first one, {1, 4}.
+        (5, [{0, 3, 4}, {1, 3}, {2, 3, 4}], ({1, 4}, 0)),
     ],
 )
 def test_hypergraph_witness_is_the_first_failing_pair(n, edges, witness):
@@ -204,6 +210,27 @@ def test_recognizers_agree_on_random_families():
         assert ok == bf_unique_key(h)
         if w is not None:
             assert hk.verify_witness(w, h)
+
+
+def _first_failing_pair(b):
+    """The first (T, v), T in the canonical order of the subset-scan dual and
+    v ascending, such that no other minimal transversal lies inside T ∪ {v}."""
+    dual = bf_minimal_transversals(b).edge_masks()
+    for t in dual:
+        for v in range(b.n):
+            tv = t | 1 << v
+            if tv != t and not any(t2 != t and t2 & tv == t2 for t2 in dual):
+                return set_of(t), v
+    return None
+
+
+def test_hypergraph_recognizer_gives_the_first_failing_pair_up_to_n_11():
+    for s in range(1200):
+        b = random_sperner(s, 2 + s % 10, 1 + s % 9, 4)
+        first = _first_failing_pair(b)
+        ok, w = hk.is_unique_key_hypergraph(b)
+        assert ok == (first is None), s
+        assert (w is None) if ok else w.data == first, s
 
 
 def test_graph_recognizer_worked_examples():
