@@ -1,142 +1,24 @@
 """Key theory of pure Horn functions: forward chaining, polynomial-delay
 minimal-key enumeration, unique-key recognition, and the reductions between
-minimum keys and target set selection."""
+minimum keys and target set selection.
 
+Each module's ``__all__`` is its public API, and this package re-exports it."""
+
+from . import core, errors, hypergraph, keygen, tss, uniqueness
 from ._kernel import BACKEND
-from .core import (
-    HornClause,
-    HornCNF,
-    VariableUniverse,
-    equivalent,
-    forward_closure,
-    horn_cnf,
-    is_implicate,
-    is_key,
-    lint,
-    minimize_key,
-)
-from .errors import ContractError, InputError, ResourceGuardError
-from .hypergraph import (
-    Graph,
-    SpernerHypergraph,
-    as_graph,
-    check_sperner,
-    graph,
-    is_independent,
-    is_transversal,
-    key_horn_cnf,
-    maximal_independent_sets,
-    minimal_transversals,
-    minimalize,
-    project,
-    restrict,
-    sperner,
-    support_union,
-)
-from .keygen import (
-    KeyEnumerationStats,
-    KeyGraph,
-    build_key_graph,
-    closure_layers,
-    enumerate_minimal_keys,
-    first_minimal_key,
-    is_strongly_connected,
-    iter_minimal_keys,
-    neighbors,
-    rho_measure,
-)
-from .tss import (
-    RoleMap,
-    ThresholdGraph,
-    activate,
-    enumerate_minimal_target_sets,
-    horn_to_tss,
-    is_target_set,
-    iter_minimal_target_sets,
-    lift_target_set_to_key,
-    minimum_key,
-    minimum_target_set,
-    threshold_graph,
-    tss_to_horn,
-)
-from .uniqueness import (
-    GeneralCNF,
-    Witness,
-    addable_clauses,
-    build_sat_graph,
-    is_unique_key_bipartite,
-    is_unique_key_graph,
-    is_unique_key_hypergraph,
-    verify_witness,
-)
+from .core import *
+from .errors import *
+from .hypergraph import *
+from .keygen import *
+from .tss import *
+from .uniqueness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "__version__",
-    # core
-    "VariableUniverse",
-    "HornClause",
-    "HornCNF",
-    "horn_cnf",
-    "forward_closure",
-    "is_implicate",
-    "is_key",
-    "minimize_key",
-    "equivalent",
-    "lint",
-    # errors
-    "InputError",
-    "ContractError",
-    "ResourceGuardError",
-    # hypergraph
-    "SpernerHypergraph",
-    "sperner",
-    "check_sperner",
-    "minimalize",
-    "restrict",
-    "project",
-    "is_transversal",
-    "is_independent",
-    "support_union",
-    "minimal_transversals",
-    "key_horn_cnf",
-    "Graph",
-    "graph",
-    "as_graph",
-    "maximal_independent_sets",
-    # uniqueness
-    "Witness",
-    "verify_witness",
-    "is_unique_key_hypergraph",
-    "addable_clauses",
-    "is_unique_key_graph",
-    "is_unique_key_bipartite",
-    "GeneralCNF",
-    "build_sat_graph",
-    # keygen
-    "KeyEnumerationStats",
-    "KeyGraph",
-    "first_minimal_key",
-    "neighbors",
-    "iter_minimal_keys",
-    "enumerate_minimal_keys",
-    "build_key_graph",
-    "is_strongly_connected",
-    "closure_layers",
-    "rho_measure",
-    # tss
-    "ThresholdGraph",
-    "threshold_graph",
-    "RoleMap",
-    "activate",
-    "is_target_set",
-    "tss_to_horn",
-    "horn_to_tss",
-    "lift_target_set_to_key",
-    "iter_minimal_target_sets",
-    "enumerate_minimal_target_sets",
-    "minimum_key",
-    "minimum_target_set",
-]
+__all__ = ["BACKEND", "__version__"]
+__all__ += core.__all__
+__all__ += errors.__all__
+__all__ += hypergraph.__all__
+__all__ += uniqueness.__all__
+__all__ += keygen.__all__
+__all__ += tss.__all__

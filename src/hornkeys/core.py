@@ -16,7 +16,20 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from ._kernel import Engine
-from .errors import ContractError, InputError, _brief, _is_int, _not_an_int
+from .errors import ContractError, InputError, _brief, _check_count, _is_int, _not_an_int
+
+__all__ = [
+    "VariableUniverse",
+    "HornClause",
+    "HornCNF",
+    "horn_cnf",
+    "forward_closure",
+    "is_implicate",
+    "is_key",
+    "minimize_key",
+    "equivalent",
+    "lint",
+]
 
 
 @dataclass(frozen=True)
@@ -27,10 +40,7 @@ class VariableUniverse:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if not _is_int(self.n):
-            raise _not_an_int(self.n, "universe size")
-        if self.n < 0:
-            raise InputError(f"universe size must be nonnegative, got {self.n}")
+        _check_count(self.n, "universe size")
         if self.labels is not None:
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)

@@ -11,6 +11,8 @@ Guard defaults can be overridden globally through environment variables
 import os
 from itertools import islice
 
+__all__ = ["InputError", "ContractError", "ResourceGuardError"]
+
 
 class InputError(ValueError):
     """Malformed input: bad indices, non-antichain edges, parse errors."""
@@ -40,6 +42,14 @@ def _is_int(v) -> bool:
 
 def _not_an_int(v, what: str) -> InputError:
     return InputError(f"{what} must be an int, got {v!r}")
+
+
+def _check_count(count, what: str) -> None:
+    """Refuse a count that is not a nonnegative int (a bool is no int)."""
+    if not _is_int(count):
+        raise _not_an_int(count, what)
+    if count < 0:
+        raise InputError(f"{what} must be nonnegative, got {count}")
 
 
 def _brief(ids, count: int) -> str:

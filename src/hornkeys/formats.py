@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ._bitset import mask_of
 from .core import HornClause, HornCNF, VariableUniverse
-from .errors import InputError, _brief
-from .hypergraph import Graph, SpernerHypergraph
+from .errors import InputError, _brief, _check_count
+from .hypergraph import Graph, SpernerHypergraph, _minimal_masks
 from .tss import ROLES, RoleMap, ThresholdGraph
 from .uniqueness import GeneralCNF
 
@@ -68,6 +69,8 @@ def _records(text: str, magic: str, what: Optional[str] = None, names: bool = Tr
     if len(parts) != 3:
         raise InputError(f"line {lineno}: `{magic}` header needs 2 integers")
     n, k = [_int(p, lineno, "a header count") for p in parts[1:]]
+    for count in (n, k):
+        _check_count(count, f"line {lineno}: header count")
     labels, rest = None, items[1:]
     if names and rest and rest[0][1].split()[0] == "names":
         lineno, line = rest[0]
@@ -164,20 +167,19 @@ def _parse_edge_lines(rest, n: int, arity: Optional[int]):
 def parse_hypergraph(text: str) -> SpernerHypergraph:
     n, _, labels, rest = _records(text, "hg", "edge")
     edges = _parse_edge_lines(rest, n, None)
-    try:
-        return SpernerHypergraph(VariableUniverse(n, labels), [e for _, e in edges])
-    except InputError:
-        # The build checks the antichain on bitmasks; the k² line-pair search
-        # runs only when it failed.  A broken antichain is reported before
-        # any other error, such as a repeated label.
+    masks = [mask_of(e) for _, e in edges]
+    # The antichain is checked on bitmasks, and the k² line-pair search runs
+    # only when it failed.  It comes before the universe is built, so a
+    # broken antichain is reported before a repeated label.
+    if len(_minimal_masks(masks)) < len(masks):
         for l1, a in edges:
             for l2, b in edges:
                 if a < b:
                     raise InputError(
                         f"line {l1}: edge is contained in the edge at line {l2} "
                         f"(not an antichain)"
-                    ) from None
-        raise
+                    )
+    return SpernerHypergraph._of_masks(VariableUniverse(n, labels), masks)
 
 
 def serialize_hypergraph(h: SpernerHypergraph) -> str:

@@ -15,6 +15,24 @@ from ._bitset import bits_of, mask_of, set_of
 from .core import HornClause, HornCNF, VariableUniverse, _as_varset, _index
 from .errors import InputError, ResourceGuardError, _is_int, dual_cap
 
+__all__ = [
+    "SpernerHypergraph",
+    "sperner",
+    "check_sperner",
+    "minimalize",
+    "restrict",
+    "project",
+    "is_transversal",
+    "is_independent",
+    "support_union",
+    "minimal_transversals",
+    "key_horn_cnf",
+    "Graph",
+    "graph",
+    "as_graph",
+    "maximal_independent_sets",
+]
+
 
 class SpernerHypergraph:
     """An antichain of variable sets over a fixed universe.
@@ -25,34 +43,29 @@ class SpernerHypergraph:
     """
 
     def __init__(self, universe: VariableUniverse, edges: Iterable[Iterable[int]]):
-        self.universe = universe
         n = universe.n
-        uniq = {}
-        for e in edges:
-            e = _as_varset(e, n)
-            uniq[tuple(sorted(e))] = e
-        ordered = tuple(uniq[k] for k in sorted(uniq))
-        masks = tuple(map(mask_of, ordered))
-        if len(_minimal_masks(masks)) < len(masks):
-            a, b = next((a, b) for a in ordered for b in ordered if a < b)
+        self._fill(universe, {mask_of(_as_varset(e, n)) for e in edges})
+        if len(_minimal_masks(self._edge_masks)) < len(self.edges):
+            a, b = next((a, b) for a in self.edges for b in self.edges if a < b)
             raise InputError(
                 f"not an antichain: edge {sorted(a)} is contained in edge {sorted(b)}"
             )
-        self.edges = ordered
-        self._edge_masks = masks
 
     @classmethod
     def _of_masks(cls, universe: VariableUniverse, masks: Iterable[int]) -> SpernerHypergraph:
         """The family of ``masks``, distinct bitmasks over ``universe`` that
-        already form an antichain; nothing is checked.  The edges are put in
-        canonical order, as the public constructor puts them."""
+        already form an antichain; nothing is checked."""
         h = object.__new__(cls)
-        h.universe = universe
+        h._fill(universe, masks)
+        return h
+
+    def _fill(self, universe: VariableUniverse, masks: Iterable[int]) -> None:
+        """Set the universe and the distinct ``masks`` as edges, in canonical order."""
+        self.universe = universe
         # Distinct masks have distinct bit tuples, so the sort never compares masks.
         keyed = sorted([(tuple(bits_of(m)), m) for m in masks])
-        h.edges = tuple([frozenset(k) for k, _ in keyed])
-        h._edge_masks = tuple([m for _, m in keyed])
-        return h
+        self.edges = tuple([frozenset(k) for k, _ in keyed])
+        self._edge_masks = tuple([m for _, m in keyed])
 
     @property
     def n(self) -> int:

@@ -21,7 +21,20 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .core import HornCNF, _as_varset, is_key
-from .errors import ContractError, InputError, ResourceGuardError, _is_int, _not_an_int
+from .errors import ContractError, ResourceGuardError, _check_count
+
+__all__ = [
+    "KeyEnumerationStats",
+    "KeyGraph",
+    "first_minimal_key",
+    "neighbors",
+    "iter_minimal_keys",
+    "enumerate_minimal_keys",
+    "build_key_graph",
+    "is_strongly_connected",
+    "closure_layers",
+    "rho_measure",
+]
 
 
 @dataclass
@@ -110,14 +123,6 @@ def _walk(cnf: HornCNF, stats: KeyEnumerationStats, expanded: Optional[Callable]
         pending += new
         if expanded is not None:
             expanded(key, out, new)
-
-
-def _check_count(count, what: str) -> None:
-    """Refuse a count that is not a nonnegative int (a bool is no int)."""
-    if not _is_int(count):
-        raise _not_an_int(count, what)
-    if count < 0:
-        raise InputError(f"{what} must be nonnegative, got {count}")
 
 
 def _check_limit(limit) -> None:

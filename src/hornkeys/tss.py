@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     InputError,
     ResourceGuardError,
+    _check_count,
     _is_int,
     _not_an_int,
     subset_budget,
@@ -38,6 +39,21 @@ from .keygen import (
     enumerate_minimal_keys,
     iter_minimal_keys,
 )
+
+__all__ = [
+    "ThresholdGraph",
+    "threshold_graph",
+    "RoleMap",
+    "activate",
+    "is_target_set",
+    "tss_to_horn",
+    "horn_to_tss",
+    "lift_target_set_to_key",
+    "iter_minimal_target_sets",
+    "enumerate_minimal_target_sets",
+    "minimum_key",
+    "minimum_target_set",
+]
 
 
 class ThresholdGraph:
@@ -153,10 +169,7 @@ class RoleMap:
 
     def __post_init__(self):
         n0 = self.n_original
-        if not _is_int(n0):
-            raise _not_an_int(n0, "role map size")
-        if n0 < 0:
-            raise InputError(f"role map size must be nonnegative, got {n0}")
+        _check_count(n0, "role map size")
         object.__setattr__(self, "roles", tuple(self.roles))
         # Inline tests, with a call only off the fast path: gadgets have thousands of entries.
         for vid, entry in enumerate(self.roles, n0):

@@ -24,6 +24,7 @@ from .errors import (
     ContractError,
     InputError,
     ResourceGuardError,
+    _check_count,
     _is_int,
     _not_an_int,
     subset_budget,
@@ -40,6 +41,17 @@ from .hypergraph import (
     project,
     support_union,
 )
+
+__all__ = [
+    "Witness",
+    "verify_witness",
+    "is_unique_key_hypergraph",
+    "addable_clauses",
+    "is_unique_key_graph",
+    "is_unique_key_bipartite",
+    "GeneralCNF",
+    "build_sat_graph",
+]
 
 WITNESS_KINDS = ("transversal-pair-missing", "no-individual-neighbor", "addable-clause")
 
@@ -263,10 +275,7 @@ class GeneralCNF:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _is_int(self.n):
-            raise _not_an_int(self.n, "variable count")
-        if self.n < 0:
-            raise InputError("variable count must be nonnegative")
+        _check_count(self.n, "variable count")
         object.__setattr__(
             self, "clauses", tuple(tuple(c) for c in self.clauses)
         )

@@ -279,6 +279,25 @@ def test_roles_header_refuses_fewer_vertices_than_originals():
 
 
 @pytest.mark.parametrize(
+    "parse, magic",
+    [
+        (parse_horn, "horn"),
+        (parse_hypergraph, "hg"),
+        (parse_tss, "tss"),
+        (parse_general_cnf, "cnf"),
+        (parse_roles, "roles"),
+    ],
+)
+@pytest.mark.parametrize("counts", ["-1 0", "2 -1"])
+def test_a_negative_header_count_is_refused(parse, magic, counts):
+    # `horn 2 -1` used to read as "expected -1 clause lines, found 0", and
+    # `roles -1 0` named a missing entry for vertex 0, which cannot exist.
+    with pytest.raises(InputError) as err:
+        parse(f"# comment\n{magic} {counts}\n")
+    assert str(err.value) == "line 2: header count must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize(
     "parse, text, message",
     [
         (parse_tss, "tss 2000000 0\n", "missing threshold for vertices [1, 2, 3, 4, 5] and 1999995 more"),
