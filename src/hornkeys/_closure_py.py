@@ -1,12 +1,5 @@
-"""Pure-Python forward-chaining kernel.
-
-Twin of the compiled extension in ``_fastclosure``; both implement the same
-counter-based propagation, with one counter per distinct clause body, and
-must return identical results.  One engine instance is bound to one clause
-list and holds nothing else: every call works on scratch of its own, so an
-engine can be shared freely, across threads included.  ``expand`` reports
-the closure computations it ran, which the enumeration's delay counters add
-up.
+"""Pure-Python forward-chaining kernel: the reference and fallback twin of
+the compiled ``_fastclosure``, under the one contract that ``_kernel`` states.
 """
 
 from itertools import compress
@@ -16,13 +9,9 @@ from operator import index
 class Engine:
     """Forward-chaining closures for a fixed list of (body, head) clauses.
 
-    Work per call is linear in the total clause size: every distinct body
-    keeps one counter of its variables not yet derived, each derived
-    variable decrements the counters of the bodies that contain it, and a
-    counter that reaches 0 fires the heads of all the clauses with that
-    body, in clause order.  This is the counter per dependency X → Y of
-    Beeri and Bernstein's LINCLOSURE (1979); a key Horn CNF repeats each
-    body once per variable outside it.
+    Each call works on scratch lists of its own, in time linear in the total
+    clause size: each derived variable decrements the counters of the
+    distinct bodies that hold it.
     """
 
     def __init__(self, n, bodies, heads):

@@ -1,27 +1,17 @@
-/* Compiled forward-chaining kernel.
- *
- * Twin of ``_closure_py.Engine``: the same counter-based propagation, the
- * same argument checks in the same order, and the same results for
- * identical inputs (see tests/test_kernel.py).  Built by setup.py as a plain
- * extension; it needs only the CPython C API.
+/* Compiled forward-chaining kernel: the twin of ``_closure_py.Engine``
+ * under the one contract that ``_kernel.py`` states, with the same argument
+ * checks in the same order (see tests/test_kernel.py).  Built by setup.py as
+ * a plain extension; it needs only the CPython C API.
  *
  * The engine owns no Python objects, only flat arrays fixed at
  * construction: the body variables in clause order, a head -> clause index,
- * and for the chains one counter per distinct body.  Clauses whose
- * non-empty bodies hold the same variables form one group, as in Beeri and
- * Bernstein's LINCLOSURE (1979): a variable -> group occurrence index, the
- * number of distinct variables of each group, and its heads in clause
- * order, which all fire when its counter reaches 0.  All are in CSR form,
- * and no call writes to them.
- * Each method takes one positional argument, an iterable of variables that
- * ``sorted_seed`` checks and lists ascending, and gives its sets as sorted
- * tuples that ``flagged_tuple`` builds.  ``closure`` chains a seed to the
- * end.  ``minimize`` runs the greedy ascending-drop loop of key
- * minimization; the suffix rule of the kernel contract in ``_kernel.py``
- * settles some drops with no test.  ``expand`` runs that loop on each
- * candidate of a minimal key, returns each distinct result and counts the
- * drops it tried.  No call keeps anything for the next: each allocates its
- * own scratch, so a seed iterable that calls back into the engine is safe.
+ * and for the chains one group per distinct non-empty body: a variable ->
+ * group occurrence index, the number of distinct variables of each group,
+ * and its heads in clause order.  All are in CSR form, and no call writes
+ * to them.  ``sorted_seed`` checks each method's argument and lists it
+ * ascending, and ``flagged_tuple`` builds the sorted tuples it returns.
+ * Each call allocates its own scratch, so a seed iterable that calls back
+ * into the engine is safe.
  */
 
 #define PY_SSIZE_T_CLEAN

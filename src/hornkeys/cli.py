@@ -17,17 +17,17 @@ import argparse
 import dataclasses
 import functools
 import json
-import re
 import sys
 
 from .core import _not_a_key, minimize_key
-from .errors import ContractError, InputError, ResourceGuardError
+from .errors import DEFAULT_MAX_THRESHOLD, ContractError, InputError, ResourceGuardError
 from .formats import (
     parse_general_cnf,
     parse_graph,
     parse_horn,
     parse_hypergraph,
     parse_tss,
+    parse_vertex_set,
     serialize_general_cnf,
     serialize_graph,
     serialize_horn,
@@ -97,24 +97,6 @@ def _ids(s, universe, names: bool) -> list:
 
 def _line(ids) -> str:
     return " ".join(map(str, ids))
-
-
-def _parse_set(spec: str, universe) -> frozenset[int]:
-    """A vertex set given as comma/space separated 1-based ids or labels."""
-    out = set()
-    for tok in re.split(r"[\s,]+", spec.strip()):
-        if not tok:
-            continue
-        if re.fullmatch(r"-?\d+", tok):
-            v = int(tok)
-            if v < 1 or v > universe.n:
-                raise InputError(f"vertex id {v} outside 1..{universe.n}")
-            out.add(v - 1)
-        elif universe.labels is not None:
-            out.add(universe.index(tok))
-        else:
-            raise InputError(f"non-numeric vertex {tok!r} but the input has no names")
-    return frozenset(out)
 
 
 def _emit(args, result, text, witness=None, stats=None, code: int = 0) -> int:
@@ -192,7 +174,7 @@ def cmd_tss_enum(args) -> int:
 
 def cmd_key_min(args) -> int:
     cnf = parse_horn(_read(args.input))
-    s = _parse_set(args.set, cnf.universe)
+    s = parse_vertex_set(args.set, cnf.universe)
     try:
         key = minimize_key(cnf, s)
     except ContractError as e:
@@ -256,7 +238,7 @@ def cmd_horn2tss(args) -> int:
 
 def cmd_tss_activate(args) -> int:
     tg = parse_tss(_read(args.input))
-    active = activate(tg, _parse_set(args.seed_set, tg.universe))
+    active = activate(tg, parse_vertex_set(args.seed_set, tg.universe))
     ids = _ids(active, tg.universe, args.names)
     return _emit(args, {"active": ids, "is_target_set": len(active) == tg.n}, _line(ids) + "\n")
 
@@ -294,7 +276,7 @@ def _oracle_sat(cnf, args) -> int:
 def _oracle_closure(cnf, args) -> int:
     if args.set is None:
         raise InputError("oracle closure needs --set")
-    closed = bf_forward_closure(cnf, _parse_set(args.set, cnf.universe))
+    closed = bf_forward_closure(cnf, parse_vertex_set(args.set, cnf.universe))
     return _emit_set(args, closed, cnf.universe)
 
 
@@ -336,7 +318,8 @@ _FLAGS = {
     "output": (["-o", "--output"], dict(default=None, help="write the text form to this file")),
     "max-threshold": (
         ["--max-threshold"],
-        dict(type=int, default=3, help="largest threshold expanded into clauses (exit 3 above)"),
+        dict(type=int, default=DEFAULT_MAX_THRESHOLD,
+             help="largest threshold expanded into clauses (exit 3 above)"),
     ),
 }
 

@@ -33,6 +33,8 @@ class ResourceGuardError(RuntimeError):
 DEFAULT_SUBSET_BUDGET = 1 << 22
 DEFAULT_DUAL_CAP = 10**6
 DEFAULT_BF_MAX_VARS = 16
+# The largest threshold that tss_to_horn expands into clauses.
+DEFAULT_MAX_THRESHOLD = 3
 
 
 def _is_int(v) -> bool:

@@ -2,7 +2,8 @@
 
 All formats use 1-based ids, `#` comments, and skip blank lines.  An
 optional `names` line directly after the header binds labels to ids; parse
-and serialize are mutually inverse on canonical instances.
+and serialize are mutually inverse on canonical instances.  Each parser
+checks what it reads once; all but ``parse_general_cnf`` then build unchecked.
 """
 
 from __future__ import annotations
@@ -31,11 +32,31 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise InputError(f"line {lineno}: expected {what}, got {tok!r}") from None
 
 
-def _vertex(tok: str, n: int, lineno: int) -> int:
-    v = _int(tok, lineno, "a vertex id")
+def _vertex(tok, n: int, lineno: Optional[int] = None) -> int:
+    """The 0-based vertex of the 1-based id ``tok``; a refusal names ``lineno`` if given."""
+    try:
+        v = int(tok)
+    except ValueError:
+        v = _int(tok, lineno, "a vertex id")  # raises with the line's message
     if v < 1 or v > n:
-        raise InputError(f"line {lineno}: vertex id {v} outside 1..{n}")
+        at = "" if lineno is None else f"line {lineno}: "
+        raise InputError(f"{at}vertex id {v} outside 1..{n}")
     return v - 1
+
+
+def parse_vertex_set(spec: str, universe: VariableUniverse) -> frozenset[int]:
+    """The set of comma or space separated tokens: 1-based ids where int() reads one, or labels."""
+    out = set()
+    for tok in spec.replace(",", " ").split():
+        try:
+            v = int(tok)
+        except ValueError:
+            if universe.labels is None:
+                raise InputError(f"non-numeric vertex {tok!r} but the input has no names") from None
+            out.add(universe.index(tok))
+        else:
+            out.add(_vertex(v, universe.n))
+    return frozenset(out)
 
 
 def _require_all(present, first: int, count: int, what: str) -> None:
@@ -149,31 +170,36 @@ def serialize_horn(cnf: HornCNF) -> str:
     return _text(f"horn {cnf.n} {cnf.m}", cnf.universe, out)
 
 
-def _parse_edge_lines(rest, n: int, arity: Optional[int]):
-    first_line = {}
-    for lineno, line in rest:
-        ids = [_vertex(t, n, lineno) for t in line.split()]
-        if len(set(ids)) != len(ids):
-            raise InputError(f"line {lineno}: repeated vertex in edge")
-        if arity is not None and len(ids) != arity:
-            raise InputError(f"line {lineno}: expected an edge of {arity} vertices")
-        e = frozenset(ids)
-        if e in first_line:
-            raise InputError(f"line {lineno}: duplicate of edge at line {first_line[e]}")
-        first_line[e] = lineno
-    return [(lineno, e) for e, lineno in first_line.items()]
+def _edge(toks: list[str], n: int, lineno: int, first_line: dict, arity: Optional[int] = None):
+    """Check the edge of one line's id tokens and file it in ``first_line``,
+    which maps each edge read so far to the number of its line."""
+    e = frozenset([_vertex(t, n, lineno) for t in toks])
+    if len(e) != len(toks):
+        raise InputError(f"line {lineno}: repeated vertex in edge")
+    if arity is not None and len(toks) != arity:
+        raise InputError(f"line {lineno}: expected an edge of {arity} vertices")
+    if e in first_line:
+        raise InputError(f"line {lineno}: duplicate of edge at line {first_line[e]}")
+    first_line[e] = lineno
+
+
+def _pairs(edges) -> tuple:
+    """The 2-sets ``edges`` as the sorted pairs (u, v), u < v, of a Graph."""
+    return tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
 
 
 def parse_hypergraph(text: str) -> SpernerHypergraph:
     n, _, labels, rest = _records(text, "hg", "edge")
-    edges = _parse_edge_lines(rest, n, None)
-    masks = [mask_of(e) for _, e in edges]
+    first_line: dict = {}
+    for lineno, line in rest:
+        _edge(line.split(), n, lineno, first_line)
+    masks = list(map(mask_of, first_line))
     # The antichain is checked on bitmasks, and the k² line-pair search runs
     # only when it failed.  It comes before the universe is built, so a
     # broken antichain is reported before a repeated label.
     if len(_minimal_masks(masks)) < len(masks):
-        for l1, a in edges:
-            for l2, b in edges:
+        for a, l1 in first_line.items():
+            for b, l2 in first_line.items():
                 if a < b:
                     raise InputError(
                         f"line {l1}: edge is contained in the edge at line {l2} "
@@ -191,8 +217,10 @@ def serialize_hypergraph(h: SpernerHypergraph) -> str:
 
 def parse_graph(text: str) -> Graph:
     n, _, labels, rest = _records(text, "hg", "edge")
-    edges = _parse_edge_lines(rest, n, 2)
-    return Graph(VariableUniverse(n, labels), [e for _, e in edges])
+    edges: dict = {}
+    for lineno, line in rest:
+        _edge(line.split(), n, lineno, edges, 2)
+    return Graph._trusted(VariableUniverse(n, labels), _pairs(edges))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -202,22 +230,12 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_tss(text: str) -> ThresholdGraph:
     n, m, labels, rest = _records(text, "tss")
-    edges = []
-    seen_edges = {}
+    edges: dict = {}
     thresholds: dict[int, int] = {}
     for lineno, line in rest:
         toks = line.split()
         if toks[0] == "e" and len(toks) == 3:
-            u, v = _vertex(toks[1], n, lineno), _vertex(toks[2], n, lineno)
-            if u == v:
-                raise InputError(f"line {lineno}: self-loop at vertex {u + 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen_edges:
-                raise InputError(
-                    f"line {lineno}: parallel edge, first seen at line {seen_edges[key]}"
-                )
-            seen_edges[key] = lineno
-            edges.append(key)
+            _edge(toks[1:], n, lineno, edges)
         elif toks[0] == "t" and len(toks) == 3:
             v = _vertex(toks[1], n, lineno)
             if v in thresholds:
@@ -231,10 +249,8 @@ def parse_tss(text: str) -> ThresholdGraph:
     if len(edges) != m:
         raise InputError(f"expected {m} edges, found {len(edges)}")
     _require_all(thresholds, 0, n, "threshold")
-    return ThresholdGraph(
-        Graph(VariableUniverse(n, labels), edges),
-        [thresholds[v] for v in range(n)],
-    )
+    g = Graph._trusted(VariableUniverse(n, labels), _pairs(edges))
+    return ThresholdGraph._trusted(g, tuple([thresholds[v] for v in range(n)]))
 
 
 def serialize_tss(tg: ThresholdGraph) -> str:
@@ -292,7 +308,7 @@ def parse_roles(text: str) -> RoleMap:
             raise InputError(f"line {lineno}: duplicate entry for vertex {vid + 1}")
         entries[vid] = (clause, role, var)
     _require_all(entries, n_orig, n_total - n_orig, "role entries")
-    return RoleMap(n_orig, tuple(entries[v] for v in range(n_orig, n_total)))
+    return RoleMap._trusted(n_orig, tuple([entries[v] for v in range(n_orig, n_total)]))
 
 
 def serialize_roles(rm: RoleMap) -> str:

@@ -107,8 +107,9 @@ def check_sperner(edges: Iterable[Iterable[int]]) -> bool:
 
 
 def minimalize(universe, edges: Iterable[Iterable[int]]) -> SpernerHypergraph:
-    """The inclusion-minimal members of an arbitrary family (minl in short)."""
-    if isinstance(universe, int):
+    """The inclusion-minimal members of an arbitrary family (minl in short),
+    over ``universe``: a VariableUniverse, or a size for a new one."""
+    if not isinstance(universe, VariableUniverse):
         universe = VariableUniverse(universe)
     masks = _minimal_masks(mask_of(_as_varset(e, universe.n)) for e in edges)
     return SpernerHypergraph._of_masks(universe, masks)

@@ -14,7 +14,15 @@ from typing import Optional
 
 from ._bitset import bits_of, mask_of, set_of
 from .core import HornClause, HornCNF, VariableUniverse
-from .errors import ContractError, InputError, ResourceGuardError, bf_max_vars, subset_budget
+from .errors import (
+    ContractError,
+    InputError,
+    ResourceGuardError,
+    _is_int,
+    _not_an_int,
+    bf_max_vars,
+    subset_budget,
+)
 from .hypergraph import Graph, SpernerHypergraph, minimalize
 from .tss import ThresholdGraph
 from .uniqueness import GeneralCNF
@@ -263,6 +271,8 @@ def bf_spanning_trees(h: Graph, budget: Optional[int] = None) -> set[frozenset[i
 
 def _at_least(value: int, low: int, what: str):
     # A size below ``low`` leaves a generator nothing to draw from.
+    if not _is_int(value):
+        raise _not_an_int(value, what)
     if value < low:
         raise InputError(f"{what} must be at least {low}, got {value}")
 
@@ -299,16 +309,20 @@ def random_sperner(seed: int, n: int, k: int, max_edge: int = 4) -> SpernerHyper
 
 
 def random_graph(seed: int, n: int, p: float) -> Graph:
+    universe = VariableUniverse(n)
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return Graph(VariableUniverse(n), edges)
+    return Graph(universe, edges)
 
 
 def random_bipartite_graph(seed: int, a: int, b: int, p: float) -> Graph:
     """Random bipartite graph on parts of sizes a and b without isolated
     vertices (each isolated vertex gets one random cross edge)."""
+    for size, what in ((a, "the left part size"), (b, "the right part size")):
+        if not _is_int(size):
+            raise _not_an_int(size, what)
     if a < 1 or b < 1:
         raise InputError("both parts need at least one vertex")
     rng = random.Random(seed)
@@ -335,13 +349,14 @@ def random_bipartite_graph(seed: int, a: int, b: int, p: float) -> Graph:
 
 
 def random_threshold_graph(seed: int, n: int, p: float, tmax: int = 2) -> ThresholdGraph:
+    universe = VariableUniverse(n)
     _at_least(tmax, 1, "the largest threshold")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     thresholds = [rng.randint(1, tmax) for _ in range(n)]
-    return ThresholdGraph(Graph(VariableUniverse(n), edges), thresholds)
+    return ThresholdGraph(Graph(universe, edges), thresholds)
 
 
 def random_general_cnf(seed: int, n: int, m: int, width: int = 3) -> GeneralCNF:

@@ -24,6 +24,7 @@ from .core import (
     is_key,
 )
 from .errors import (
+    DEFAULT_MAX_THRESHOLD,
     ContractError,
     InputError,
     ResourceGuardError,
@@ -125,7 +126,7 @@ def is_target_set(tg: ThresholdGraph, s: Iterable[int]) -> bool:
     return len(activate(tg, s)) == tg.n
 
 
-def tss_to_horn(tg: ThresholdGraph, max_threshold: int = 3) -> HornCNF:
+def tss_to_horn(tg: ThresholdGraph, max_threshold: int = DEFAULT_MAX_THRESHOLD) -> HornCNF:
     """The CNF Ψ_G with a clause A→v for every A ⊆ N(v) of size t(v).
 
     Keys of Ψ_G are exactly the target sets of the graph.  Clause count is
@@ -301,7 +302,7 @@ def iter_minimal_target_sets(
     tg: ThresholdGraph,
     limit: Optional[int] = None,
     stats: Optional[KeyEnumerationStats] = None,
-    max_threshold: int = 3,
+    max_threshold: int = DEFAULT_MAX_THRESHOLD,
 ) -> Iterator[frozenset[int]]:
     """Minimal target sets = minimal keys of Ψ_G; same order, same delay."""
     _check_limit(limit)
@@ -312,7 +313,7 @@ def enumerate_minimal_target_sets(
     tg: ThresholdGraph,
     sink: Callable[[frozenset[int]], None],
     limit: Optional[int] = None,
-    max_threshold: int = 3,
+    max_threshold: int = DEFAULT_MAX_THRESHOLD,
 ) -> KeyEnumerationStats:
     _check_limit(limit)
     return enumerate_minimal_keys(tss_to_horn(tg, max_threshold), sink, limit=limit)

@@ -310,15 +310,15 @@ def build_sat_graph(cnf: GeneralCNF) -> Graph:
     for i in range(n):
         x, nx, y = 3 * i, 3 * i + 1, 3 * i + 2
         edges += [(x, nx), (x, y), (nx, y)]
-    clique = list(range(3 * n, 3 * n + m + 1))  # C_1..C_m and z
-    for a in range(len(clique)):
-        for b in range(a + 1, len(clique)):
-            edges.append((clique[a], clique[b]))
     for j, clause in enumerate(cnf.clauses):
         if not clause:
             raise InputError(f"clause {j + 1} is empty")
+        # A literal vertex lies below every clause vertex, so each pair is
+        # ordered; the set drops the repeat that a repeated literal gives.
         cj = 3 * n + j
-        for lit in clause:
-            v = abs(lit) - 1
-            edges.append((cj, 3 * v if lit > 0 else 3 * v + 1))
-    return Graph(universe, edges)
+        edges += {(3 * lit - 3 if lit > 0 else -3 * lit - 2, cj) for lit in clause}
+    edges.sort()
+    # The clique over C_1..C_m and z, ids 3n..top-1, sorts after every pair above.
+    top = universe.n
+    edges += [(a, b) for a in range(3 * n, top) for b in range(a + 1, top)]
+    return Graph._trusted(universe, tuple(edges))

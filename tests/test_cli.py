@@ -1,5 +1,6 @@
 """CLI verbs: text output, JSON payloads against the shipped schema, exit codes."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -312,6 +313,70 @@ def test_tss_activate(run, tmp_path):
     code, out, _ = run(["tss-activate", wheel, "--seed-set", "", "--json"])
     payload = _json_ok(out)
     assert payload["result"] == {"active": [], "is_target_set": False}
+
+
+CHAIN10_HORN = "horn 10 9\n" + "".join(f"{v} -> {v + 1}\n" for v in range(1, 10))
+PATH10_TSS = (
+    "tss 10 9\n"
+    + "".join(f"e {v} {v + 1}\n" for v in range(1, 10))
+    + "".join(f"t {v} {1 + v % 2}\n" for v in range(1, 11))
+)
+SET_VERBS = {
+    "key-min": (["key-min", "--set"], CHAIN10_HORN),
+    "tss-activate": (["tss-activate", "--seed-set"], PATH10_TSS),
+    "oracle-closure": (["oracle", "closure", "--set"], CHAIN10_HORN),
+}
+
+
+def _set_argv(tmp_path, verb, spec):
+    (*head, flag), text = SET_VERBS[verb]
+    return [*head, _file(tmp_path, "in", text), flag, spec]
+
+
+@pytest.mark.parametrize("verb", SET_VERBS)
+@pytest.mark.parametrize(
+    "token, numeral", [("+1", "1"), ("01", "1"), ("1_0", "10"), ("\u0661", "1")]
+)
+def test_set_arguments_read_ids_as_the_files_do(run, tmp_path, verb, token, numeral):
+    # Any numeral that int() reads is an id, as in the files; "+1" and "1_0"
+    # used to be refused as non-numeric vertices.
+    got = run(_set_argv(tmp_path, verb, f"{token},3"))
+    assert got == run(_set_argv(tmp_path, verb, f"{numeral} 3"))
+    # Each verb answers, but key-min, which refuses {3, 10}: it is no key.
+    assert got[2] == "" or got[2].startswith("error: set [3, 10] is not a key")
+
+
+@pytest.mark.parametrize("verb", SET_VERBS)
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("0", "vertex id 0 outside 1..10"),
+        ("3,11", "vertex id 11 outside 1..10"),
+        ("-1", "vertex id -1 outside 1..10"),
+        ("1 a", "non-numeric vertex 'a' but the input has no names"),
+        ("1.0", "non-numeric vertex '1.0' but the input has no names"),
+    ],
+)
+def test_set_arguments_refuse_what_is_no_id(run, tmp_path, verb, spec, error):
+    assert run(_set_argv(tmp_path, verb, spec)) == (2, "", f"error: {error}\n")
+
+
+def test_the_readme_synopsis_names_every_flag_of_each_verb():
+    # A verb's synopsis is its line and the indented lines below it; every
+    # verb takes --json and --help, which the synopsis leaves out.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("hornkeys "):
+            verb = line.split()[1]
+        synopsis.setdefault(verb, set()).update(tok.strip("[]") for tok in line.split())
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(synopsis) == list(sub.choices)
+    for verb, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.dest not in ("help", "json"):
+                assert synopsis[verb] & set(action.option_strings), (verb, action.option_strings)
 
 
 def test_tss_min_and_enum(run, tmp_path):

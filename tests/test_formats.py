@@ -24,6 +24,7 @@ from hornkeys.formats import (
 )
 from hornkeys.oracles import (
     random_general_cnf,
+    random_graph,
     random_horn_cnf,
     random_sperner,
     random_threshold_graph,
@@ -162,9 +163,14 @@ def test_hypergraph_errors_name_the_first_fault(text, message):
     assert str(e.value) == message
 
 
-@pytest.mark.parametrize("parse", [parse_hypergraph, parse_graph])
+@pytest.mark.parametrize("parse", [parse_hypergraph, parse_graph, parse_tss])
 def test_duplicate_edge_names_its_first_line(parse):
-    text = "hg 6 5\n1 2\n3 4\n5 6\n2 3\n2 1\n"  # line 6 repeats line 2 reversed
+    edges = ["1 2", "3 4", "5 6", "2 3", "2 1"]  # line 6 repeats line 2 reversed
+    if parse is parse_tss:
+        thresholds = [f"t {v} 1" for v in range(1, 7)]
+        text = "\n".join(["tss 6 5", *(f"e {e}" for e in edges), *thresholds])
+    else:
+        text = "\n".join(["hg 6 5", *edges])
     with pytest.raises(InputError) as e:
         parse(text)
     assert str(e.value) == "line 6: duplicate of edge at line 2"
@@ -196,21 +202,28 @@ def test_tss_accepts_interleaved_lines():
     assert tg.graph.edges == ((0, 1),)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "tss 2 1\ne 1 1\nt 1 1\nt 2 1",  # self loop
-        "tss 2 2\ne 1 2\ne 2 1\nt 1 1\nt 2 1",  # parallel edge
-        "tss 2 1\ne 1 2\nt 1 1",  # missing threshold
-        "tss 2 1\ne 1 2\nt 1 1\nt 1 1\nt 2 1",  # doubled threshold
-        "tss 2 1\ne 1 2\nt 1 0\nt 2 1",  # threshold 0
-        "tss 2 0\nq 1 2",  # unknown line kind
-        "tss 2 2\ne 1 2\nt 1 1\nt 2 1",  # edge count mismatch
-    ],
-)
-def test_tss_rejects_malformed(bad):
-    with pytest.raises(InputError):
+TSS_FAULTS = [
+    ("tss 2 1\ne 1 1\nt 1 1\nt 2 1", "line 2: repeated vertex in edge"),
+    ("tss 2 2\ne 1 2\ne 2 1\nt 1 1\nt 2 1", "line 3: duplicate of edge at line 2"),
+    ("tss 2 1\ne 1 2\nt 1 1", "missing threshold for vertices [2]"),
+    ("tss 2 1\ne 1 2\nt 1 1\nt 1 1\nt 2 1", "line 4: second threshold for vertex 1"),
+    ("tss 2 1\ne 1 2\nt 1 0\nt 2 1", "line 3: threshold must be >= 1"),
+    ("tss 2 0\nq 1 2", "line 2: expected `e <u> <v>` or `t <v> <k>`"),
+    ("tss 2 2\ne 1 2\nt 1 1\nt 2 1", "expected 2 edges, found 1"),
+    # Edge lines are checked as they are read, between the threshold lines,
+    # so the first faulty line of the file is the one named.
+    ("tss 3 2\nt 1 0\ne 2 2\nt 2 1\nt 3 1", "line 2: threshold must be >= 1"),
+    ("tss 3 2\nt 1 1\ne 2 2\nt 1 1\nt 3 1", "line 3: repeated vertex in edge"),
+    ("tss 3 2\ne 1 2\nt 1 1\ne 2 1\nt 1 0", "line 4: duplicate of edge at line 2"),
+    ("tss 3 1\ne 1 4\nt 4 1", "line 2: vertex id 4 outside 1..3"),
+]
+
+
+@pytest.mark.parametrize("bad, message", TSS_FAULTS, ids=[bad for bad, _ in TSS_FAULTS])
+def test_tss_rejects_malformed(bad, message):
+    with pytest.raises(InputError) as e:
         parse_tss(bad)
+    assert str(e.value) == message
 
 
 def test_general_cnf_round_trip(sat_cnf):
@@ -390,6 +403,62 @@ def test_random_round_trips():
             assert parse_hypergraph(serialize_hypergraph(h)) == h
         tg = random_threshold_graph(seed, rng.randint(1, 8), rng.random(), tmax=3)
         assert parse_tss(serialize_tss(tg)) == tg
+
+
+def test_unchecked_builds_equal_the_checked_ones():
+    # The parsers and build_sat_graph build graphs, threshold graphs and role
+    # maps without the constructors' checks.  Each value must equal, and hash
+    # like, the one the constructor builds from its parts given out of order,
+    # and the one its text was written from; the text is read with its lines
+    # shuffled and each edge reversed.
+    rng = random.Random(36)
+
+    def same(built, checked):
+        assert built == checked and hash(built) == hash(checked)
+
+    def scrambled(text):
+        lines = text.splitlines()
+        keep = 2 if len(lines) > 1 and lines[1].startswith("names ") else 1
+        records = [line.split() for line in lines[keep:]]
+        for toks in records:
+            if lines[0].startswith("hg") or toks[0] == "e":
+                toks[-2:] = toks[:-3:-1]
+        rng.shuffle(records)
+        return "\n".join(lines[:keep] + [" ".join(toks) for toks in records])
+
+    def checked_graph(universe, pairs):
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(pairs)
+        return hk.Graph(universe, pairs)
+
+    def checked_tss(tg):
+        return hk.ThresholdGraph(checked_graph(tg.universe, tg.graph.edges), list(tg.thresholds))
+
+    for _ in range(30):
+        seed = rng.randrange(2**32)
+        g = random_graph(seed, rng.randint(0, 9), rng.random())
+        parsed = parse_graph(scrambled(serialize_graph(g)))
+        same(parsed, g)
+        same(parsed, checked_graph(parsed.universe, parsed.edges))
+        tg = random_threshold_graph(seed, rng.randint(0, 9), rng.random(), tmax=3)
+        parsed = parse_tss(scrambled(serialize_tss(tg)))
+        same(parsed, tg)
+        same(parsed, checked_tss(parsed))
+        gadget, roles = hk.horn_to_tss(random_horn_cnf(seed, rng.randint(2, 6), rng.randint(0, 5)))
+        same(parse_tss(scrambled(serialize_tss(gadget))), checked_tss(gadget))
+        parsed = parse_roles(scrambled(serialize_roles(roles)))
+        same(parsed, hk.RoleMap(roles.n_original, list(roles.roles)))
+
+        f = random_general_cnf(seed, rng.randint(1, 6), rng.randint(0, 8))
+        # Repeat a literal in every clause, and add a clause with x1 and ¬x1.
+        clauses = [c + c[:1] for c in f.clauses] + [(1, -1, 1)]
+        f = hk.GeneralCNF(f.n, tuple(clauses))
+        n, top = f.n, 3 * f.n + f.m + 1
+        pairs = [(3 * i + a, 3 * i + b) for i in range(n) for a, b in [(0, 1), (0, 2), (1, 2)]]
+        pairs += [(a, b) for a in range(3 * n, top) for b in range(a + 1, top)]
+        pairs += [(3 * n + j, 3 * abs(x) - 3 + (x < 0)) for j, c in enumerate(clauses) for x in c]
+        sat_graph = hk.build_sat_graph(f)
+        same(sat_graph, checked_graph(sat_graph.universe, pairs))
 
 
 def test_labels_must_be_writable():

@@ -178,3 +178,35 @@ def test_generated_instances_are_well_formed():
         assert formats.parse_horn(text) == cnf
         tg = random_threshold_graph(seed, rng.randint(1, 8), rng.random())
         assert formats.parse_tss(formats.serialize_tss(tg)) == tg
+
+
+# Each seeded generator with valid arguments; every one but seed and p is a size.
+GENERATOR_ARGS = {
+    random_horn_cnf: dict(seed=1, n=4, m=3, max_body=2),
+    random_sperner: dict(seed=1, n=4, k=3, max_edge=2),
+    random_graph: dict(seed=1, n=4, p=0.5),
+    random_bipartite_graph: dict(seed=1, a=2, b=2, p=0.5),
+    random_threshold_graph: dict(seed=1, n=4, p=0.5, tmax=2),
+    random_general_cnf: dict(seed=1, n=4, m=3, width=2),
+}
+SIZES = [
+    (f, size) for f, args in GENERATOR_ARGS.items() for size in args if size not in ("seed", "p")
+]
+
+
+@pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("maker, size", SIZES, ids=[f"{f.__name__}-{size}" for f, size in SIZES])
+def test_a_size_that_is_no_int_is_refused(maker, size, value):
+    # Some raised TypeError from range, and some were accepted, such as
+    # random_threshold_graph(1, 4, 0.5, tmax=2.0) and random_horn_cnf(1, 4, True, 2).
+    args = GENERATOR_ARGS[maker]
+    maker(**args)
+    with pytest.raises(InputError, match=f" must be an int, got {value}$"):
+        maker(**{**args, size: value})
+
+
+def test_minimalize_refuses_a_size_that_is_no_int():
+    # 3.0 used to raise AttributeError: 'float' object has no attribute 'n'
+    with pytest.raises(InputError, match=r"^universe size must be an int, got 3\.0$"):
+        hk.minimalize(3.0, [[0]])
+
